@@ -114,21 +114,26 @@ class ObliviousAbp:
             raise GuardExceeded(
                 f"expansion estimated at {est} terms exceeds guard {guard}"
             )
-        row = [SparsePoly.const(self.field, self.num_vars, 1)]
+        # One plain term map per column.  An entry coefficient c at degree e
+        # of the layer's variable v maps a term a*x^exps to (a*c)*x^(exps+e*v);
+        # sums are reduced mod p once per layer.
+        p = self.field.p
+        row = [{(0,) * self.num_vars: 1}]
         for layer in self.layers:
-            entry_polys = [[layer.entry_poly(i, j, self.num_vars)
-                            for j in range(layer.width_out)]
-                           for i in range(layer.width_in)]
-            out = []
-            for j in range(layer.width_out):
-                acc = SparsePoly.zero(self.field, self.num_vars)
-                for i, poly in enumerate(row):
-                    if poly.is_zero:
-                        continue
-                    acc = acc + poly * entry_polys[i][j]
-                out.append(acc)
-            row = out
-        return row[0]
+            v = layer.var
+            out = [{} for _ in range(layer.width_out)]
+            for terms, entries in zip(row, layer.entries):
+                if not terms:
+                    continue
+                for acc, coeffs in zip(out, entries):
+                    get = acc.get
+                    shifts = [(e, c) for e, c in enumerate(coeffs) if c]
+                    for exps, a in terms.items():
+                        for e, c in shifts:
+                            key = exps[:v] + (exps[v] + e,) + exps[v + 1:] if e else exps
+                            acc[key] = get(key, 0) + a * c
+            row = [{exps: r for exps, a in acc.items() if (r := a % p)} for acc in out]
+        return SparsePoly._trusted(self.field, self.num_vars, row[0])
 
     def restrict(self, assignment: Mapping[int, int], compress: bool = True) -> "ObliviousAbp":
         """Fix some variables: layers reading them become constant matrices.

@@ -10,6 +10,7 @@ objects can be shared freely between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -17,18 +18,23 @@ class GuardExceeded(RuntimeError):
     """A size guard refused an operation that would blow up at desk scale."""
 
 
+# Deterministic Miller-Rabin: the prime bases 2..41 decide primality exactly
+# below 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    if m >= _MR_LIMIT:
+        raise ValueError(f"modulus {m} is too large to certify as prime")
+    if m < 2 or any(m % b == 0 for b in _MR_BASES):
+        return m in _MR_BASES
+    s = ((m - 1) & (1 - m)).bit_length() - 1     # m - 1 = d * 2^s with d odd
+    d = (m - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x != 1 and all(pow(x, 1 << r, m) != m - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -39,6 +45,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
+            raise ValueError(f"modulus {self.p!r} is not an integer")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -101,6 +109,17 @@ class SparsePoly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field: PrimeField, num_vars: int, terms: dict) -> "SparsePoly":
+        """Wrap a map that is already canonical (tuple keys of length
+        num_vars, coefficients in [1, p)) without re-checking it.  Only for
+        maps built inside the library; the map is owned by the result."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.num_vars = num_vars
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls, field: PrimeField, num_vars: int) -> "SparsePoly":
@@ -174,12 +193,12 @@ class SparsePoly:
                 out[exps] = v
             else:
                 out.pop(exps, None)
-        return SparsePoly(self.field, self.num_vars, out)
+        return SparsePoly._trusted(self.field, self.num_vars, out)
 
     def __neg__(self) -> "SparsePoly":
         p = self.field.p
-        return SparsePoly(self.field, self.num_vars,
-                          {e: p - c for e, c in self.terms.items()})
+        return SparsePoly._trusted(self.field, self.num_vars,
+                                   {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
@@ -188,23 +207,21 @@ class SparsePoly:
         self._check_compatible(other)
         p = self.field.p
         out: dict = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return SparsePoly(self.field, self.num_vars, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return SparsePoly._trusted(self.field, self.num_vars,
+                                   {e: r for e, c in out.items() if (r := c % p)})
 
     def scale(self, c: int) -> "SparsePoly":
         p = self.field.p
         c %= p
         if c == 0:
-            return SparsePoly.zero(self.field, self.num_vars)
-        return SparsePoly(self.field, self.num_vars,
-                          {e: (c * v) % p for e, v in self.terms.items()})
+            return SparsePoly._trusted(self.field, self.num_vars, {})
+        return SparsePoly._trusted(self.field, self.num_vars,
+                                   {e: (c * v) % p for e, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "SparsePoly":
         if e < 0:
@@ -247,7 +264,7 @@ class SparsePoly:
                 out[key] = t
             else:
                 out.pop(key, None)
-        return SparsePoly(self.field, self.num_vars, out)
+        return SparsePoly._trusted(self.field, self.num_vars, out)
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.num_vars:
@@ -371,19 +388,6 @@ class UniMatrix:
         rows = tuple(tuple(tuple((c * x) % p for x in e) for e in row)
                      for row in self.entries)
         return UniMatrix(self.field, self.var, rows, self.padding)
-
-    def entry_poly(self, r: int, c: int, num_vars: int) -> SparsePoly:
-        coeffs = self.entries[r][c]
-        if not coeffs:
-            return SparsePoly.zero(self.field, num_vars)
-        terms = {}
-        for e, coeff in enumerate(coeffs):
-            if coeff:
-                exps = [0] * num_vars
-                if e:
-                    exps[self.var] = e
-                terms[tuple(exps)] = coeff
-        return SparsePoly(self.field, num_vars, terms)
 
 
 def mat_mul(field: PrimeField, a: Sequence[Sequence[int]],

@@ -15,6 +15,7 @@ the best rank, a with-high-probability lower bound on the generic rank.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,17 +92,6 @@ def pd_rank(f: SparsePoly, S, T) -> int:
     return sparse_rank(f.field, _pd_rows(f, S, T))
 
 
-def _assignment_grid(degrees: Sequence[int]):
-    """Lexicographic grid over {0..d_v} per variable."""
-    if not degrees:
-        yield ()
-        return
-    head, tail = degrees[0], degrees[1:]
-    for v in range(head + 1):
-        for rest in _assignment_grid(tail):
-            yield (v,) + rest
-
-
 def _greedy_basis(f: SparsePoly, S: Sequence[int], target: int) -> tuple:
     """First assignments, in lexicographic grid order, whose restrictions span
     the evaluation space.  Stops as soon as the known dimension is reached."""
@@ -109,7 +99,7 @@ def _greedy_basis(f: SparsePoly, S: Sequence[int], target: int) -> tuple:
     degs = f.individual_degrees()
     solver = LinearSolver(f.field)
     chosen = []
-    for a in _assignment_grid([degs[v] for v in S]):
+    for a in itertools.product(*(range(degs[v] + 1) for v in S)):
         g = f.substitute(dict(zip(S, a)))
         if solver.try_add(g.terms):
             chosen.append(a)
@@ -228,7 +218,7 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
         if i < n:
             target = pd_rank(f, order[:i], order[i:])
             basis_polys: list = []
-            for a in _assignment_grid([degs[u] for u in order[:i]]):
+            for a in itertools.product(*(range(degs[u] + 1) for u in order[:i])):
                 g = f.substitute(dict(zip(order[:i], a)))
                 if solver.try_add(g.terms):
                     basis_polys.append(g)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
 from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, validate
-from .algebra import DEFAULT_FIELD, GuardExceeded, PrimeField, SparsePoly, UniMatrix
-from .evaldim import Roabp, eval_dim, pd_rank, _assignment_grid
+from .algebra import (DEFAULT_FIELD, GuardExceeded, LinearSolver, PrimeField, SparsePoly,
+                      UniMatrix)
+from .evaldim import Roabp, eval_dim, pd_rank
 
 EXPERIMENT_FIELD = PrimeField(10007)
 
@@ -296,13 +298,11 @@ def eliminate_summand(parts, t: int,
     # widen value ranges past d+1 round-robin until it does.
     ranges = [degs[v] + 1 for v in subset]
     i = 0
-    while ranges and _product(ranges) < width + 1:
+    while ranges and math.prod(ranges) < width + 1:
         if ranges[i] < field.p:
             ranges[i] += 1
         i = (i + 1) % len(ranges)
-    grid = _assignment_grid([m - 1 for m in ranges])
-    from .algebra import LinearSolver
-
+    grid = itertools.product(*(range(m) for m in ranges))
     solver = LinearSolver(field, track_coords=True)
     assignments = []
     alpha = None
@@ -374,20 +374,6 @@ def eliminate_summand(parts, t: int,
 # -- experiments ------------------------------------------------------------------
 
 
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
-def _ceil_sqrt(t: int) -> int:
-    r = 0
-    while r * r < t:
-        r += 1
-    return r
-
-
 @dataclass
 class PnRow:
     subset: tuple
@@ -434,7 +420,7 @@ def experiment_pn_evaldim(n: int, max_size: int = 4,
         t = len(subset)
         complement = tuple(v for v in range(nv) if v not in set(subset))
         dim = pd_rank(poly, subset, complement)
-        floor = 2 ** _ceil_sqrt(t)
+        floor = 2 ** (math.isqrt(t - 1) + 1 if t > 0 else 0)
         rows.append(PnRow(tuple(subset), t, dim, floor, t < n, dim >= floor))
     return PnEvalDimReport(n, tuple(rows))
 
@@ -487,7 +473,7 @@ def pn_projection_step(n: int, t: int, field: PrimeField = DEFAULT_FIELD,
     region = sorted(v for v in range(nv)
                     if (v // n < t or v % n < t) and v not in set(subset))
     fixed = None
-    for values in _assignment_grid([2] * len(region)):
+    for values in itertools.product(range(3), repeat=len(region)):
         candidate = g.substitute(dict(zip(region, values)))
         if not candidate.is_zero:
             fixed = dict(zip(region, values))

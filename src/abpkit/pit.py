@@ -71,9 +71,11 @@ class PitVerdict:
         self.iterations = tuple(self.iterations)
 
 
-def grid_hitting_set(vars, degrees, guard: int = DEFAULT_POINT_GUARD) -> HittingSet:
+def grid_hitting_set(vars, degrees, guard: int = DEFAULT_POINT_GUARD,
+                     field: PrimeField | None = None) -> HittingSet:
     """The full grid {0..d_v} per variable: hits every nonzero polynomial with
-    those individual degree bounds, unconditionally."""
+    those individual degree bounds, unconditionally.  Over a field F_p the grid
+    needs d_v + 1 distinct values, so a degree bound >= p is refused."""
     vars = tuple(vars)
     if isinstance(degrees, int):
         degrees = [degrees] * len(vars)
@@ -84,6 +86,10 @@ def grid_hitting_set(vars, degrees, guard: int = DEFAULT_POINT_GUARD) -> Hitting
     for d in degrees:
         if d < 0:
             raise ValueError("negative degree bound")
+        if field is not None and d >= field.p:
+            raise ValueError(f"degree bound {d} >= p = {field.p}: the grid "
+                             "{0..d} wraps mod p and no longer hits every "
+                             "nonzero polynomial")
         size *= d + 1
         if size > guard:
             raise GuardExceeded(f"grid of {size}+ points exceeds guard {guard}")
@@ -136,7 +142,7 @@ def roabp_hitting_set(vars, width: int, degree, field: PrimeField,
     random is probabilistically complete; external loads a user file."""
     vars = tuple(vars)
     if generator == "grid":
-        return grid_hitting_set(vars, degree, guard)
+        return grid_hitting_set(vars, degree, guard, field)
     if generator == "random":
         if count is None:
             d = max(degree) if not isinstance(degree, int) else degree
@@ -194,7 +200,7 @@ def _subset_degrees(abp: ObliviousAbp, subset) -> list:
 def _build_generator(abp: ObliviousAbp, subset, k, generator, seed, count, path, guard):
     degrees = _subset_degrees(abp, subset)
     if generator == "grid":
-        return grid_hitting_set(subset, degrees, guard)
+        return grid_hitting_set(subset, degrees, guard, abp.field)
     width = abp.width ** (2 * k)
     return roabp_hitting_set(subset, width, max(degrees, default=0) or 1,
                              abp.field, generator, seed, count, path, guard)

@@ -217,9 +217,11 @@ def test_criterion_6_k_gap_consequence():
 def test_criterion_7_pn_dimension_floor():
     """Exact rank floor eval_dim >= 2^ceil(sqrt(t)) for P_n subsets.  The
     lemma guarantees the floor for t < n; that range is asserted for both
-    n=2 and n=3, and for n=3 the full t <= 4 sweep is additionally asserted
-    (verified exact fact; see the decisions ledger for the n=2, t >= n
-    conflict with the criterion's literal wording)."""
+    n=2 and n=3, and for n=3 the full t <= 4 sweep is additionally asserted.
+    For n=2 the floor fails outside the lemma's range, as an exact fact:
+    P_2 has four variables, and fixing t=3 or t=4 of them leaves exact
+    dimensions 3 and 1 against the floor 4, so those rows are reported but
+    not asserted."""
     bad_lemma = 0
     bad_n3_full = 0
     rows_total = 0

@@ -1,6 +1,8 @@
 """Field arithmetic, sparse polynomials, and the incremental solver."""
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,39 @@ class TestPrimeField:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeField(100)
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        PrimeField(100000000000031)
+        assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("m", [561, 3215031751, 3825123056546413051])
+    def test_rejects_pseudoprimes(self, m):
+        # a Carmichael number, the least strong pseudoprime to bases 2, 3, 5
+        # and 7, and one to every base up to 23
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(m)
+
+    def test_matches_trial_division(self):
+        def trial(m):
+            return m >= 2 and all(m % f for f in range(2, math.isqrt(m) + 1))
+        for m in range(-3, 5000):
+            if trial(m):
+                assert PrimeField(m).p == m
+            else:
+                with pytest.raises(ValueError):
+                    PrimeField(m)
+
+    def test_refuses_beyond_certified_range(self):
+        # 2^89 - 1 is a Mersenne prime above the range the fixed bases decide
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(2 ** 89 - 1)
+        assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+
+    @pytest.mark.parametrize("m", [101.0, True, "101"])
+    def test_rejects_non_integer_modulus(self, m):
+        with pytest.raises(ValueError, match="not an integer"):
+            PrimeField(m)
 
     @given(st.integers(-500, 500), st.integers(-500, 500))
     def test_field_axioms_sample(self, a, b):

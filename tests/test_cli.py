@@ -77,6 +77,16 @@ class TestPit:
         assert r1.read_bytes() == r2.read_bytes()
         assert r1.read_text().startswith("iteration,")
 
+    def test_degree_reaching_p_exit_two(self, capsys, tmp_path):
+        # x^7 - x over F_7 is a nonzero polynomial that the grid cannot hit
+        path = tmp_path / "x7.json"
+        path.write_text(json.dumps({"field_prime": 7, "num_vars": 1, "layers": [
+            {"var": 1, "matrix": [[[0, 6, 0, 0, 0, 0, 0, 1]]]}]}))
+        code, out, err = run(capsys, "pit", path)
+        assert code == 2
+        assert out == ""
+        assert "wraps mod p" in err
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["pn_1.json", "pn_2.json", "pn_3.json",

@@ -37,6 +37,35 @@ class TestGridHittingSet:
         with pytest.raises(GuardExceeded):
             grid_hitting_set(tuple(range(30)), 2, guard=1000)
 
+    def test_degree_reaching_p_refused(self, f7):
+        assert len(grid_hitting_set((0,), 6, field=f7)) == 7
+        with pytest.raises(ValueError, match="wraps mod p"):
+            grid_hitting_set((0, 1), [1, 7], field=f7)
+
+
+def x7_minus_x(f7):
+    """Width-1 program for x^7 - x over F_7: a nonzero polynomial that
+    vanishes at every point of F_7."""
+    return ObliviousAbp(f7, 1, (UniMatrix(f7, 0, (((0, 6, 0, 0, 0, 0, 0, 1),),)),))
+
+
+class TestSmallFieldRefusal:
+    def test_read_k_pit_refuses_degree_p(self, f7):
+        a = x7_minus_x(f7)
+        assert str(a.expand()) == "x1^7 + 6*x1"
+        with pytest.raises(ValueError, match="wraps mod p"):
+            read_k_pit(a)
+
+    def test_read_k_hitting_set_refuses_degree_p(self, f7):
+        with pytest.raises(ValueError):
+            read_k_hitting_set(x7_minus_x(f7))
+
+    def test_degree_below_p_still_decided(self, f7):
+        # x^6 - 1 vanishes on F_7 minus {0} but not at 0
+        a = ObliviousAbp(f7, 1, (UniMatrix(f7, 0, (((6, 0, 0, 0, 0, 0, 1),),)),))
+        verdict = read_k_pit(a)
+        assert not verdict.is_zero and verdict.witness == (0,)
+
 
 class TestGenerators:
     def test_grid_dispatch_matches(self, field):
