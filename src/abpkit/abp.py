@@ -34,6 +34,8 @@ class ObliviousAbp:
     layers: tuple
 
     def __post_init__(self) -> None:
+        if type(self.num_vars) is not int or self.num_vars < 0:
+            raise ValueError(f"num_vars must be a non-negative integer, got {self.num_vars!r}")
         self.layers = tuple(self.layers)
         prev_out = 1
         for idx, layer in enumerate(self.layers):

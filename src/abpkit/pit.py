@@ -71,8 +71,8 @@ class PitVerdict:
         self.iterations = tuple(self.iterations)
 
 
-def grid_hitting_set(vars, degrees, guard: int = DEFAULT_POINT_GUARD,
-                     field: PrimeField | None = None) -> HittingSet:
+def grid_hitting_set(vars, degrees, field: PrimeField,
+                     guard: int = DEFAULT_POINT_GUARD) -> HittingSet:
     """The full grid {0..d_v} per variable: hits every nonzero polynomial with
     those individual degree bounds, unconditionally.  Over a field F_p the grid
     needs d_v + 1 distinct values, so a degree bound >= p is refused."""
@@ -86,7 +86,7 @@ def grid_hitting_set(vars, degrees, guard: int = DEFAULT_POINT_GUARD,
     for d in degrees:
         if d < 0:
             raise ValueError("negative degree bound")
-        if field is not None and d >= field.p:
+        if d >= field.p:
             raise ValueError(f"degree bound {d} >= p = {field.p}: the grid "
                              "{0..d} wraps mod p and no longer hits every "
                              "nonzero polynomial")
@@ -142,7 +142,7 @@ def roabp_hitting_set(vars, width: int, degree, field: PrimeField,
     random is probabilistically complete; external loads a user file."""
     vars = tuple(vars)
     if generator == "grid":
-        return grid_hitting_set(vars, degree, guard, field)
+        return grid_hitting_set(vars, degree, field, guard)
     if generator == "random":
         if count is None:
             d = max(degree) if not isinstance(degree, int) else degree
@@ -200,7 +200,7 @@ def _subset_degrees(abp: ObliviousAbp, subset) -> list:
 def _build_generator(abp: ObliviousAbp, subset, k, generator, seed, count, path, guard):
     degrees = _subset_degrees(abp, subset)
     if generator == "grid":
-        return grid_hitting_set(subset, degrees, guard, abp.field)
+        return grid_hitting_set(subset, degrees, abp.field, guard)
     width = abp.width ** (2 * k)
     return roabp_hitting_set(subset, width, max(degrees, default=0) or 1,
                              abp.field, generator, seed, count, path, guard)

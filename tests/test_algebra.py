@@ -34,9 +34,13 @@ class TestPrimeField:
             PrimeField(100)
 
     def test_large_prime_is_fast(self):
+        # trial division would need about 1e7 steps for 10^14 + 31 and 1.5e9
+        # for the Mersenne prime 2^61 - 1, minutes of work; the bound leaves
+        # room for a slow runner
         start = time.perf_counter()
-        PrimeField(100000000000031)
-        assert time.perf_counter() - start < 0.01
+        assert PrimeField(100000000000031).p == 100000000000031
+        assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("m", [561, 3215031751, 3825123056546413051])
     def test_rejects_pseudoprimes(self, m):

@@ -47,6 +47,16 @@ class TestEvalExpand:
         assert code == 0
         assert out.strip() == "0"
 
+    @pytest.mark.parametrize("num_vars", [-1, "2", 1.0, True])
+    def test_bad_num_vars_refused(self, capsys, tmp_path, num_vars):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"field_prime": 7, "num_vars": num_vars,
+                                    "layers": []}))
+        code, out, err = run(capsys, "expand", path)
+        assert code == 2
+        assert out == ""
+        assert "num_vars" in err
+
     def test_expand_guard_error(self, capsys):
         code, _, err = run(capsys, "expand", FIXTURES / "pn_3.json",
                            "--guard", "2")

@@ -16,31 +16,31 @@ from abpkit.pit import (external_hitting_set, grid_hitting_set,
 
 
 class TestGridHittingSet:
-    def test_two_vars_multilinear(self):
-        hs = grid_hitting_set((0, 1), 1)
+    def test_two_vars_multilinear(self, field):
+        hs = grid_hitting_set((0, 1), 1, field)
         assert set(hs.points) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert hs.provenance == "grid"
 
-    def test_single_var_degree3(self):
-        hs = grid_hitting_set((0,), 3)
+    def test_single_var_degree3(self, field):
+        hs = grid_hitting_set((0,), 3, field)
         assert hs.points == ((0,), (1,), (2,), (3,))
 
     def test_zero_vanishes_nonzero_hit(self, field):
         z = SparsePoly.zero(field, 2)
         f = SparsePoly.variable(field, 2, 0) + SparsePoly.variable(field, 2, 1)
-        hs = grid_hitting_set((0, 1), 1)
+        hs = grid_hitting_set((0, 1), 1, field)
         assert all(z.evaluate(pt) == 0 for pt in hs.points)
         assert any(f.evaluate(pt) != 0 for pt in hs.points)
         assert f.evaluate((0, 1)) != 0
 
-    def test_guard(self):
+    def test_guard(self, field):
         with pytest.raises(GuardExceeded):
-            grid_hitting_set(tuple(range(30)), 2, guard=1000)
+            grid_hitting_set(tuple(range(30)), 2, field, guard=1000)
 
     def test_degree_reaching_p_refused(self, f7):
-        assert len(grid_hitting_set((0,), 6, field=f7)) == 7
+        assert len(grid_hitting_set((0,), 6, f7)) == 7
         with pytest.raises(ValueError, match="wraps mod p"):
-            grid_hitting_set((0, 1), [1, 7], field=f7)
+            grid_hitting_set((0, 1), [1, 7], f7)
 
 
 def x7_minus_x(f7):
@@ -70,7 +70,7 @@ class TestSmallFieldRefusal:
 class TestGenerators:
     def test_grid_dispatch_matches(self, field):
         a = roabp_hitting_set((0, 1, 2), width=4, degree=2, field=field)
-        b = grid_hitting_set((0, 1, 2), 2)
+        b = grid_hitting_set((0, 1, 2), 2, field)
         assert a.points == b.points
 
     def test_random_generator_hits_random_roabps(self, field):
