@@ -9,9 +9,10 @@ when the estimated term count is too large.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix, mat_mul
 from .sequences import ReadSequence
@@ -250,9 +251,11 @@ def read_sequence(abp: ObliviousAbp) -> ReadSequence:
 #               {"var": null, "matrix": [[[5]]]}]}
 #
 # "var" is the 1-based read variable (null for a constant layer), "matrix" is
-# a rows-of-entries grid and each entry is a coefficient list, lowest degree
-# first (the empty list is the zero polynomial).  An optional "padding": true
-# marks identity-padding layers.  Serialization is canonical: sorted keys,
+# a rows-of-entries grid and each entry is a list of integer coefficients,
+# lowest degree first (the empty list is the zero polynomial).  An optional
+# "padding": true marks identity-padding layers.  Anything else (a float or
+# bool coefficient or var, a non-bool padding) is refused with a ValueError
+# naming the layer and the entry.  Serialization is canonical: sorted keys,
 # fixed separators, one trailing newline.
 
 
@@ -281,6 +284,8 @@ def from_json_obj(obj: dict) -> ObliviousAbp:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"ABP document missing required field: {exc}") from exc
     field = PrimeField(prime)
+    if not isinstance(raw_layers, list):
+        raise ValueError("ABP document: layers must be a list")
     layers = []
     for idx, raw in enumerate(raw_layers):
         try:
@@ -289,12 +294,32 @@ def from_json_obj(obj: dict) -> ObliviousAbp:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"layer {idx} missing required field: {exc}") from exc
         if var is not None:
-            if not isinstance(var, int) or var < 1:
-                raise ValueError(f"layer {idx}: var must be a 1-based index or null")
+            if type(var) is not int or var < 1:
+                raise ValueError(f"layer {idx}: var must be a 1-based index or null, "
+                                 f"got {var!r}")
             var -= 1
-        rows = tuple(tuple(tuple(entry) for entry in row) for row in matrix)
-        layers.append(UniMatrix(field, var, rows, padding=bool(raw.get("padding", False))))
+        padding = raw.get("padding", False)
+        if type(padding) is not bool:
+            raise ValueError(f"layer {idx}: padding must be true or false, got {padding!r}")
+        layers.append(UniMatrix(field, var, _int_matrix(idx, matrix), padding))
     return ObliviousAbp(field, num_vars, tuple(layers))
+
+
+def _int_matrix(idx: int, matrix) -> tuple:
+    """The layer's matrix as nested tuples, refusing anything but lists of
+    rows of integer (not bool) coefficient lists."""
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise ValueError(f"layer {idx}: matrix must be a list of rows")
+    for r, row in enumerate(matrix):
+        for c, entry in enumerate(row):
+            if not isinstance(entry, list):
+                raise ValueError(f"layer {idx}: matrix[{r}][{c}] must be a "
+                                 f"coefficient list, got {entry!r}")
+            for e, coeff in enumerate(entry):
+                if type(coeff) is not int:
+                    raise ValueError(f"layer {idx}: matrix[{r}][{c}] coefficient {e} "
+                                     f"must be an integer, got {coeff!r}")
+    return tuple(tuple(tuple(entry) for entry in row) for row in matrix)
 
 
 def parse_text(text: str) -> ObliviousAbp:
@@ -315,3 +340,11 @@ def load(path) -> ObliviousAbp:
 def save(abp: ObliviousAbp, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_canonical_text(abp))
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a report: UTF-8, the csv module's default dialect, a header row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(rows)

@@ -50,29 +50,14 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def element(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_p")
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.p, e, self.p)
 
     def random(self, rng) -> int:
         return rng.randrange(self.p)
@@ -165,15 +150,6 @@ class SparsePoly:
                     degs[i] = e
         return tuple(degs)
 
-    def support(self) -> frozenset:
-        """Indices of variables actually mentioned."""
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return frozenset(used)
-
     def coefficient(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
@@ -223,18 +199,6 @@ class SparsePoly:
         return SparsePoly._trusted(self.field, self.num_vars,
                                    {e: (c * v) % p for e, v in self.terms.items()})
 
-    def __pow__(self, e: int) -> "SparsePoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = SparsePoly.const(self.field, self.num_vars, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     # -- substitution / evaluation -----------------------------------------
 
     def substitute(self, assignment: Mapping[int, int]) -> "SparsePoly":
@@ -280,9 +244,6 @@ class SparsePoly:
         return total
 
     # -- display -----------------------------------------------------------
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items())
 
     def __str__(self) -> str:
         if not self.terms:

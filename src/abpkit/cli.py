@@ -9,7 +9,6 @@ witness is printed), and errors exit 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import random
 import sys
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .evaldim import (eval_dim, k_gap_check, k_gap_to_roabp, k_pass_to_roabp,
 from .hardpoly import (block_partition, eliminate_summand,
                        experiment_pn_evaldim, experiment_qn_evaldim,
                        gen_pn, gen_qn)
-from .pit import iteration_bound_check, read_k_pit
+from .pit import iteration_bound_sweep, read_k_pit
 from .sequences import (concat_decompose, is_regularly_interleaving,
                         per_read_monotone_subset, regularly_interleaving_subset)
 
@@ -77,15 +76,12 @@ def _cmd_pit(args) -> int:
     verdict = read_k_pit(program, generator=args.generator, seed=args.seed,
                          count=args.count, path=args.points_file)
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["iteration", "subset", "size_floor", "h_size",
-                          "points_tried", "chosen"])
-            for i, rec in enumerate(verdict.iterations, 1):
-                out.writerow([i, "+".join(str(v + 1) for v in rec.subset),
-                              f"{rec.size_floor:.6f}", rec.h_size, rec.points_tried,
-                              " ".join(str(x) for x in rec.chosen)
-                              if rec.chosen else ""])
+        abpio.write_csv(args.report, ["iteration", "subset", "size_floor", "h_size",
+                                      "points_tried", "chosen"],
+                        ([i, "+".join(str(v + 1) for v in rec.subset),
+                          f"{rec.size_floor:.6f}", rec.h_size, rec.points_tried,
+                          " ".join(str(x) for x in rec.chosen) if rec.chosen else ""]
+                         for i, rec in enumerate(verdict.iterations, 1)))
     if verdict.is_zero:
         print("zero polynomial")
         return 0
@@ -231,28 +227,19 @@ def _cmd_experiment(args) -> int:
         print(f"chosen blocks: {part.chosen}")
         print(f"|U|={len(part.U)} |V|={len(part.V)} |W|={len(part.W)}")
         if args.report:
-            with open(args.report, "w", encoding="utf-8", newline="") as fh:
-                out = csv.writer(fh)
-                out.writerow(["set", "variables"])
-                for name, group in (("U", part.U), ("V", part.V), ("W", part.W)):
-                    out.writerow([name, " ".join(str(v + 1) for v in sorted(group))])
+            abpio.write_csv(args.report, ["set", "variables"],
+                            ([name, " ".join(str(v + 1) for v in sorted(group))]
+                             for name, group in (("U", part.U), ("V", part.V),
+                                                 ("W", part.W))))
         return 0
     # iteration-bound
     p_values = [Fraction(x) for x in args.p_grid.split(",")]
-    rows = []
-    failures = 0
-    for p in p_values:
-        for r in range(1, args.r_max + 1):
-            for n in range(1, args.n_max + 1):
-                ok = iteration_bound_check(n, p, r)
-                failures += not ok
-                rows.append((str(p), r, n, int(ok)))
+    rows = [(str(p), r, n, int(ok)) for p, r, n, ok in
+            iteration_bound_sweep(p_values, range(1, args.r_max + 1), args.n_max)]
+    failures = sum(not ok for *_, ok in rows)
     print(f"{len(rows)} grid points checked, {failures} failures")
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["p", "r", "n", "ok"])
-            out.writerows(rows)
+        abpio.write_csv(args.report, ["p", "r", "n", "ok"], rows)
     return 0 if failures == 0 else 2
 
 
@@ -261,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="abpkit",
         description="Read-k oblivious branching programs: validation, "
                     "identity testing, width collapse, and experiments.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; the library is pure and single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="classify a program file")

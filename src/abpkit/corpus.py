@@ -27,6 +27,21 @@ def _random_matrix(rng: random.Random, field: PrimeField, var: int,
     return UniMatrix(field, var, grid)
 
 
+def _throttled_degree(rng: random.Random, ind: list, v: int,
+                      max_entry_degree: int, term_budget: int) -> int:
+    """Random degree for the next layer reading v, capped so that the product
+    of (individual degree + 1) stays within the term budget; adds it to ind."""
+    est = 1
+    for d in ind:
+        est *= d + 1
+    room = max_entry_degree
+    while room > 0 and est // (ind[v] + 1) * (ind[v] + room + 1) > term_budget:
+        room -= 1
+    deg = rng.randint(0, room)
+    ind[v] += deg
+    return deg
+
+
 def random_read_k_abp(rng: random.Random, field: PrimeField, n: int, k: int,
                       width: int, max_entry_degree: int = 2,
                       term_budget: int = 30000,
@@ -48,14 +63,7 @@ def random_read_k_abp(rng: random.Random, field: PrimeField, n: int, k: int,
         layers = []
         ind = [0] * n
         for pos, v in enumerate(order):
-            est = 1
-            for d in ind:
-                est *= d + 1
-            room = max_entry_degree
-            while room > 0 and est // (ind[v] + 1) * (ind[v] + room + 1) > term_budget:
-                room -= 1
-            deg = rng.randint(0, room)
-            ind[v] += deg
+            deg = _throttled_degree(rng, ind, v, max_entry_degree, term_budget)
             entry = _random_entry(rng, field, deg)
             if pos == 0:
                 layers.append(UniMatrix(field, v, ((entry, entry),)))
@@ -69,14 +77,7 @@ def random_read_k_abp(rng: random.Random, field: PrimeField, n: int, k: int,
     layers = []
     ind = [0] * n
     for pos, v in enumerate(order):
-        est = 1
-        for d in ind:
-            est *= d + 1
-        room = max_entry_degree
-        while room > 0 and est // (ind[v] + 1) * (ind[v] + room + 1) > term_budget:
-            room -= 1
-        deg = rng.randint(0, room)
-        ind[v] += deg
+        deg = _throttled_degree(rng, ind, v, max_entry_degree, term_budget)
         layers.append(_random_matrix(rng, field, v, dims[pos], dims[pos + 1], deg))
     if zero_kind == "zero_layer":
         idx = rng.randrange(length)

@@ -92,20 +92,21 @@ def pd_rank(f: SparsePoly, S, T) -> int:
     return sparse_rank(f.field, _pd_rows(f, S, T))
 
 
-def _greedy_basis(f: SparsePoly, S: Sequence[int], target: int) -> tuple:
-    """First assignments, in lexicographic grid order, whose restrictions span
-    the evaluation space.  Stops as soon as the known dimension is reached."""
-    S = sorted(S)
+def _greedy_basis(f: SparsePoly, S: Sequence[int], target: int,
+                  solver: LinearSolver) -> list:
+    """First assignments to S, in lexicographic grid order over S as given,
+    whose restrictions are independent in ``solver``; stops as soon as the
+    solver's rank reaches the known dimension.  Returns (assignment,
+    restriction) pairs."""
     degs = f.individual_degrees()
-    solver = LinearSolver(f.field)
     chosen = []
     for a in itertools.product(*(range(degs[v] + 1) for v in S)):
         g = f.substitute(dict(zip(S, a)))
         if solver.try_add(g.terms):
-            chosen.append(a)
+            chosen.append((a, g))
             if solver.rank >= target:
                 break
-    return tuple(chosen)
+    return chosen
 
 
 def eval_dim(f: SparsePoly, S, T, R=(), *, trials: int = 3, seed: int = 0,
@@ -126,23 +127,19 @@ def eval_dim(f: SparsePoly, S, T, R=(), *, trials: int = 3, seed: int = 0,
             f"field size {f.field.p} must exceed deg(f) = {f.total_degree()}"
         )
     if not R:
-        dim = pd_rank(f, S, T)
-        basis = _greedy_basis(f, S, dim) if with_basis else ()
-        return EvalDimReport(S, T, R, dim, basis)
-    rng = random.Random(seed)
-    best_dim = -1
-    best_sub: SparsePoly | None = None
-    trial_dims = []
-    for _ in range(trials):
-        sub = {r: f.field.random(rng) for r in R}
-        g = f.substitute(sub)
-        d = pd_rank(g, S, T)
-        trial_dims.append(d)
-        if d > best_dim:
-            best_dim = d
-            best_sub = g
-    basis = _greedy_basis(best_sub, S, best_dim) if with_basis else ()
-    return EvalDimReport(S, T, R, best_dim, basis, tuple(trial_dims))
+        dim, best_sub, trial_dims = pd_rank(f, S, T), f, ()
+    else:
+        rng = random.Random(seed)
+        dim, best_sub, trial_dims = -1, None, []
+        for _ in range(trials):
+            g = f.substitute({r: f.field.random(rng) for r in R})
+            d = pd_rank(g, S, T)
+            trial_dims.append(d)
+            if d > dim:
+                dim, best_sub = d, g
+    basis = (tuple(a for a, _ in _greedy_basis(best_sub, S, dim, LinearSolver(f.field)))
+             if with_basis else ())
+    return EvalDimReport(S, T, R, dim, basis, tuple(trial_dims))
 
 
 def _check_order(num_vars: int, order) -> tuple:
@@ -217,13 +214,7 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
         solver = LinearSolver(field, track_coords=True)
         if i < n:
             target = pd_rank(f, order[:i], order[i:])
-            basis_polys: list = []
-            for a in itertools.product(*(range(degs[u] + 1) for u in order[:i])):
-                g = f.substitute(dict(zip(order[:i], a)))
-                if solver.try_add(g.terms):
-                    basis_polys.append(g)
-                    if solver.rank >= target:
-                        break
+            basis_polys = [g for _, g in _greedy_basis(f, order[:i], target, solver)]
         else:
             one = SparsePoly.const(field, n, 1)
             solver.try_add(one.terms)

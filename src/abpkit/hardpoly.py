@@ -12,13 +12,12 @@ rank floors that drive both arguments.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import random
 from dataclasses import dataclass
 
-from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, validate
+from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, validate, write_csv
 from .algebra import (DEFAULT_FIELD, GuardExceeded, LinearSolver, PrimeField, SparsePoly,
                       UniMatrix)
 from .evaldim import Roabp, eval_dim, pd_rank
@@ -390,13 +389,10 @@ class PnEvalDimReport:
     rows: tuple
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["subset", "t", "dimension", "floor", "lemma_applies", "ok"])
-            for row in self.rows:
-                out.writerow(["+".join(pn_var_name(self.n, v) for v in row.subset),
-                              row.t, row.dimension, row.floor,
-                              int(row.lemma_applies), int(row.ok)])
+        write_csv(path, ["subset", "t", "dimension", "floor", "lemma_applies", "ok"],
+                  (["+".join(pn_var_name(self.n, v) for v in row.subset),
+                    row.t, row.dimension, row.floor, int(row.lemma_applies), int(row.ok)]
+                   for row in self.rows))
 
 
 def experiment_pn_evaldim(n: int, max_size: int = 4,
@@ -541,16 +537,13 @@ class QnEvalDimReport:
     rows: tuple
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["S", "T", "m", "witness_matching", "dimension",
-                          "floor", "ok", "trial_dims"])
-            for row in self.rows:
-                out.writerow(["+".join(qn_var_name(self.n, v) for v in row.S),
-                              "+".join(qn_var_name(self.n, v) for v in row.T),
-                              row.m, row.witness_matching, row.dimension,
-                              row.floor, int(row.ok),
-                              " ".join(str(d) for d in row.trial_dims)])
+        write_csv(path, ["S", "T", "m", "witness_matching", "dimension", "floor", "ok",
+                         "trial_dims"],
+                  (["+".join(qn_var_name(self.n, v) for v in row.S),
+                    "+".join(qn_var_name(self.n, v) for v in row.T),
+                    row.m, row.witness_matching, row.dimension, row.floor, int(row.ok),
+                    " ".join(str(d) for d in row.trial_dims)]
+                   for row in self.rows))
 
 
 def qn_cross_edges(n: int, S, T) -> tuple:

@@ -107,7 +107,7 @@ def random_hitting_set(vars, field: PrimeField, count: int, seed: int,
     return HittingSet(vars, points, f"random(seed={seed},count={count})")
 
 
-def external_hitting_set(vars, path, field: PrimeField | None = None) -> HittingSet:
+def external_hitting_set(vars, path, field: PrimeField) -> HittingSet:
     """Load an externally supplied point set: one assignment per line, decimal
     field elements in declared variable order.  Size is recorded; validity of
     the generator is trusted."""
@@ -127,9 +127,7 @@ def external_hitting_set(vars, path, field: PrimeField | None = None) -> Hitting
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(vars)} values, got {len(vals)}"
                 )
-            if field is not None:
-                vals = [v % field.p for v in vals]
-            points.append(tuple(vals))
+            points.append(tuple(v % field.p for v in vals))
     return HittingSet(vars, tuple(points), f"external({path})")
 
 
@@ -145,7 +143,7 @@ def roabp_hitting_set(vars, width: int, degree, field: PrimeField,
         return grid_hitting_set(vars, degree, field, guard)
     if generator == "random":
         if count is None:
-            d = max(degree) if not isinstance(degree, int) else degree
+            d = max(degree, default=0) if not isinstance(degree, int) else degree
             count = max(1, (len(vars) * width * max(d, 1)) ** 2)
         return random_hitting_set(vars, field, count, seed, guard)
     if generator == "external":
@@ -192,20 +190,6 @@ def iteration_bound(n: int, k: int) -> float:
     return 2 * 3 ** (k * k) * n ** (1 - 1.0 / 2 ** (k - 1))
 
 
-def _subset_degrees(abp: ObliviousAbp, subset) -> list:
-    degs = abp.individual_degrees()
-    return [degs[v] for v in subset]
-
-
-def _build_generator(abp: ObliviousAbp, subset, k, generator, seed, count, path, guard):
-    degrees = _subset_degrees(abp, subset)
-    if generator == "grid":
-        return grid_hitting_set(subset, degrees, abp.field, guard)
-    width = abp.width ** (2 * k)
-    return roabp_hitting_set(subset, width, max(degrees, default=0) or 1,
-                             abp.field, generator, seed, count, path, guard)
-
-
 def _abp_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
                  fastpath: int, guard: int, count, path) -> bool:
     """Exact nonzero test used inside the search loop.  Random evaluation
@@ -249,8 +233,10 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     while work.read_order():
         seq = read_sequence(work)
         subset, floor = _choose_subset(seq)
-        hs = _build_generator(work, subset, k, generator, seed + len(iterations),
-                              count, path, guard)
+        degs = work.individual_degrees()
+        hs = roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
+                               work.field, generator, seed + len(iterations), count,
+                               path, guard)
         chosen = None
         tried = 0
         restricted = None
@@ -286,11 +272,13 @@ def read_k_hitting_set(abp: ObliviousAbp, generator: str = "grid", seed: int = 0
     work = cls.normalized
     k = max(cls.k, 1)
     seq = read_sequence(work) if work.read_order() else None
+    degs = work.individual_degrees()
     rounds = []
     idx = 0
     while seq is not None and seq.n > 0:
         subset, _ = _choose_subset(seq)
-        hs = _build_generator(work, subset, k, generator, seed + idx, count, path, guard)
+        hs = roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
+                               work.field, generator, seed + idx, count, path, guard)
         rounds.append(hs)
         keep = [e for e in range(seq.n) if seq.labels[e] not in set(subset)]
         seq = seq.restrict(keep) if keep else None

@@ -91,9 +91,6 @@ class ReadSequence:
         """Index of the i-th occurrence of element e."""
         return self._occ[(e, i)]
 
-    def var_at(self, idx: int) -> tuple:
-        return self.entries[idx]
-
     def read_order(self, i: int) -> list:
         """The permutation of elements given by their i-th occurrences."""
         return [e for e, c in self.entries if c == i]

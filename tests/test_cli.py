@@ -57,6 +57,24 @@ class TestEvalExpand:
         assert out == ""
         assert "num_vars" in err
 
+    @pytest.mark.parametrize("layer, entry", [
+        ({"var": 1, "matrix": [[[0.5, 1]]]}, "matrix[0][0] coefficient 0"),
+        ({"var": 1, "matrix": [[[1, True]]]}, "matrix[0][0] coefficient 1"),
+        ({"var": True, "matrix": [[[0, 1]]]}, "var"),
+        ({"var": 1, "matrix": [[[0, 1]]], "padding": "no"}, "padding"),
+        ({"var": 1, "matrix": [[1]]}, "matrix[0][0]"),
+    ])
+    def test_non_int_layer_entries_refused(self, capsys, tmp_path, layer, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"field_prime": 7, "num_vars": 1,
+                                    "layers": [{"var": None, "matrix": [[[1]]]},
+                                               layer]}))
+        for argv in (["eval", path, "--point", "3"], ["expand", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "layer 1" in err and entry in err
+
     def test_expand_guard_error(self, capsys):
         code, _, err = run(capsys, "expand", FIXTURES / "pn_3.json",
                            "--guard", "2")

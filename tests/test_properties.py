@@ -5,14 +5,18 @@ be: every entry becomes a SparsePoly and the layer product is formed with the
 public ``+`` and ``*``.  The fast ``expand`` must agree with it exactly, every
 polynomial the library builds must already be in the canonical form the
 public constructor would produce, and the grid identity test must either agree
-with the expansion oracle or refuse.
+with the expansion oracle or refuse.  Mutated program documents must either
+load and round-trip byte-identically through the canonical text, or be
+refused with a ValueError.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abpkit.abp import ObliviousAbp
+from abpkit.abp import ObliviousAbp, parse_text, to_canonical_text, to_json_obj
 from abpkit.algebra import PrimeField, SparsePoly, UniMatrix
 from abpkit.pit import read_k_pit
 
@@ -86,6 +90,72 @@ def poly_pairs(draw, num_vars=3, max_degree=3):
     f, g = (SparsePoly(field, num_vars, draw(st.dictionaries(exps, coeffs, max_size=6)))
             for _ in range(2))
     return f, g
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=3)),
+    max_leaves=6)
+DOCUMENT_KEYS = st.sampled_from(["field_prime", "num_vars", "layers", "var",
+                                 "matrix", "padding"]) | st.text(max_size=3)
+
+
+def _paths(value, path=()):
+    """Every position in a JSON tree, as the key path from the root."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def program_documents(draw):
+    """Text of a valid program document after up to three random edits
+    (replace, delete or insert a value anywhere), sometimes truncated."""
+    doc = to_json_obj(draw(programs(primes=(2, 7, 101), max_vars=3, max_layers=4)))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "replace":
+            parent[key] = draw(JSON_VALUES)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(DOCUMENT_KEYS)] = draw(JSON_VALUES)
+        else:
+            parent.insert(key, draw(JSON_VALUES))
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestProgramJsonFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(program_documents())
+    def test_round_trip_or_value_error(self, text):
+        try:
+            program = parse_text(text)
+        except ValueError:
+            return
+        canonical = to_canonical_text(program)
+        again = parse_text(canonical)
+        assert again == program
+        assert to_canonical_text(again) == canonical
 
 
 class TestExpandMatchesReference:
