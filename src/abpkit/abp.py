@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix, mat_mul
@@ -138,35 +140,24 @@ class ObliviousAbp:
             row = [{exps: r for exps, a in acc.items() if (r := a % p)} for acc in out]
         return SparsePoly._trusted(self.field, self.num_vars, row[0])
 
-    def restrict(self, assignment: Mapping[int, int], compress: bool = True) -> "ObliviousAbp":
-        """Fix some variables: layers reading them become constant matrices.
-        With ``compress`` adjacent constant layers are multiplied together,
-        which never changes the computed polynomial."""
+    def restrict(self, assignment: Mapping[int, int]) -> "ObliviousAbp":
+        """Fix some variables.  Each run of layers that read nothing or read a
+        fixed variable is folded into one constant layer, the product of
+        their values, which never changes the computed polynomial."""
         for i in assignment:
             if not 0 <= i < self.num_vars:
                 raise ValueError(f"assigned variable {i} out of range")
-        new_layers = []
-        for layer in self.layers:
-            if layer.var is not None and layer.var in assignment:
-                new_layers.append(layer.to_constant(assignment[layer.var]))
+        layers = []
+        for fixed, run in groupby(self.layers,
+                                  lambda layer: layer.var is None or layer.var in assignment):
+            if fixed:
+                grids = (layer.eval_at(0 if layer.var is None else assignment[layer.var])
+                         for layer in run)
+                layers.append(UniMatrix.constant(self.field,
+                                                 reduce(partial(mat_mul, self.field), grids)))
             else:
-                new_layers.append(layer)
-        if compress:
-            merged: list = []
-            pending = None
-            for layer in new_layers:
-                if layer.is_constant and layer.var is None:
-                    grid = layer.eval_at(0)
-                    pending = grid if pending is None else mat_mul(self.field, pending, grid)
-                else:
-                    if pending is not None:
-                        merged.append(UniMatrix.constant(self.field, pending))
-                        pending = None
-                    merged.append(layer)
-            if pending is not None:
-                merged.append(UniMatrix.constant(self.field, pending))
-            new_layers = merged
-        return ObliviousAbp(self.field, self.num_vars, tuple(new_layers))
+                layers.extend(run)
+        return ObliviousAbp(self.field, self.num_vars, tuple(layers))
 
 
 @dataclass
@@ -277,21 +268,25 @@ def to_canonical_text(abp: ObliviousAbp) -> str:
 
 
 def from_json_obj(obj: dict) -> ObliviousAbp:
+    if not isinstance(obj, dict):
+        raise ValueError("ABP document must be a JSON object")
     try:
         prime = obj["field_prime"]
         num_vars = obj["num_vars"]
         raw_layers = obj["layers"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"ABP document missing required field: {exc}") from exc
     field = PrimeField(prime)
     if not isinstance(raw_layers, list):
         raise ValueError("ABP document: layers must be a list")
     layers = []
     for idx, raw in enumerate(raw_layers):
+        if not isinstance(raw, dict):
+            raise ValueError(f"layer {idx} must be a JSON object")
         try:
             var = raw["var"]
             matrix = raw["matrix"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"layer {idx} missing required field: {exc}") from exc
         if var is not None:
             if type(var) is not int or var < 1:

@@ -309,10 +309,6 @@ class UniMatrix:
     def degree(self) -> int:
         return max((len(e) - 1 for row in self.entries for e in row if e), default=0)
 
-    @property
-    def is_constant(self) -> bool:
-        return all(len(e) <= 1 for row in self.entries for e in row)
-
     @classmethod
     def identity(cls, field: PrimeField, size: int, var: int | None = None,
                  padding: bool = False) -> "UniMatrix":

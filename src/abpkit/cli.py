@@ -181,12 +181,12 @@ def _cmd_sequence(args) -> int:
 def _cmd_gen(args) -> int:
     field = PrimeField(args.field_prime)
     if args.family == "pn":
-        inst = gen_pn(args.n, field, with_poly=args.with_poly or None)
+        inst = gen_pn(args.n, field, with_poly=args.with_poly)
     else:
-        inst = gen_qn(args.n, field, with_poly=args.with_poly or None)
+        inst = gen_qn(args.n, field, with_poly=args.with_poly)
     abpio.save(inst.realization, args.out)
     print(f"wrote {args.family} n={args.n} program to {args.out}")
-    if inst.polynomial is not None and args.with_poly:
+    if args.with_poly:
         print(inst.polynomial)
     return 0
 

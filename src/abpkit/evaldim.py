@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .abp import DEFAULT_EXPAND_GUARD, ClassificationError, ObliviousAbp, validate
-from .algebra import LinearSolver, PrimeField, SparsePoly, UniMatrix, sparse_rank
+from .algebra import LinearSolver, SparsePoly, UniMatrix, sparse_rank
 
 
 @dataclass
@@ -161,32 +161,16 @@ def roabp_width_profile(f: SparsePoly, order) -> tuple:
     return tuple(out)
 
 
-def _inv_vandermonde(field: PrimeField, npoints: int) -> list:
-    """Inverse of the Vandermonde matrix on points 0..npoints-1 over F_p."""
-    p = field.p
-    size = npoints
-    aug = [[pow(c, e, p) for e in range(size)] + [1 if r == c else 0
-           for r in range(size)] for c in range(size)]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
-
-
 def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
     """Construct a read-once oblivious program for f in the given order whose
     realized widths meet the evaluation-dimension profile exactly.
 
     At every prefix cut a basis of restrictions is chosen greedily in
-    lexicographic order over the (d+1)-grid of prefix assignments; each layer
-    then expresses the previous basis, extended by one variable, in the next
-    basis, with the univariate entries recovered by interpolation.
+    lexicographic order over the (d+1)-grid of prefix assignments.  Each
+    previous basis polynomial g splits as g = sum_e v^e * g_e by the exponent
+    of the layer's variable v; every g_e is a combination of restrictions
+    g|_{v=c}, so it lies in the next basis's span, and its coordinates there
+    are the degree-e coefficients of the layer's entries.
     """
     n = f.num_vars
     order = _check_order(n, order if order is not None else range(n))
@@ -210,7 +194,6 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
     profile = []
     for i in range(1, n + 1):
         v = order[i - 1]
-        dv = degs[v]
         solver = LinearSolver(field, track_coords=True)
         if i < n:
             target = pd_rank(f, order[:i], order[i:])
@@ -219,26 +202,15 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
             one = SparsePoly.const(field, n, 1)
             solver.try_add(one.terms)
             basis_polys = [one]
-        vinv = _inv_vandermonde(field, dv + 1)
         rows = []
         for g in cur_basis:
-            coords_per_point = []
-            for c in range(dv + 1):
-                h = g.substitute({v: c})
-                coords = solver.express(h.terms, size=len(basis_polys))
-                if coords is None:
-                    raise RuntimeError("synthesis basis does not span an extension")
-                coords_per_point.append(coords)
-            row = []
-            for s in range(len(basis_polys)):
-                coeffs = []
-                for e in range(dv + 1):
-                    acc = 0
-                    for c in range(dv + 1):
-                        acc += vinv[e][c] * coords_per_point[c][s]
-                    coeffs.append(acc % field.p)
-                row.append(tuple(coeffs))
-            rows.append(tuple(row))
+            slices = [{} for _ in range(degs[v] + 1)]
+            for exps, c in g.terms.items():
+                slices[exps[v]][exps[:v] + (0,) + exps[v + 1:]] = c
+            coords = [solver.express(g_e, size=len(basis_polys)) for g_e in slices]
+            if None in coords:
+                raise RuntimeError("synthesis basis does not span an extension")
+            rows.append(tuple(zip(*coords)))
         layers.append(UniMatrix(field, v, tuple(rows)))
         if i < n:
             profile.append(len(basis_polys))

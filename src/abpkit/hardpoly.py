@@ -46,15 +46,15 @@ def pn_var_name(n: int, v: int) -> str:
     return f"x{v // n + 1}_{v % n + 1}"
 
 
-def _pn_polynomial(field: PrimeField, n: int) -> SparsePoly:
+def _pn_polynomial(field: PrimeField, n: int, block) -> SparsePoly:
+    """Product of the row sums and the column sums of the submatrix on rows
+    and columns ``block`` (1-based), over all n^2 variables."""
     nv = n * n
     poly = SparsePoly.const(field, nv, 1)
-    for i in range(1, n + 1):
-        poly = poly * SparsePoly.linear(field, nv,
-                                        {pn_var(n, i, j): 1 for j in range(1, n + 1)})
-    for j in range(1, n + 1):
-        poly = poly * SparsePoly.linear(field, nv,
-                                        {pn_var(n, i, j): 1 for i in range(1, n + 1)})
+    for i in block:
+        poly = poly * SparsePoly.linear(field, nv, {pn_var(n, i, j): 1 for j in block})
+    for j in block:
+        poly = poly * SparsePoly.linear(field, nv, {pn_var(n, i, j): 1 for i in block})
     return poly
 
 
@@ -91,7 +91,7 @@ def gen_pn(n: int, field: PrimeField = DEFAULT_FIELD,
             raise GuardExceeded(
                 f"symbolic P_n guarded at n <= {PN_SYMBOLIC_LIMIT}; program still available"
             )
-        poly = _pn_polynomial(field, n)
+        poly = _pn_polynomial(field, n, range(1, n + 1))
     return HardFamilyInstance("Pn", n, poly, ObliviousAbp(field, nv, layers))
 
 
@@ -322,52 +322,46 @@ def eliminate_summand(parts, t: int,
             "grid over the prefix is too small to force a linear dependency"
         )
     alpha = tuple(alpha)
+    fixed = set(subset)
+    points = [dict(zip(subset, a)) for a in assignments]
     residuals = []
     for part in parts[1:]:
-        copies = [part.abp.restrict(dict(zip(subset, a)), compress=False)
-                  for a in assignments]
-        nlayers = len(part.abp.layers)
+        last = len(part.abp.layers) - 1
         layers = []
-        for idx in range(nlayers):
-            blocks = [c.layers[idx] for c in copies]
-            var = blocks[0].var
-            if any(b.var != var for b in blocks):
-                raise RuntimeError("restricted copies disagree on a layer variable")
-            if nlayers == 1:
-                p = field.p
-                acc = [0] * (max(len(b.entries[0][0]) for b in blocks) or 1)
-                for b, a_c in zip(blocks, alpha):
-                    for e, coeff in enumerate(b.entries[0][0]):
-                        acc[e] = (acc[e] + a_c * coeff) % p
-                layers.append(UniMatrix(field, var, ((tuple(acc),),)))
-                continue
-            if idx == 0:
-                row = []
-                for b, a_c in zip(blocks, alpha):
-                    row.extend(b.scale(a_c).entries[0])
-                layers.append(UniMatrix(field, var, (tuple(row),)))
-            elif idx == nlayers - 1:
-                rows = []
-                for b in blocks:
-                    rows.extend(tuple(r) for r in b.entries)
-                layers.append(UniMatrix(field, var, tuple(rows)))
+        for idx, layer in enumerate(part.abp.layers):
+            if layer.var in fixed:
+                var, blocks = None, [layer.to_constant(point[layer.var]) for point in points]
             else:
-                total_out = sum(b.width_out for b in blocks)
-                rows = []
-                col_offset = 0
-                for b in blocks:
-                    for r in b.entries:
-                        padded = [()] * col_offset + list(r) + \
-                            [()] * (total_out - col_offset - b.width_out)
-                        rows.append(tuple(padded))
-                    col_offset += b.width_out
-                layers.append(UniMatrix(field, var, tuple(rows)))
+                var, blocks = layer.var, [layer] * len(points)
+            if idx == 0:
+                blocks = [b.scale(c) for b, c in zip(blocks, alpha)]
+            layers.append(UniMatrix(field, var, _wire_blocks(blocks, idx == 0, idx == last)))
         abp2 = ObliviousAbp(field, n, tuple(layers))
-        order2 = tuple(v for v in part.order if v not in set(subset))
+        order2 = tuple(v for v in part.order if v not in fixed)
         boundary = tuple(layer.width_out for layer in abp2.layers[:-1])
         residuals.append(Roabp(abp2, order2, boundary))
     return EliminationResult(tuple(subset), tuple(assignments), alpha,
                              tuple(residuals))
+
+
+def _wire_blocks(blocks, first: bool, last: bool) -> tuple:
+    """Entries of the parallel composition of one layer's blocks: the blocks
+    sit on the diagonal, except that a first layer's blocks share the source
+    row and a last layer's blocks share the sink column.  Cells that meet
+    (only in a one-layer program) hold the sum of their entries."""
+    height = 1 if first else sum(b.width_in for b in blocks)
+    width = 1 if last else sum(b.width_out for b in blocks)
+    cells = [[()] * width for _ in range(height)]
+    top = left = 0
+    for b in blocks:
+        for r, row in enumerate(b.entries):
+            for c, entry in enumerate(row):
+                cell = cells[top + r][left + c]
+                cells[top + r][left + c] = tuple(
+                    map(sum, itertools.zip_longest(cell, entry, fillvalue=0)))
+        top += 0 if first else b.width_in
+        left += 0 if last else b.width_out
+    return tuple(map(tuple, cells))
 
 
 # -- experiments ------------------------------------------------------------------
@@ -499,18 +493,7 @@ def pn_projection_step(n: int, t: int, field: PrimeField = DEFAULT_FIELD,
             break
     if final is None:
         raise RuntimeError("no corner value keeps the projection nonzero")
-    m = n - t - 1
-    small = gen_pn(m, field, with_poly=True).polynomial if m >= 1 else None
-    # embed the trailing block variables of the small product
-    mapping = {pn_var(m, u, v2): pn_var(n, t + u, t + v2)
-               for u in range(1, m + 1) for v2 in range(1, m + 1)}
-    lifted_terms = {}
-    for exps, c in small.terms.items():
-        new = [0] * nv
-        for idx, e in enumerate(exps):
-            new[mapping[idx]] = e
-        lifted_terms[tuple(new)] = c
-    lifted = SparsePoly(field, nv, lifted_terms)
+    lifted = _pn_polynomial(field, n, range(t + 1, n))
     key = next(iter(final.terms))
     scale = field.mul(final.terms[key], field.inv(lifted.terms.get(key, 0))) \
         if lifted.terms.get(key, 0) else 0

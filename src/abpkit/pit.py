@@ -191,7 +191,7 @@ def iteration_bound(n: int, k: int) -> float:
 
 
 def _abp_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
-                 fastpath: int, guard: int, count, path) -> bool:
+                 count, path) -> bool:
     """Exact nonzero test used inside the search loop.  Random evaluation
     probes certify nonzero quickly; a zero answer falls through to the exact
     path (direct expansion when small, recursion on fewer variables else)."""
@@ -203,16 +203,14 @@ def _abp_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
             point[i] = abp.field.random(rng)
         if abp.evaluate(point) != 0:
             return True
-    if abp.estimated_terms() <= fastpath:
-        return not abp.expand(guard=max(fastpath, 1)).is_zero
+    if abp.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
+        return not abp.expand().is_zero
     verdict = read_k_pit(abp, generator=generator, seed=rng.getrandbits(32),
-                         guard=guard, fastpath=fastpath, count=count, path=path)
+                         count=count, path=path)
     return not verdict.is_zero
 
 
 def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
-               guard: int = DEFAULT_POINT_GUARD,
-               fastpath: int = DEFAULT_FASTPATH_TERMS,
                count: int | None = None, path=None) -> PitVerdict:
     """White-box identity test for a read-k oblivious program.
 
@@ -236,14 +234,14 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
         degs = work.individual_degrees()
         hs = roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
                                work.field, generator, seed + len(iterations), count,
-                               path, guard)
+                               path, DEFAULT_POINT_GUARD)
         chosen = None
         tried = 0
         restricted = None
         for pt in hs.points:
             tried += 1
             candidate = work.restrict(dict(zip(subset, pt)))
-            if _abp_nonzero(candidate, rng, generator, fastpath, guard, count, path):
+            if _abp_nonzero(candidate, rng, generator, count, path):
                 chosen = pt
                 restricted = candidate
                 break

@@ -75,6 +75,23 @@ class TestEvalExpand:
             assert out == ""
             assert "layer 1" in err and entry in err
 
+    @pytest.mark.parametrize("document, message", [
+        ([1], "ABP document must be a JSON object"),
+        ("abc", "ABP document must be a JSON object"),
+        ({"field_prime": 7, "num_vars": 1, "layers": [[1]]},
+         "layer 0 must be a JSON object"),
+        ({"field_prime": 7, "num_vars": 1, "layers": [5]},
+         "layer 0 must be a JSON object"),
+    ], ids=["list", "string", "layer-list", "layer-int"])
+    def test_wrong_type_named_as_wrong_type(self, capsys, tmp_path, document, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "expand", path)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "missing" not in err
+
     def test_expand_guard_error(self, capsys):
         code, _, err = run(capsys, "expand", FIXTURES / "pn_3.json",
                            "--guard", "2")

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from abpkit.abp import validate
-from abpkit.algebra import PrimeField, SparsePoly
+from abpkit.abp import ObliviousAbp, validate
+from abpkit.algebra import PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
-from abpkit.evaldim import eval_dim
+from abpkit.evaldim import Roabp, eval_dim
 from abpkit.hardpoly import (block_partition, eliminate_summand,
                              experiment_pn_evaldim, experiment_qn_evaldim,
                              gen_pn, gen_qn, pn_projection_step, pn_var,
@@ -248,6 +248,25 @@ class TestEliminateSummand:
             for a, al in zip(res.assignments, res.alpha):
                 combo = combo + f.substitute(dict(zip(res.subset, a))).scale(al)
             assert residual.abp.expand() == combo
+
+    def test_one_layer_residuals(self, field):
+        """A one-layer summand's blocks meet in a single cell, which holds
+        the alpha-weighted sum of the restricted entries."""
+        rng = random.Random(48)
+        for _ in range(10):
+            first = random_roabp(rng, field, 2, rng.randint(1, 3), 1)
+            layers = [UniMatrix(field, v, ((tuple(rng.randrange(field.p) for _ in range(3)),),))
+                      for v in first.order]
+            parts = [first] + [Roabp(ObliviousAbp(field, 2, (layer,)), (layer.var,), ())
+                               for layer in layers]
+            res = eliminate_summand(parts, 1)
+            for part, residual in zip(parts[1:], res.residuals):
+                f = part.abp.expand()
+                combo = SparsePoly.zero(field, 2)
+                for a, al in zip(res.assignments, res.alpha):
+                    combo = combo + f.substitute(dict(zip(res.subset, a))).scale(al)
+                assert len(residual.abp.layers) == 1
+                assert residual.abp.expand() == combo
 
     def test_t_out_of_range(self, field):
         rng = random.Random(47)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from abpkit import pit
 from abpkit.abp import ObliviousAbp
 from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
@@ -223,15 +224,25 @@ class TestReadKPit:
                 assert len(rec.subset) >= rec.size_floor - 1e-9
                 assert len(rec.subset) >= 1
 
-    def test_fastpath_and_recursion_agree(self, field):
+    def test_fastpath_and_recursion_agree(self, field, monkeypatch):
+        recursions = {}
+
+        def counted(*args, **kwargs):
+            key = pit.DEFAULT_FASTPATH_TERMS
+            recursions[key] = recursions.get(key, 0) + 1
+            return read_k_pit(*args, **kwargs)
+        monkeypatch.setattr(pit, "read_k_pit", counted)
         rng = random.Random(35)
         for i in range(12):
             a = random_read_k_abp(rng, field, rng.randint(2, 6), 2, 2, 1,
                                   term_budget=3000,
                                   zero_kind="cancel" if i % 3 == 0 else None)
-            fast = read_k_pit(a, seed=i, fastpath=10 ** 6)
-            slow = read_k_pit(a, seed=i, fastpath=1)
+            monkeypatch.setattr(pit, "DEFAULT_FASTPATH_TERMS", 10 ** 6)
+            fast = read_k_pit(a, seed=i)
+            monkeypatch.setattr(pit, "DEFAULT_FASTPATH_TERMS", 1)
+            slow = read_k_pit(a, seed=i)
             assert fast.is_zero == slow.is_zero
+        assert recursions.get(10 ** 6, 0) < recursions.get(1, 0)
 
     def test_verdict_determinism(self, field):
         rng = random.Random(36)

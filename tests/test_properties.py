@@ -8,6 +8,12 @@ public constructor would produce, and the grid identity test must either agree
 with the expansion oracle or refuse.  Mutated program documents must either
 load and round-trip byte-identically through the canonical text, or be
 refused with a ValueError.
+
+``reference_restrict`` is the two-pass ``restrict`` (fixed layers become
+constant layers, then runs of constant layers are multiplied together) and
+``reference_synthesize`` the read-once synthesis that interpolates each
+layer's entries from d_v + 1 substituted points.  ``restrict`` and
+``roabp_synthesize`` must give the same canonical text as these.
 """
 
 import json
@@ -17,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abpkit.abp import ObliviousAbp, parse_text, to_canonical_text, to_json_obj
-from abpkit.algebra import PrimeField, SparsePoly, UniMatrix
+from abpkit.algebra import LinearSolver, PrimeField, SparsePoly, UniMatrix, mat_mul
+from abpkit.evaldim import Roabp, _greedy_basis, pd_rank, roabp_synthesize
 from abpkit.pit import read_k_pit
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -43,6 +50,89 @@ def reference_expand(abp: ObliviousAbp) -> SparsePoly:
             out.append(acc)
         row = out
     return row[0]
+
+
+def reference_restrict(abp: ObliviousAbp, assignment) -> ObliviousAbp:
+    for i in assignment:
+        if not 0 <= i < abp.num_vars:
+            raise ValueError(f"assigned variable {i} out of range")
+    fixed = [layer.to_constant(assignment[layer.var])
+             if layer.var is not None and layer.var in assignment else layer
+             for layer in abp.layers]
+    merged = []
+    pending = None
+    for layer in fixed:
+        if layer.var is None:
+            grid = layer.eval_at(0)
+            pending = grid if pending is None else mat_mul(abp.field, pending, grid)
+        else:
+            if pending is not None:
+                merged.append(UniMatrix.constant(abp.field, pending))
+                pending = None
+            merged.append(layer)
+    if pending is not None:
+        merged.append(UniMatrix.constant(abp.field, pending))
+    return ObliviousAbp(abp.field, abp.num_vars, tuple(merged))
+
+
+def _inv_vandermonde(field: PrimeField, npoints: int) -> list:
+    p = field.p
+    aug = [[pow(c, e, p) for e in range(npoints)]
+           + [1 if r == c else 0 for r in range(npoints)] for c in range(npoints)]
+    for col in range(npoints):
+        piv = next(r for r in range(col, npoints) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = field.inv(aug[col][col])
+        aug[col] = [(x * inv) % p for x in aug[col]]
+        for r in range(npoints):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[col])]
+    return [row[npoints:] for row in aug]
+
+
+def reference_synthesize(f: SparsePoly, order) -> Roabp:
+    n = f.num_vars
+    order = tuple(order)
+    field = f.field
+    if field.p <= f.total_degree():
+        raise ValueError("field too small for synthesis")
+    if n == 0:
+        abp = ObliviousAbp(field, 0, (UniMatrix.constant(field, ((f.coefficient(()),),)),))
+        return Roabp(abp, (), ())
+    if f.is_zero:
+        layers = tuple(UniMatrix(field, v, ((() if idx == 0 else (1,),),))
+                       for idx, v in enumerate(order))
+        return Roabp(ObliviousAbp(field, n, layers), order, (1,) * (n - 1))
+    degs = f.individual_degrees()
+    cur_basis = [f]
+    layers = []
+    profile = []
+    for i in range(1, n + 1):
+        v = order[i - 1]
+        dv = degs[v]
+        solver = LinearSolver(field, track_coords=True)
+        if i < n:
+            target = pd_rank(f, order[:i], order[i:])
+            basis_polys = [g for _, g in _greedy_basis(f, order[:i], target, solver)]
+        else:
+            basis_polys = [SparsePoly.const(field, n, 1)]
+            solver.try_add(basis_polys[0].terms)
+        vinv = _inv_vandermonde(field, dv + 1)
+        rows = []
+        for g in cur_basis:
+            coords_per_point = [solver.express(g.substitute({v: c}).terms,
+                                               size=len(basis_polys))
+                                for c in range(dv + 1)]
+            rows.append(tuple(
+                tuple(sum(vinv[e][c] * coords_per_point[c][s] for c in range(dv + 1))
+                      % field.p for e in range(dv + 1))
+                for s in range(len(basis_polys))))
+        layers.append(UniMatrix(field, v, tuple(rows)))
+        if i < n:
+            profile.append(len(basis_polys))
+        cur_basis = basis_polys
+    return Roabp(ObliviousAbp(field, n, tuple(layers)), order, tuple(profile))
 
 
 def assert_canonical(f: SparsePoly) -> None:
@@ -90,6 +180,30 @@ def poly_pairs(draw, num_vars=3, max_degree=3):
     f, g = (SparsePoly(field, num_vars, draw(st.dictionaries(exps, coeffs, max_size=6)))
             for _ in range(2))
     return f, g
+
+
+@st.composite
+def partial_assignments(draw, abp: ObliviousAbp):
+    """A random subset of the program's variables, each fixed to a value that
+    may lie outside [0, p)."""
+    p = abp.field.p
+    chosen = draw(st.lists(st.booleans(), min_size=abp.num_vars, max_size=abp.num_vars))
+    return {v: draw(st.integers(-p, 2 * p)) for v, keep in enumerate(chosen) if keep}
+
+
+@st.composite
+def synthesis_inputs(draw, max_vars=4, max_degree=3):
+    """A polynomial with individual degree <= max_degree over p in {5, 7, 101}
+    and a variable order.  Most polynomials keep their total degree below p
+    (so synthesis applies); the rest exercise the refusal."""
+    field = PrimeField(draw(st.sampled_from((5, 7, 101))))
+    n = draw(st.integers(0, max_vars))
+    exps = st.tuples(*[st.integers(0, max_degree)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(0, field.p - 1), max_size=6))
+    if draw(st.integers(0, 4)):
+        terms = {e: c for e, c in terms.items() if sum(e) < field.p}
+    order = draw(st.permutations(range(n)))
+    return SparsePoly(field, n, terms), tuple(order)
 
 
 JSON_VALUES = st.recursive(
@@ -171,6 +285,44 @@ class TestExpandMatchesReference:
         for n in (0, 2):
             one = ObliviousAbp(field, n, ()).expand()
             assert one == SparsePoly.const(field, n, 1)
+
+
+class TestRestrictMatchesReference:
+    @PROPERTY_SETTINGS
+    @given(st.data(), programs(primes=(2, 7, 101)))
+    def test_equal_to_reference(self, data, abp):
+        assignment = data.draw(partial_assignments(abp))
+        restricted = abp.restrict(assignment)
+        assert to_canonical_text(restricted) == \
+            to_canonical_text(reference_restrict(abp, assignment))
+        assert restricted.expand() == abp.expand().substitute(assignment)
+
+
+class TestSynthesisMatchesReference:
+    @staticmethod
+    def check(f: SparsePoly, order) -> None:
+        try:
+            want = reference_synthesize(f, order)
+        except ValueError:
+            with pytest.raises(ValueError, match="field too small"):
+                roabp_synthesize(f, order)
+            return
+        got = roabp_synthesize(f, order)
+        assert to_canonical_text(got.abp) == to_canonical_text(want.abp)
+        assert got.width_profile == want.width_profile
+        assert got.order == want.order
+
+    @PROPERTY_SETTINGS
+    @given(synthesis_inputs())
+    def test_equal_to_reference(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("p", [5, 7, 101])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_zero_polynomial_and_no_variables(self, p, n):
+        field = PrimeField(p)
+        self.check(SparsePoly.zero(field, n), tuple(range(n)))
+        self.check(SparsePoly.const(field, n, 3), tuple(reversed(range(n))))
 
 
 class TestTrustedResultsAreCanonical:
