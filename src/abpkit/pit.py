@@ -2,15 +2,16 @@
 
 The white-box test needs the program only for its read order: each round it
 picks a large per-read-monotone, regularly-interleaving subset of the
-remaining variables, walks a hitting set for that subset until it finds a
-point keeping the restricted program nonzero, and recurses on the rest.  With
-the grid generator every step is unconditionally exact, so the verdict is a
-decision procedure; the random generator trades completeness for size.
+remaining variables, walks a hitting set for it until a point keeps the
+restricted program nonzero (probes per point, then one expansion of a cheap
+round, else per point an expansion or recursion), and recurses on the rest.
+Grid points make the verdict exact; random ones trade completeness for size.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,37 +191,56 @@ def iteration_bound(n: int, k: int) -> float:
     return 2 * 3 ** (k * k) * n ** (1 - 1.0 / 2 ** (k - 1))
 
 
-def _abp_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
-                 count, path) -> bool:
-    """Exact nonzero test used inside the search loop.  Random evaluation
-    probes certify nonzero quickly; a zero answer falls through to the exact
-    path (direct expansion when small, recursion on fewer variables else)."""
-    if not abp.read_order():
-        return abp.evaluate([0] * abp.num_vars) != 0
-    point = [0] * abp.num_vars
-    for _ in range(DEFAULT_PROBES):
-        for i in range(abp.num_vars):
-            point[i] = abp.field.random(rng)
-        if abp.evaluate(point) != 0:
-            return True
-    if abp.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
-        return not abp.expand().is_zero
-    verdict = read_k_pit(abp, generator=generator, seed=rng.getrandbits(32),
-                         count=count, path=path)
-    return not verdict.is_zero
+def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count, path) -> tuple:
+    """One round of ``read_k_pit``: (points tried, accepted point or None)."""
+    fixed = set(subset)
+    reads = any(v not in fixed for v in work.read_order())
+    small = math.prod(d + 1 for v, d in enumerate(work.individual_degrees())
+                      if v not in fixed) <= DEFAULT_FASTPATH_TERMS
+    poly = None
+    for tried, pt in enumerate(points, 1):
+        assignment = dict(zip(subset, pt))
+        if poly is None:
+            for _ in range(1 if small else DEFAULT_PROBES):
+                point = [work.field.random(rng) for _ in range(work.num_vars)]
+                for v, value in assignment.items():
+                    point[v] = value
+                if work.evaluate(point) != 0:
+                    return tried, pt
+            if work.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
+                poly = work.expand()
+                if poly.is_zero:
+                    return len(points), None
+            elif not reads:
+                continue
+        if poly is not None:
+            rest = poly.substitute(assignment)
+        elif small:
+            rest = work.restrict(assignment).expand()
+        else:
+            rest = read_k_pit(work.restrict(assignment), generator, rng.getrandbits(32),
+                              count, path)
+        if not rest.is_zero:
+            return tried, pt
+    return len(points), None
 
 
 def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
                count: int | None = None, path=None) -> PitVerdict:
     """White-box identity test for a read-k oblivious program.
 
-    Each round prunes the current read sequence to a per-read-monotone,
-    regularly-interleaving subset y_i, then scans the generator's point set
-    over y_i (in enumeration order) for the first point whose restriction
-    stays nonzero.  If a round exhausts its points the polynomial is declared
-    zero; otherwise the accepted points assemble into a witness, which is
-    re-checked by direct evaluation before returning.  With the grid
-    generator the verdict is exact.
+    Each round prunes the read sequence to a per-read-monotone,
+    regularly-interleaving subset y_i and scans the generator's points over
+    y_i in order for the first whose restriction stays nonzero.  All of a
+    round's restrictions have the same size estimate (free degrees do not
+    change), and each candidate is decided by three rules: (1) one random
+    probe if the estimate is within ``DEFAULT_FASTPATH_TERMS``, else
+    ``DEFAULT_PROBES``; (2) after a miss, a round program within that limit is
+    expanded once: zero ends the round, else substitution decides each point;
+    (3) otherwise a candidate that reads nothing was decided by its probe, and
+    any other is restricted, then expanded or tested recursively.  An
+    exhausted round means zero; else the accepted points make a witness,
+    re-checked by evaluation.  With the grid generator the verdict is exact.
     """
     cls = validate(abp)
     work = cls.normalized
@@ -235,27 +255,16 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
         hs = roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
                                work.field, generator, seed + len(iterations), count,
                                path, DEFAULT_POINT_GUARD)
-        chosen = None
-        tried = 0
-        restricted = None
-        for pt in hs.points:
-            tried += 1
-            candidate = work.restrict(dict(zip(subset, pt)))
-            if _abp_nonzero(candidate, rng, generator, count, path):
-                chosen = pt
-                restricted = candidate
-                break
+        tried, chosen = _scan_round(work, subset, hs.points, rng, generator, count, path)
         iterations.append(IterationRecord(subset, floor, len(hs), tried, chosen))
         if chosen is None:
             return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
         assigned.update(zip(subset, chosen))
-        work = restricted
-    constant = work.evaluate([0] * work.num_vars)
-    if constant == 0:
+        work = work.restrict(dict(zip(subset, chosen)))
+    if work.evaluate([0] * work.num_vars) == 0:
         return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
     witness = tuple(assigned.get(v, 0) for v in range(abp.num_vars))
-    check = abp.evaluate(witness)
-    if check == 0:
+    if abp.evaluate(witness) == 0:
         raise RuntimeError("internal error: witness evaluates to zero")
     return PitVerdict(False, witness, iterations, generator, abp.num_vars, k)
 
@@ -278,7 +287,8 @@ def read_k_hitting_set(abp: ObliviousAbp, generator: str = "grid", seed: int = 0
         hs = roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
                                work.field, generator, seed + idx, count, path, guard)
         rounds.append(hs)
-        keep = [e for e in range(seq.n) if seq.labels[e] not in set(subset)]
+        fixed = set(subset)
+        keep = [e for e in range(seq.n) if seq.labels[e] not in fixed]
         seq = seq.restrict(keep) if keep else None
         idx += 1
     size = 1

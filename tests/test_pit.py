@@ -244,6 +244,46 @@ class TestReadKPit:
             assert fast.is_zero == slow.is_zero
         assert recursions.get(10 ** 6, 0) < recursions.get(1, 0)
 
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 1)])
+    def test_one_expansion_per_round(self, field, monkeypatch, n, k):
+        """A zero round costs one probe and one expansion of the round's
+        program, however many points it has and whether or not its candidates
+        read anything (with k = 1 they read nothing); a nonzero program whose
+        first candidates hit expands nothing."""
+        calls = {"expand": 0, "evaluate": 0}
+        expand, evaluate = ObliviousAbp.expand, ObliviousAbp.evaluate
+
+        def counted_expand(self, *args):
+            calls["expand"] += 1
+            return expand(self, *args)
+
+        def counted_evaluate(self, *args):
+            calls["evaluate"] += 1
+            return evaluate(self, *args)
+        monkeypatch.setattr(ObliviousAbp, "expand", counted_expand)
+        monkeypatch.setattr(ObliviousAbp, "evaluate", counted_evaluate)
+        zero = random_read_k_abp(random.Random(2), field, n, k, 2, 1, term_budget=3000,
+                                 zero_kind="cancel")
+        v = read_k_pit(zero)
+        assert v.is_zero and len(v.iterations) == 1
+        assert v.iterations[0].points_tried == v.iterations[0].h_size >= 8
+        assert calls == {"expand": 1, "evaluate": 1}
+        calls.update(expand=0)
+        nonzero = random_read_k_abp(random.Random(1), field, n, k, 2, 1, term_budget=3000)
+        v = read_k_pit(nonzero)
+        assert not v.is_zero
+        assert all(rec.points_tried == 1 for rec in v.iterations)
+        assert calls["expand"] == 0
+
+    def test_random_default_count_zero_round(self, field):
+        """The default random count sizes this round at 4096 points; a zero
+        round still ends after one expansion, with every point counted."""
+        zero = random_read_k_abp(random.Random(2), field, 5, 2, 2, 1, term_budget=3000,
+                                 zero_kind="cancel")
+        v = read_k_pit(zero, generator="random")
+        assert v.is_zero
+        assert [(rec.h_size, rec.points_tried) for rec in v.iterations] == [(4096, 4096)]
+
     def test_verdict_determinism(self, field):
         rng = random.Random(36)
         a = random_read_k_abp(rng, field, 6, 2, 3, 1, term_budget=3000)

@@ -14,18 +14,29 @@ constant layers, then runs of constant layers are multiplied together) and
 ``reference_synthesize`` the read-once synthesis that interpolates each
 layer's entries from d_v + 1 substituted points.  ``restrict`` and
 ``roabp_synthesize`` must give the same canonical text as these.
+
+``reference_read_k_pit`` is the identity test that scans each round candidate
+by candidate: every candidate is restricted, gets ``DEFAULT_PROBES`` random
+probes, and is then expanded or tested recursively.  ``read_k_pit``, which
+decides each round once, must give the same verdict, witness and iteration
+records, or the same refusal.
 """
 
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abpkit.abp import ObliviousAbp, parse_text, to_canonical_text, to_json_obj
+from abpkit import pit
+from abpkit.abp import (ObliviousAbp, parse_text, read_sequence, to_canonical_text,
+                        to_json_obj, validate)
 from abpkit.algebra import LinearSolver, PrimeField, SparsePoly, UniMatrix, mat_mul
+from abpkit.corpus import random_read_k_abp
 from abpkit.evaldim import Roabp, _greedy_basis, pd_rank, roabp_synthesize
-from abpkit.pit import read_k_pit
+from abpkit.pit import IterationRecord, PitVerdict, read_k_pit
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -135,6 +146,51 @@ def reference_synthesize(f: SparsePoly, order) -> Roabp:
     return Roabp(ObliviousAbp(field, n, tuple(layers)), order, tuple(profile))
 
 
+def _reference_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
+                       count, path) -> bool:
+    if not abp.read_order():
+        return abp.evaluate([0] * abp.num_vars) != 0
+    for _ in range(pit.DEFAULT_PROBES):
+        if abp.evaluate([abp.field.random(rng) for _ in range(abp.num_vars)]) != 0:
+            return True
+    if abp.estimated_terms() <= pit.DEFAULT_FASTPATH_TERMS:
+        return not abp.expand().is_zero
+    return not reference_read_k_pit(abp, generator, rng.getrandbits(32), count, path).is_zero
+
+
+def reference_read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
+                         count=None, path=None) -> PitVerdict:
+    cls = validate(abp)
+    work = cls.normalized
+    k = max(cls.k, 1)
+    rng = random.Random(seed)
+    assigned = {}
+    iterations = []
+    while work.read_order():
+        subset, floor = pit._choose_subset(read_sequence(work))
+        degs = work.individual_degrees()
+        hs = pit.roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
+                                   work.field, generator, seed + len(iterations), count,
+                                   path, pit.DEFAULT_POINT_GUARD)
+        chosen = None
+        tried = 0
+        for pt in hs.points:
+            tried += 1
+            candidate = work.restrict(dict(zip(subset, pt)))
+            if _reference_nonzero(candidate, rng, generator, count, path):
+                chosen = pt
+                break
+        iterations.append(IterationRecord(subset, floor, len(hs), tried, chosen))
+        if chosen is None:
+            return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
+        assigned.update(zip(subset, chosen))
+        work = candidate
+    if work.evaluate([0] * work.num_vars) == 0:
+        return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
+    witness = tuple(assigned.get(v, 0) for v in range(abp.num_vars))
+    return PitVerdict(False, witness, iterations, generator, abp.num_vars, k)
+
+
 def assert_canonical(f: SparsePoly) -> None:
     assert SparsePoly(f.field, f.num_vars, dict(f.terms)) == f
     assert all(type(k) is tuple for k in f.terms)
@@ -214,6 +270,42 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 DOCUMENT_KEYS = st.sampled_from(["field_prime", "num_vars", "layers", "var",
                                  "matrix", "padding"]) | st.text(max_size=3)
+
+
+@st.composite
+def pit_cases(draw):
+    """A program with a generator: grid, external (a file of random points
+    sized for the first round) or random with a small count.  The program is
+    a read-k corpus program over p in {2, 3, 5, 7, 101} and k in {1, 2, 3},
+    made zero (cancelling lanes or a zero layer) two times in three, or (one
+    time in four) one from ``programs()``."""
+    field = PrimeField(draw(st.sampled_from((2, 3, 5, 7, 101))))
+    k = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.integers(0, 3)):
+        abp = random_read_k_abp(rng, field, rng.randint(1, 6), k, rng.randint(1, 3),
+                                max_entry_degree=max(1, min(2, (field.p - 1) // k)),
+                                term_budget=5000,
+                                zero_kind=rng.choice((None, "cancel", "zero_layer")))
+    else:
+        abp = draw(programs(primes=(field.p,), max_degree=2))
+    if draw(st.booleans()):
+        # Layers that vanish at 0 make the first grid points miss, so rounds
+        # go on to later points, and to substitution once expanded.
+        abp = ObliviousAbp(field, abp.num_vars, tuple(
+            UniMatrix(field, layer.var, tuple(tuple((0,) + e[1:] for e in row)
+                                              for row in layer.entries))
+            if layer.var is not None and not layer.padding and rng.random() < 0.5
+            else layer for layer in abp.layers))
+    generator = draw(st.sampled_from(("grid", "external", "random")))
+    count = rng.randint(1, 12) if generator == "random" else None
+    points = []
+    work = validate(abp).normalized
+    if generator == "external" and work.read_order():
+        arity = len(pit._choose_subset(read_sequence(work))[0])
+        points = [[rng.randrange(field.p) for _ in range(arity)]
+                  for _ in range(rng.randint(1, 8))]
+    return abp, generator, count, points
 
 
 def _paths(value, path=()):
@@ -339,6 +431,65 @@ class TestTrustedResultsAreCanonical:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 raw[e] = raw.get(e, 0) + c1 * c2
         assert f * g == SparsePoly(f.field, f.num_vars, raw)
+
+
+class TestPitMatchesReference:
+    """One limit per decision path: at 1 nearly every candidate recurses, at
+    64 restrictions are expanded or substituted, at 4096 most rounds are
+    decided by one expansion of the round's program."""
+
+    @staticmethod
+    def outcome(fn, case, path):
+        abp, generator, count, _ = case
+        try:
+            v = fn(abp, generator, 7, count, path)
+        except ValueError as exc:
+            return "refused", str(exc)
+        return v.is_zero, v.witness, v.iterations
+
+    @pytest.mark.parametrize("limit", [1, 64, 4096])
+    def test_same_verdicts_and_records(self, limit, tmp_path_factory):
+        path = tmp_path_factory.mktemp("points") / "points.txt"
+        seen = Counter()
+        real_pit, real_expand, real_substitute = (
+            pit.read_k_pit, ObliviousAbp.expand, SparsePoly.substitute)
+
+        def recursion(*args, **kwargs):
+            seen["recursions"] += 1
+            return real_pit(*args, **kwargs)
+
+        def expand(self, *args):
+            seen["expands"] += 1
+            return real_expand(self, *args)
+
+        def substitute(self, assignment):
+            seen["substitutions"] += 1
+            return real_substitute(self, assignment)
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(pit_cases())
+        def check(case):
+            path.write_text("".join(" ".join(map(str, pt)) + "\n" for pt in case[3]))
+            want = self.outcome(reference_read_k_pit, case, path)
+            seen["expands"] = 0
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pit, "read_k_pit", recursion)
+                mp.setattr(ObliviousAbp, "expand", expand)
+                mp.setattr(SparsePoly, "substitute", substitute)
+                got = self.outcome(real_pit, case, path)
+            assert got == want
+            if got[0] is True and got[2] and got[2][-1].h_size > 1 and seen["expands"] == 1:
+                seen["zero rounds by one expansion"] += 1
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pit, "DEFAULT_FASTPATH_TERMS", limit)
+            check()
+        if limit == 1:
+            assert seen["recursions"] > 0
+        else:
+            assert seen["substitutions"] > 0
+        if limit == 4096:
+            assert seen["zero rounds by one expansion"] > 0
 
 
 class TestGridPitAgainstOracle:
