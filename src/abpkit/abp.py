@@ -4,7 +4,8 @@ matrices, one read variable per layer.
 The polynomial computed by a program is the (1,1) entry of the product of its
 layer matrices.  ``expand`` is the brute-force oracle that turns a program
 into an explicit SparsePoly; it is guarded so it refuses (never truncates)
-when the estimated term count is too large.
+when the estimated term count is too large, or, given a term budget, gives up
+as undecided once a partial product outgrows it.
 """
 
 from __future__ import annotations
@@ -111,11 +112,14 @@ class ObliviousAbp:
             vec = out
         return vec[0] % p if vec else 1
 
-    def expand(self, guard: int = DEFAULT_EXPAND_GUARD) -> SparsePoly:
+    def expand(self, guard: int = DEFAULT_EXPAND_GUARD,
+               budget: int | None = None) -> SparsePoly | None:
         """Exact polynomial computed by the program.  Refuses explicitly when
-        the estimated term count exceeds the guard."""
-        est = self.estimated_terms()
-        if est > guard:
+        the estimated term count exceeds the guard.  With a ``budget`` the
+        estimate is not checked; instead the expansion gives up and returns
+        None (undecided, never a truncated result) as soon as a column's term
+        map holds more than ``budget`` terms."""
+        if budget is None and (est := self.estimated_terms()) > guard:
             raise GuardExceeded(
                 f"expansion estimated at {est} terms exceeds guard {guard}"
             )
@@ -138,6 +142,8 @@ class ObliviousAbp:
                             key = exps[:v] + (exps[v] + e,) + exps[v + 1:] if e else exps
                             acc[key] = get(key, 0) + a * c
             row = [{exps: r for exps, a in acc.items() if (r := a % p)} for acc in out]
+            if budget is not None and max(map(len, row)) > budget:
+                return None
         return SparsePoly._trusted(self.field, self.num_vars, row[0])
 
     def restrict(self, assignment: Mapping[int, int]) -> "ObliviousAbp":

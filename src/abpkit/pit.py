@@ -4,8 +4,9 @@ The white-box test needs the program only for its read order: each round it
 picks a large per-read-monotone, regularly-interleaving subset of the
 remaining variables, walks a hitting set for it until a point keeps the
 restricted program nonzero (probes per point, then one expansion of a cheap
-round, else per point an expansion or recursion), and recurses on the rest.
-Grid points make the verdict exact; random ones trade completeness for size.
+round, else per point an expansion, a capped expansion on the grid, or a
+recursion), and recurses on the rest.  Grid points make the verdict exact;
+random ones, drawn only as the scan reaches them, trade completeness for size.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abp import ObliviousAbp, read_sequence, validate
+from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, read_sequence, validate
 from .algebra import GuardExceeded, PrimeField
 from .sequences import (ReadSequence, is_regularly_interleaving,
                         per_read_monotone_subset, regularly_interleaving_subset)
@@ -98,14 +99,28 @@ def grid_hitting_set(vars, degrees, field: PrimeField,
     return HittingSet(vars, points, "grid")
 
 
-def random_hitting_set(vars, field: PrimeField, count: int, seed: int,
-                       guard: int = DEFAULT_POINT_GUARD) -> HittingSet:
-    vars = tuple(vars)
+def _random_points(vars, field: PrimeField, count: int, seed: int, guard: int):
+    """The points of ``random_hitting_set``, in its order, each drawn only when
+    the caller reaches it; the guard is checked before any is drawn."""
     if count > guard:
         raise GuardExceeded(f"{count} random points exceeds guard {guard}")
     rng = random.Random(seed)
-    points = tuple(tuple(field.random(rng) for _ in vars) for _ in range(count))
-    return HittingSet(vars, points, f"random(seed={seed},count={count})")
+    return (tuple(field.random(rng) for _ in vars) for _ in range(count))
+
+
+def _random_count(vars, width: int, degree, count: int | None) -> int:
+    """``count``, or by default (|vars| * width * max(d, 1))^2."""
+    if count is not None:
+        return count
+    d = max(degree, default=0) if not isinstance(degree, int) else degree
+    return max(1, (len(vars) * width * max(d, 1)) ** 2)
+
+
+def random_hitting_set(vars, field: PrimeField, count: int, seed: int,
+                       guard: int = DEFAULT_POINT_GUARD) -> HittingSet:
+    vars = tuple(vars)
+    return HittingSet(vars, _random_points(vars, field, count, seed, guard),
+                      f"random(seed={seed},count={count})")
 
 
 def external_hitting_set(vars, path, field: PrimeField) -> HittingSet:
@@ -143,10 +158,8 @@ def roabp_hitting_set(vars, width: int, degree, field: PrimeField,
     if generator == "grid":
         return grid_hitting_set(vars, degree, field, guard)
     if generator == "random":
-        if count is None:
-            d = max(degree, default=0) if not isinstance(degree, int) else degree
-            count = max(1, (len(vars) * width * max(d, 1)) ** 2)
-        return random_hitting_set(vars, field, count, seed, guard)
+        return random_hitting_set(vars, field, _random_count(vars, width, degree, count),
+                                  seed, guard)
     if generator == "external":
         if path is None:
             raise ValueError("external generator needs a points file path")
@@ -191,8 +204,10 @@ def iteration_bound(n: int, k: int) -> float:
     return 2 * 3 ** (k * k) * n ** (1 - 1.0 / 2 ** (k - 1))
 
 
-def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count, path) -> tuple:
-    """One round of ``read_k_pit``: (points tried, accepted point or None)."""
+def _scan_round(work: ObliviousAbp, subset, points, size, rng, generator, count,
+                path) -> tuple:
+    """One round of ``read_k_pit`` over ``size`` points: (points tried,
+    accepted point or None)."""
     fixed = set(subset)
     reads = any(v not in fixed for v in work.read_order())
     small = math.prod(d + 1 for v, d in enumerate(work.individual_degrees())
@@ -210,7 +225,7 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count, path)
             if work.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
                 poly = work.expand()
                 if poly.is_zero:
-                    return len(points), None
+                    return size, None
             elif not reads:
                 continue
         if poly is not None:
@@ -218,11 +233,14 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count, path)
         elif small:
             rest = work.restrict(assignment).expand()
         else:
-            rest = read_k_pit(work.restrict(assignment), generator, rng.getrandbits(32),
-                              count, path)
+            sub = work.restrict(assignment)
+            rest = (sub.expand(DEFAULT_EXPAND_GUARD, DEFAULT_FASTPATH_TERMS)
+                    if generator == "grid" else None)
+            if rest is None:
+                rest = read_k_pit(sub, generator, rng.getrandbits(32), count, path)
         if not rest.is_zero:
             return tried, pt
-    return len(points), None
+    return size, None
 
 
 def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
@@ -238,9 +256,15 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     ``DEFAULT_PROBES``; (2) after a miss, a round program within that limit is
     expanded once: zero ends the round, else substitution decides each point;
     (3) otherwise a candidate that reads nothing was decided by its probe, and
-    any other is restricted, then expanded or tested recursively.  An
-    exhausted round means zero; else the accepted points make a witness,
-    re-checked by evaluation.  With the grid generator the verdict is exact.
+    any other is restricted, then expanded if its estimate is within the
+    limit.  Above it, the grid generator first expands the restriction with a
+    term budget of ``DEFAULT_FASTPATH_TERMS``, which decides the candidate
+    unless a partial product outgrows the budget; only then, and always with
+    the random and external generators, is the restriction tested
+    recursively.  An exhausted round means zero; else the accepted points
+    make a witness, re-checked by evaluation.  With the grid generator the
+    verdict is exact.  Random points are drawn lazily, in the order
+    ``random_hitting_set`` would store them.
     """
     cls = validate(abp)
     work = cls.normalized
@@ -252,11 +276,17 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
         seq = read_sequence(work)
         subset, floor = _choose_subset(seq)
         degs = work.individual_degrees()
-        hs = roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
-                               work.field, generator, seed + len(iterations), count,
-                               path, DEFAULT_POINT_GUARD)
-        tried, chosen = _scan_round(work, subset, hs.points, rng, generator, count, path)
-        iterations.append(IterationRecord(subset, floor, len(hs), tried, chosen))
+        width, degrees = work.width ** (2 * k), [degs[v] for v in subset]
+        if generator == "random":
+            size = _random_count(subset, width, degrees, count)
+            points = _random_points(subset, work.field, size, seed + len(iterations),
+                                    DEFAULT_POINT_GUARD)
+        else:
+            hs = roabp_hitting_set(subset, width, degrees, work.field, generator,
+                                   seed + len(iterations), count, path, DEFAULT_POINT_GUARD)
+            size, points = len(hs), hs.points
+        tried, chosen = _scan_round(work, subset, points, size, rng, generator, count, path)
+        iterations.append(IterationRecord(subset, floor, size, tried, chosen))
         if chosen is None:
             return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
         assigned.update(zip(subset, chosen))

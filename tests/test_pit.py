@@ -9,7 +9,7 @@ from abpkit import pit
 from abpkit.abp import ObliviousAbp
 from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
-from abpkit.hardpoly import gen_qn
+from abpkit.hardpoly import gen_pn, gen_qn
 from abpkit.pit import (external_hitting_set, grid_hitting_set,
                         iteration_bound, iteration_bound_check,
                         k_pass_hitting_set, random_hitting_set,
@@ -284,12 +284,85 @@ class TestReadKPit:
         assert v.is_zero
         assert [(rec.h_size, rec.points_tried) for rec in v.iterations] == [(4096, 4096)]
 
+    def test_random_points_drawn_lazily(self, field, monkeypatch):
+        """A round that hits at its first point draws that one point, not the
+        declared count: here one point of the five subset variables and one
+        five-value probe, against 10^5 declared points."""
+        a = random_read_k_abp(random.Random(0), field, 5, 1, 2, 1, term_budget=3000)
+        draws = {"n": 0}
+        draw = PrimeField.random
+
+        def counted(self, rng):
+            draws["n"] += 1
+            return draw(self, rng)
+        monkeypatch.setattr(PrimeField, "random", counted)
+        v = read_k_pit(a, generator="random", count=10 ** 5)
+        assert not v.is_zero
+        [rec] = v.iterations
+        assert (len(rec.subset), rec.h_size, rec.points_tried) == (5, 10 ** 5, 1)
+        assert draws["n"] == len(rec.subset) + a.num_vars
+
     def test_verdict_determinism(self, field):
         rng = random.Random(36)
         a = random_read_k_abp(rng, field, 6, 2, 3, 1, term_budget=3000)
         v1 = read_k_pit(a, seed=5)
         v2 = read_k_pit(a, seed=5)
         assert v1 == v2
+
+
+# Grid verdicts on P_4 and Q_4 as the recursive test gave them: (subset,
+# h_size, points_tried, chosen) per round, then each round's size floor.
+P4_VERDICT = ((0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0), [
+    ((0, 4, 8, 12, 13, 14, 15), 2187, 28, (0, 0, 0, 1, 0, 0, 0)),
+    ((1, 5, 9, 10, 11), 243, 10, (0, 0, 1, 0, 0)),
+    ((2, 6, 7), 27, 4, (0, 1, 0)),
+    ((3,), 3, 2, (1,)),
+], [0.04938271604938271, 0.037037037037037035, 0.024691358024691357,
+    0.012345679012345678])
+Q4_VERDICT = ((0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1), [
+    ((8, 9, 10, 11), 16, 2, (0, 0, 0, 1)),
+    ((0, 4), 25, 2, (0, 1)),
+    ((3, 7), 25, 2, (0, 1)),
+    ((1, 6), 25, 1, (0, 0)),
+    ((2, 5), 25, 7, (1, 1)),
+], [3.1692578903312194e-08, 3.0126326106255796e-08, 2.9062222993920346e-08,
+    2.7625962846339005e-08, 2.5333119627514897e-08])
+
+
+class TestHardFamilies:
+    """P_n and Q_n candidates are estimated far above the fast-path limit but
+    expand within it, so grid verdicts decide them by capped expansion and
+    never recurse."""
+
+    @pytest.fixture
+    def recursions(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].num_vars)
+            return read_k_pit(*args, **kwargs)
+        monkeypatch.setattr(pit, "read_k_pit", counted)
+        return calls
+
+    @pytest.mark.parametrize("gen, n, want", [(gen_pn, 4, P4_VERDICT),
+                                              (gen_qn, 4, Q4_VERDICT)])
+    def test_pinned_verdicts(self, field, gen, n, want):
+        program = gen(n, field, with_poly=False).realization
+        v = read_k_pit(program)
+        witness, records, floors = want
+        assert (v.is_zero, v.witness) == (False, witness)
+        assert [(r.subset, r.h_size, r.points_tried, r.chosen)
+                for r in v.iterations] == records
+        assert [r.size_floor for r in v.iterations] == pytest.approx(floors, rel=1e-12)
+        assert program.evaluate(v.witness) != 0
+
+    @pytest.mark.parametrize("gen, n", [(gen_pn, 4), (gen_qn, 5), (gen_pn, 5)])
+    def test_no_recursion(self, field, recursions, gen, n):
+        program = gen(n, field, with_poly=False).realization
+        v = read_k_pit(program)
+        assert not v.is_zero
+        assert program.evaluate(v.witness) != 0
+        assert recursions == []
 
 
 class TestCartesianStructure:

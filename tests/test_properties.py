@@ -31,8 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abpkit import pit
-from abpkit.abp import (ObliviousAbp, parse_text, read_sequence, to_canonical_text,
-                        to_json_obj, validate)
+from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, parse_text, read_sequence,
+                        to_canonical_text, to_json_obj, validate)
 from abpkit.algebra import LinearSolver, PrimeField, SparsePoly, UniMatrix, mat_mul
 from abpkit.corpus import random_read_k_abp
 from abpkit.evaldim import Roabp, _greedy_basis, pd_rank, roabp_synthesize
@@ -377,6 +377,46 @@ class TestExpandMatchesReference:
         for n in (0, 2):
             one = ObliviousAbp(field, n, ()).expand()
             assert one == SparsePoly.const(field, n, 1)
+
+
+@st.composite
+def capped_cases(draw):
+    """A program from ``programs()`` or a read-k corpus program (zero by
+    cancelling lanes one time in two), with a term budget of 1 to 256."""
+    if draw(st.booleans()):
+        abp = draw(programs(primes=(2, 7, 101)))
+    else:
+        field = PrimeField(draw(st.sampled_from((7, 101))))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        abp = random_read_k_abp(rng, field, rng.randint(1, 6), rng.randint(1, 3),
+                                rng.randint(1, 3), max_entry_degree=2, term_budget=5000,
+                                zero_kind=rng.choice((None, "cancel")))
+    return abp, draw(st.integers(1, 256))
+
+
+class TestCappedExpand:
+    """A capped expansion is exact or undecided: it returns None or exactly
+    ``expand()``, and never None when the budget covers the estimate, since
+    every reduced term map holds distinct monomials of the degree box."""
+
+    def test_exact_or_undecided(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(capped_cases())
+        def check(case):
+            abp, budget = case
+            capped = abp.expand(DEFAULT_EXPAND_GUARD, budget)
+            if budget >= abp.estimated_terms():
+                assert capped is not None
+            if capped is None:
+                seen["undecided zero" if abp.expand().is_zero else "undecided"] += 1
+            else:
+                assert capped == abp.expand()
+                seen["decided"] += 1
+
+        check()
+        assert min(seen["undecided zero"], seen["undecided"], seen["decided"]) > 0
 
 
 class TestRestrictMatchesReference:
