@@ -204,10 +204,10 @@ def iteration_bound(n: int, k: int) -> float:
     return 2 * 3 ** (k * k) * n ** (1 - 1.0 / 2 ** (k - 1))
 
 
-def _scan_round(work: ObliviousAbp, subset, points, size, rng, generator, count,
-                path) -> tuple:
-    """One round of ``read_k_pit`` over ``size`` points: (points tried,
-    accepted point or None)."""
+def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
+                path) -> tuple | None:
+    """One round of ``read_k_pit``: (points tried, accepted point), or None
+    when the round exhausts its points."""
     fixed = set(subset)
     reads = any(v not in fixed for v in work.read_order())
     small = math.prod(d + 1 for v, d in enumerate(work.individual_degrees())
@@ -225,22 +225,20 @@ def _scan_round(work: ObliviousAbp, subset, points, size, rng, generator, count,
             if work.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
                 poly = work.expand()
                 if poly.is_zero:
-                    return size, None
+                    return None
             elif not reads:
                 continue
         if poly is not None:
             rest = poly.substitute(assignment)
-        elif small:
-            rest = work.restrict(assignment).expand()
         else:
             sub = work.restrict(assignment)
             rest = (sub.expand(DEFAULT_EXPAND_GUARD, DEFAULT_FASTPATH_TERMS)
-                    if generator == "grid" else None)
+                    if small or generator == "grid" else None)
             if rest is None:
                 rest = read_k_pit(sub, generator, rng.getrandbits(32), count, path)
         if not rest.is_zero:
             return tried, pt
-    return size, None
+    return None
 
 
 def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
@@ -256,12 +254,13 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     ``DEFAULT_PROBES``; (2) after a miss, a round program within that limit is
     expanded once: zero ends the round, else substitution decides each point;
     (3) otherwise a candidate that reads nothing was decided by its probe, and
-    any other is restricted, then expanded if its estimate is within the
-    limit.  Above it, the grid generator first expands the restriction with a
-    term budget of ``DEFAULT_FASTPATH_TERMS``, which decides the candidate
-    unless a partial product outgrows the budget; only then, and always with
-    the random and external generators, is the restriction tested
-    recursively.  An exhausted round means zero; else the accepted points
+    any other is restricted, then expanded with a term budget of
+    ``DEFAULT_FASTPATH_TERMS`` if its estimate is within the limit (where the
+    budget cannot be outgrown) or the generator is grid.  The expansion
+    decides the candidate unless a partial product outgrows the budget; only
+    then, and always above the limit with the random and external
+    generators, is the restriction tested recursively.  An exhausted round
+    means zero; else the accepted points
     make a witness, re-checked by evaluation.  With the grid generator the
     verdict is exact.  Random points are drawn lazily, in the order
     ``random_hitting_set`` would store them.
@@ -285,7 +284,8 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
             hs = roabp_hitting_set(subset, width, degrees, work.field, generator,
                                    seed + len(iterations), count, path, DEFAULT_POINT_GUARD)
             size, points = len(hs), hs.points
-        tried, chosen = _scan_round(work, subset, points, size, rng, generator, count, path)
+        tried, chosen = (_scan_round(work, subset, points, rng, generator, count, path)
+                         or (size, None))
         iterations.append(IterationRecord(subset, floor, size, tried, chosen))
         if chosen is None:
             return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
