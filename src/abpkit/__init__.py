@@ -20,7 +20,7 @@ from .sequences import (ReadSequence, SequenceError, concat_decompose,
 from .evaldim import (EvalDimReport, Roabp, eval_dim, k_gap_check,
                       k_gap_to_roabp, k_pass_to_roabp, roabp_synthesize,
                       roabp_width_profile)
-from .pit import (HittingSet, PitVerdict, grid_hitting_set, iteration_bound,
+from .pit import (HittingSet, PitVerdict, iteration_bound,
                   iteration_bound_check, k_pass_hitting_set, read_k_hitting_set,
                   read_k_pit, roabp_hitting_set)
 from .hardpoly import (BlockPartition, EliminationResult, HardFamilyInstance,

@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print the exact polynomial")
     p.add_argument("file")
-    p.add_argument("--guard", type=int, default=10 ** 6)
+    p.add_argument("--guard", type=int, default=abpio.DEFAULT_EXPAND_GUARD)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("pit", help="white-box identity test")
@@ -285,21 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", default=None)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--guard", type=int, default=10 ** 6)
+    p.add_argument("--guard", type=int, default=abpio.DEFAULT_EXPAND_GUARD)
     p.set_defaults(func=_cmd_evaldim)
 
     p = sub.add_parser("synth-roabp", help="read-once synthesis from the expansion")
     p.add_argument("file")
     p.add_argument("--order", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--guard", type=int, default=10 ** 6)
+    p.add_argument("--guard", type=int, default=abpio.DEFAULT_EXPAND_GUARD)
     p.set_defaults(func=_cmd_synth_roabp)
 
     p = sub.add_parser("collapse", help="k-pass / k-gap width collapse")
     p.add_argument("file")
     p.add_argument("--mode", choices=["k-pass", "k-gap"], required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--guard", type=int, default=10 ** 6)
+    p.add_argument("--guard", type=int, default=abpio.DEFAULT_EXPAND_GUARD)
     p.set_defaults(func=_cmd_collapse)
 
     p = sub.add_parser("sequence", help="read-sequence inspection and pruning")

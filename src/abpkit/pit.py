@@ -1,12 +1,15 @@
 """Hitting sets and identity testing for read-k oblivious programs.
 
-The white-box test needs the program only for its read order: each round it
-picks a large per-read-monotone, regularly-interleaving subset of the
-remaining variables, walks a hitting set for it until a point keeps the
-restricted program nonzero (probes per point, then one expansion of a cheap
-round, else per point an expansion, a capped expansion on the grid, or a
-recursion), and recurses on the rest.  Grid points make the verdict exact;
-random ones, drawn only as the scan reaches them, trade completeness for size.
+Each round of the white-box test picks, from the read order alone, a large
+per-read-monotone, regularly-interleaving subset of the remaining variables,
+and walks the round's points over it (sized by the width and degrees of the
+program left) until a point keeps the restricted program nonzero (probes per
+point, then one expansion of a cheap round, else per point an expansion, a
+capped expansion on the grid, or a recursion); then it goes on with the
+rest.  ``_round_points`` is the one source of a round's points: the test
+walks them as they are made, and the stored sets (``roabp_hitting_set``,
+``k_pass_hitting_set``, the product set ``read_k_hitting_set``) keep them.
+Grid points make the verdict exact; random ones trade completeness for size.
 """
 
 from __future__ import annotations
@@ -73,61 +76,47 @@ class PitVerdict:
         self.iterations = tuple(self.iterations)
 
 
-def grid_hitting_set(vars, degrees, field: PrimeField,
-                     guard: int = DEFAULT_POINT_GUARD) -> HittingSet:
-    """The full grid {0..d_v} per variable: hits every nonzero polynomial with
-    those individual degree bounds, unconditionally.  Over a field F_p the grid
-    needs d_v + 1 distinct values, so a degree bound >= p is refused."""
-    vars = tuple(vars)
-    if isinstance(degrees, int):
-        degrees = [degrees] * len(vars)
-    degrees = [int(d) for d in degrees]
-    if len(degrees) != len(vars):
-        raise ValueError("one degree bound per variable required")
-    size = 1
-    for d in degrees:
-        if d < 0:
-            raise ValueError("negative degree bound")
-        if d >= field.p:
-            raise ValueError(f"degree bound {d} >= p = {field.p}: the grid "
-                             "{0..d} wraps mod p and no longer hits every "
-                             "nonzero polynomial")
-        size *= d + 1
-        if size > guard:
-            raise GuardExceeded(f"grid of {size}+ points exceeds guard {guard}")
-    points = tuple(itertools.product(*(range(d + 1) for d in degrees)))
-    return HittingSet(vars, points, "grid")
-
-
-def _random_points(vars, field: PrimeField, count: int, seed: int, guard: int):
-    """The points of ``random_hitting_set``, in its order, each drawn only when
-    the caller reaches it; the guard is checked before any is drawn."""
-    if count > guard:
-        raise GuardExceeded(f"{count} random points exceeds guard {guard}")
-    rng = random.Random(seed)
-    return (tuple(field.random(rng) for _ in vars) for _ in range(count))
-
-
-def _random_count(vars, width: int, degree, count: int | None) -> int:
-    """``count``, or by default (|vars| * width * max(d, 1))^2."""
-    if count is not None:
-        return count
-    d = max(degree, default=0) if not isinstance(degree, int) else degree
-    return max(1, (len(vars) * width * max(d, 1)) ** 2)
-
-
-def random_hitting_set(vars, field: PrimeField, count: int, seed: int,
-                       guard: int = DEFAULT_POINT_GUARD) -> HittingSet:
-    vars = tuple(vars)
-    return HittingSet(vars, _random_points(vars, field, count, seed, guard),
-                      f"random(seed={seed},count={count})")
-
-
-def external_hitting_set(vars, path, field: PrimeField) -> HittingSet:
-    """Load an externally supplied point set: one assignment per line, decimal
-    field elements in declared variable order.  Size is recorded; validity of
-    the generator is trusted."""
-    vars = tuple(vars)
+def _round_points(vars, width: int, degree, field: PrimeField, generator: str,
+                  seed: int, count: int | None, path, guard: int) -> tuple:
+    """One round's point source over ``vars``: (size, points, provenance).
+    Every refusal comes before the first point; grid and random points are
+    made only when the caller reaches them.  The grid {0..d_v} per variable
+    hits every nonzero polynomial with those individual degree bounds,
+    unconditionally (and ignores the width); over F_p it needs d_v + 1
+    distinct values, so a degree bound >= p is refused.  Random draws
+    ``count`` points, by default (|vars| * width * max(d, 1))^2.  External
+    loads a user file, one assignment per line, decimal field elements in
+    declared variable order; its validity as a generator is trusted."""
+    degrees = [degree] * len(vars) if isinstance(degree, int) else [int(d) for d in degree]
+    if generator == "grid":
+        if len(degrees) != len(vars):
+            raise ValueError("one degree bound per variable required")
+        size = 1
+        for d in degrees:
+            if d < 0:
+                raise ValueError("negative degree bound")
+            if d >= field.p:
+                raise ValueError(f"degree bound {d} >= p = {field.p}: the grid "
+                                 "{0..d} wraps mod p and no longer hits every "
+                                 "nonzero polynomial")
+            size *= d + 1
+            if size > guard:
+                raise GuardExceeded(f"grid of {size}+ points exceeds guard {guard}")
+        return size, itertools.product(*(range(d + 1) for d in degrees)), "grid"
+    if generator == "random":
+        if count is None:
+            count = max(1, (len(vars) * width * max(max(degrees, default=0), 1)) ** 2)
+        if count < 1:
+            raise ValueError(f"random generator needs count >= 1, got {count}")
+        if count > guard:
+            raise GuardExceeded(f"{count} random points exceeds guard {guard}")
+        rng = random.Random(seed)
+        return (count, (tuple(field.random(rng) for _ in vars) for _ in range(count)),
+                f"random(seed={seed},count={count})")
+    if generator != "external":
+        raise ValueError(f"unknown generator {generator!r}")
+    if path is None:
+        raise ValueError("external generator needs a points file path")
     points = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -144,27 +133,22 @@ def external_hitting_set(vars, path, field: PrimeField) -> HittingSet:
                     f"{path}:{lineno}: expected {len(vars)} values, got {len(vals)}"
                 )
             points.append(tuple(v % field.p for v in vals))
-    return HittingSet(vars, tuple(points), f"external({path})")
+    if not points:
+        raise ValueError(f"{path}: no points")
+    return len(points), points, f"external({path})"
 
 
 def roabp_hitting_set(vars, width: int, degree, field: PrimeField,
                       generator: str = "grid", seed: int = 0,
                       count: int | None = None, path=None,
                       guard: int = DEFAULT_POINT_GUARD) -> HittingSet:
-    """Point set aimed at width-``width`` read-once programs over ``vars``.
-    The grid generator is unconditionally complete (and ignores the width);
-    random is probabilistically complete; external loads a user file."""
+    """Point set aimed at width-``width`` read-once programs over ``vars``:
+    the points of ``_round_points``, stored.  The grid generator is
+    unconditionally complete; random is probabilistically complete."""
     vars = tuple(vars)
-    if generator == "grid":
-        return grid_hitting_set(vars, degree, field, guard)
-    if generator == "random":
-        return random_hitting_set(vars, field, _random_count(vars, width, degree, count),
-                                  seed, guard)
-    if generator == "external":
-        if path is None:
-            raise ValueError("external generator needs a points file path")
-        return external_hitting_set(vars, path, field)
-    raise ValueError(f"unknown generator {generator!r}")
+    _, points, provenance = _round_points(vars, width, degree, field, generator,
+                                          seed, count, path, guard)
+    return HittingSet(vars, points, provenance)
 
 
 def k_pass_hitting_set(n: int, width: int, degree: int, k: int, field: PrimeField,
@@ -260,10 +244,8 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     decides the candidate unless a partial product outgrows the budget; only
     then, and always above the limit with the random and external
     generators, is the restriction tested recursively.  An exhausted round
-    means zero; else the accepted points
-    make a witness, re-checked by evaluation.  With the grid generator the
-    verdict is exact.  Random points are drawn lazily, in the order
-    ``random_hitting_set`` would store them.
+    means zero; else the accepted points make a witness, re-checked by
+    evaluation.  With the grid generator the verdict is exact.
     """
     cls = validate(abp)
     work = cls.normalized
@@ -272,18 +254,12 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     assigned: dict = {}
     iterations: list = []
     while work.read_order():
-        seq = read_sequence(work)
-        subset, floor = _choose_subset(seq)
+        subset, floor = _choose_subset(read_sequence(work))
         degs = work.individual_degrees()
-        width, degrees = work.width ** (2 * k), [degs[v] for v in subset]
-        if generator == "random":
-            size = _random_count(subset, width, degrees, count)
-            points = _random_points(subset, work.field, size, seed + len(iterations),
-                                    DEFAULT_POINT_GUARD)
-        else:
-            hs = roabp_hitting_set(subset, width, degrees, work.field, generator,
-                                   seed + len(iterations), count, path, DEFAULT_POINT_GUARD)
-            size, points = len(hs), hs.points
+        size, points, _ = _round_points(subset, work.width ** (2 * k),
+                                        [degs[v] for v in subset], work.field, generator,
+                                        seed + len(iterations), count, path,
+                                        DEFAULT_POINT_GUARD)
         tried, chosen = (_scan_round(work, subset, points, rng, generator, count, path)
                          or (size, None))
         iterations.append(IterationRecord(subset, floor, size, tried, chosen))
@@ -303,43 +279,35 @@ def read_k_hitting_set(abp: ObliviousAbp, generator: str = "grid", seed: int = 0
                        guard: int = DEFAULT_POINT_GUARD, count: int | None = None,
                        path=None) -> HittingSet:
     """The full point set the test walks: the cartesian product of the
-    per-round sets H_1^(y_1) x ... x H_t^(y_t).  Only the read order of the
-    program is used to build it."""
+    per-round sets H_1^(y_1) x ... x H_t^(y_t).  Each round is sized as in
+    ``read_k_pit``, by the program left after the earlier rounds' subsets are
+    fixed; fixing them at zeros gives the same read order, width and degrees
+    as fixing them at the accepted points."""
     cls = validate(abp)
     work = cls.normalized
     k = max(cls.k, 1)
-    seq = read_sequence(work) if work.read_order() else None
-    degs = work.individual_degrees()
     rounds = []
-    idx = 0
-    while seq is not None and seq.n > 0:
-        subset, _ = _choose_subset(seq)
-        hs = roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
-                               work.field, generator, seed + idx, count, path, guard)
-        rounds.append(hs)
-        fixed = set(subset)
-        keep = [e for e in range(seq.n) if seq.labels[e] not in fixed]
-        seq = seq.restrict(keep) if keep else None
-        idx += 1
-    size = 1
-    for hs in rounds:
-        size *= max(len(hs), 1)
-        if size > guard:
-            raise GuardExceeded(f"cartesian product exceeds guard {guard}")
+    while work.read_order():
+        subset, _ = _choose_subset(read_sequence(work))
+        degs = work.individual_degrees()
+        rounds.append((subset, *_round_points(subset, work.width ** (2 * k),
+                                              [degs[v] for v in subset], work.field,
+                                              generator, seed + len(rounds), count,
+                                              path, guard)))
+        work = work.restrict(dict.fromkeys(subset, 0))
+    if math.prod(size for _, size, _, _ in rounds) > guard:
+        raise GuardExceeded(f"cartesian product exceeds guard {guard}")
     n = abp.num_vars
     points = []
-    for combo in itertools.product(*(hs.points for hs in rounds)):
+    for combo in itertools.product(*(pts for _, _, pts, _ in rounds)):
         point = [0] * n
-        for hs, pt in zip(rounds, combo):
-            for v, val in zip(hs.vars, pt):
+        for (subset, *_), pt in zip(rounds, combo):
+            for v, val in zip(subset, pt):
                 point[v] = val
-        points.append(tuple(point))
-    if not points:
-        points = [()] if n == 0 else [tuple([0] * n)]
-    prov = " x ".join(
-        f"{hs.provenance}^{{{','.join(str(v + 1) for v in hs.vars)}}}" for hs in rounds
-    ) or "empty"
-    return HittingSet(tuple(range(n)), tuple(points), prov)
+        points.append(point)
+    prov = " x ".join(f"{source}^{{{','.join(str(v + 1) for v in subset)}}}"
+                      for subset, _, _, source in rounds) or "empty"
+    return HittingSet(tuple(range(n)), points, prov)
 
 
 # -- iteration-count inequality ------------------------------------------------

@@ -60,7 +60,6 @@ class ReadSequence:
                 )
         if any(c != self.k for c in counts):
             raise ValueError("every element must occur exactly k times")
-        self._occ = {(e, c): i for i, (e, c) in enumerate(self.entries)}
 
     @classmethod
     def from_order(cls, order: Iterable) -> "ReadSequence":
@@ -87,10 +86,6 @@ class ReadSequence:
 
     # -- accessors -----------------------------------------------------------
 
-    def occur(self, i: int, e: int) -> int:
-        """Index of the i-th occurrence of element e."""
-        return self._occ[(e, i)]
-
     def read_order(self, i: int) -> list:
         """The permutation of elements given by their i-th occurrences."""
         return [e for e, c in self.entries if c == i]
@@ -101,23 +96,7 @@ class ReadSequence:
     def is_per_read_monotone(self) -> bool:
         return all(self.read_direction(i) is not None for i in range(1, self.k + 1))
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.read_order(1) == sorted(range(self.n))
-
-    # -- projections ---------------------------------------------------------
-
-    def project(self, reads) -> "ReadSequence":
-        """Keep only the given occurrence indices; occurrence counters are
-        renumbered but elements keep their ids."""
-        reads = sorted(set(reads))
-        if not reads:
-            raise ValueError("projection needs at least one read index")
-        if reads[0] < 1 or reads[-1] > self.k:
-            raise ValueError(f"read indices {reads} out of range 1..{self.k}")
-        renum = {c: i + 1 for i, c in enumerate(reads)}
-        entries = tuple((e, renum[c]) for e, c in self.entries if c in renum)
-        return ReadSequence(self.n, len(reads), entries, self.labels)
+    # -- restriction ---------------------------------------------------------
 
     def restrict(self, keep) -> "ReadSequence":
         """Drop all elements outside ``keep`` and relabel canonically; labels

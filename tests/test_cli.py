@@ -132,6 +132,24 @@ class TestPit:
         assert out == ""
         assert "wraps mod p" in err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_random_round_exit_two(self, capsys, count):
+        # a round with no points hits nothing; P_3 is nonzero
+        code, out, err = run(capsys, "pit", FIXTURES / "pn_3.json",
+                             "--generator", "random", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert "count >= 1" in err
+
+    def test_empty_points_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "none.txt"
+        path.write_text("# comments only\n\n")
+        code, out, err = run(capsys, "pit", FIXTURES / "pn_3.json",
+                             "--generator", "external", "--points-file", path)
+        assert code == 2
+        assert out == ""
+        assert "no points" in err
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["pn_1.json", "pn_2.json", "pn_3.json",

@@ -1,5 +1,6 @@
 """Hitting sets, the white-box identity test, and the round-count inequality."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,38 +11,37 @@ from abpkit.abp import ObliviousAbp
 from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
 from abpkit.hardpoly import gen_pn, gen_qn
-from abpkit.pit import (external_hitting_set, grid_hitting_set,
-                        iteration_bound, iteration_bound_check,
-                        k_pass_hitting_set, random_hitting_set,
-                        read_k_hitting_set, read_k_pit, roabp_hitting_set)
+from abpkit.pit import (iteration_bound, iteration_bound_check,
+                        k_pass_hitting_set, read_k_hitting_set, read_k_pit,
+                        roabp_hitting_set)
 
 
 class TestGridHittingSet:
     def test_two_vars_multilinear(self, field):
-        hs = grid_hitting_set((0, 1), 1, field)
+        hs = roabp_hitting_set((0, 1), 1, 1, field, generator="grid")
         assert set(hs.points) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert hs.provenance == "grid"
 
     def test_single_var_degree3(self, field):
-        hs = grid_hitting_set((0,), 3, field)
+        hs = roabp_hitting_set((0,), 1, 3, field, generator="grid")
         assert hs.points == ((0,), (1,), (2,), (3,))
 
     def test_zero_vanishes_nonzero_hit(self, field):
         z = SparsePoly.zero(field, 2)
         f = SparsePoly.variable(field, 2, 0) + SparsePoly.variable(field, 2, 1)
-        hs = grid_hitting_set((0, 1), 1, field)
+        hs = roabp_hitting_set((0, 1), 1, 1, field, generator="grid")
         assert all(z.evaluate(pt) == 0 for pt in hs.points)
         assert any(f.evaluate(pt) != 0 for pt in hs.points)
         assert f.evaluate((0, 1)) != 0
 
     def test_guard(self, field):
         with pytest.raises(GuardExceeded):
-            grid_hitting_set(tuple(range(30)), 2, field, guard=1000)
+            roabp_hitting_set(tuple(range(30)), 1, 2, field, generator="grid", guard=1000)
 
     def test_degree_reaching_p_refused(self, f7):
-        assert len(grid_hitting_set((0,), 6, f7)) == 7
+        assert len(roabp_hitting_set((0,), 1, 6, f7, generator="grid")) == 7
         with pytest.raises(ValueError, match="wraps mod p"):
-            grid_hitting_set((0, 1), [1, 7], f7)
+            roabp_hitting_set((0, 1), 1, [1, 7], f7, generator="grid")
 
 
 def x7_minus_x(f7):
@@ -71,8 +71,7 @@ class TestSmallFieldRefusal:
 class TestGenerators:
     def test_grid_dispatch_matches(self, field):
         a = roabp_hitting_set((0, 1, 2), width=4, degree=2, field=field)
-        b = grid_hitting_set((0, 1, 2), 2, field)
-        assert a.points == b.points
+        assert a.points == tuple(itertools.product(range(3), repeat=3))
 
     def test_random_generator_hits_random_roabps(self, field):
         rng = random.Random(30)
@@ -91,16 +90,16 @@ class TestGenerators:
         assert tried >= 150
 
     def test_random_seed_determinism(self, field):
-        a = random_hitting_set((0, 1, 2), field, count=50, seed=9)
-        b = random_hitting_set((0, 1, 2), field, count=50, seed=9)
-        c = random_hitting_set((0, 1, 2), field, count=50, seed=10)
+        a = roabp_hitting_set((0, 1, 2), 1, 1, field, generator="random", seed=9, count=50)
+        b = roabp_hitting_set((0, 1, 2), 1, 1, field, generator="random", seed=9, count=50)
+        c = roabp_hitting_set((0, 1, 2), 1, 1, field, generator="random", seed=10, count=50)
         assert a.points == b.points
         assert a.points != c.points
 
     def test_external_round_trip(self, field, tmp_path):
         path = tmp_path / "points.txt"
         path.write_text("# demo points\n0 1 2\n3, 4, 5\n\n6 7 8\n")
-        hs = external_hitting_set((0, 1, 2), path, field)
+        hs = roabp_hitting_set((0, 1, 2), 1, 1, field, generator="external", path=path)
         assert hs.points == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
         assert hs.provenance.startswith("external")
 
@@ -108,11 +107,12 @@ class TestGenerators:
         path = tmp_path / "bad.txt"
         path.write_text("1 2\n")
         with pytest.raises(ValueError, match="expected 3 values"):
-            external_hitting_set((0, 1, 2), path, field)
+            roabp_hitting_set((0, 1, 2), 1, 1, field, generator="external", path=path)
 
     def test_external_missing_file(self, field):
         with pytest.raises(OSError):
-            external_hitting_set((0,), "no/such/file.txt", field)
+            roabp_hitting_set((0,), 1, 1, field, generator="external",
+                              path="no/such/file.txt")
 
     def test_unknown_generator(self, field):
         with pytest.raises(ValueError):
@@ -384,6 +384,17 @@ class TestCartesianStructure:
         assert len(hs) == expect_size
         assert sorted(x for g in groups for x in g) == list(range(5))
         assert v.witness in set(hs.points)
+
+    def test_random_rounds_sized_as_the_test_walks_them(self, field):
+        """The second round's width is smaller once the first round's subset
+        is fixed; the product set sizes it by that width, as read_k_pit does."""
+        rng = random.Random(222)
+        k = rng.choice((2, 3))
+        a = random_read_k_abp(rng, field, rng.randint(2, 5), k, rng.randint(2, 3), 1,
+                              term_budget=2000)
+        v = read_k_pit(a, generator="random")
+        assert [rec.h_size for rec in v.iterations] == [1024, 1]
+        assert len(read_k_hitting_set(a, generator="random")) == 1024
 
     def test_nonzero_program_hit_by_product_set(self, field):
         rng = random.Random(38)

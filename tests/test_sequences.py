@@ -51,8 +51,9 @@ def brute_two_regular(seq: ReadSequence) -> bool:
     occurrences are consecutive, and the seconds start right after the
     firsts end."""
     assert seq.k == 2
-    positions1 = {e: seq.occur(1, e) for e in range(seq.n)}
-    positions2 = {e: seq.occur(2, e) for e in range(seq.n)}
+    positions = {entry: i for i, entry in enumerate(seq.entries)}
+    positions1 = {e: positions[(e, 1)] for e in range(seq.n)}
+    positions2 = {e: positions[(e, 2)] for e in range(seq.n)}
     for part in set_partitions(range(seq.n)):
         ok = True
         for block in part:
@@ -83,33 +84,10 @@ def all_read2_sequences(n):
             pass
 
 
-# -- projections ----------------------------------------------------------------
+# -- restriction ----------------------------------------------------------------
 
 
 class TestProjectRestrict:
-    def test_project_second_read(self):
-        s = ReadSequence.from_order([0, 1, 1, 0])
-        p = s.project([2])
-        assert p.entries == ((1, 1), (0, 1))
-        assert p.labels == s.labels
-
-    def test_project_all_reads_is_identity(self):
-        s = ReadSequence.from_order([0, 1, 1, 0, 1, 0])
-        assert s.project([1, 2, 3]).entries == s.entries
-
-    def test_project_read3_to_13_exhaustive(self):
-        # brute-force filter over every read-3 order on two elements
-        base = [0, 0, 0, 1, 1, 1]
-        for perm in set(itertools.permutations(base)):
-            try:
-                s = ReadSequence.from_order(perm)
-            except ValueError:
-                continue
-            p = s.project([1, 3])
-            expect = [(e, {1: 1, 3: 2}[c]) for e, c in s.entries if c in (1, 3)]
-            assert list(p.entries) == expect
-            assert p.k == 2
-
     def test_restrict_single_element(self):
         s = ReadSequence.from_order([0, 1, 0, 1])
         r = s.restrict({0})
@@ -138,7 +116,7 @@ class TestProjectRestrict:
     def test_restrict_relabels_canonically(self):
         s = ReadSequence.from_order([0, 1, 2, 2, 1, 0])
         r = s.restrict({1, 2})
-        assert r.is_canonical
+        assert r.read_order(1) == list(range(r.n))
         assert r.labels == (1, 2)
 
 
