@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import groupby
@@ -74,10 +76,7 @@ class ObliviousAbp:
         return [layer.var for layer in self.layers if layer.var is not None]
 
     def read_counts(self) -> dict:
-        counts: dict = {}
-        for v in self.read_order():
-            counts[v] = counts.get(v, 0) + 1
-        return counts
+        return dict(Counter(self.read_order()))
 
     def individual_degrees(self) -> list:
         degs = [0] * self.num_vars
@@ -87,10 +86,7 @@ class ObliviousAbp:
         return degs
 
     def estimated_terms(self) -> int:
-        est = 1
-        for d in self.individual_degrees():
-            est *= d + 1
-        return est
+        return math.prod(d + 1 for d in self.individual_degrees())
 
     # -- semantics -----------------------------------------------------------
 

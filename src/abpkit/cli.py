@@ -90,6 +90,8 @@ def _cmd_pit(args) -> int:
 
 
 def _cmd_evaldim(args) -> int:
+    if args.prefix is not None and args.prefix < 0:
+        raise ValueError(f"--prefix must be >= 0, got {args.prefix}")
     program = abpio.load(args.file)
     f = program.expand(guard=args.guard)
     if args.prefix is not None:
@@ -222,6 +224,8 @@ def _cmd_experiment(args) -> int:
             print(f"residual part {i}: width {res.width}")
         return 0
     if args.kind == "blocks":
+        if args.file is None:
+            raise ValueError("experiment blocks needs --file")
         program = abpio.load(args.file)
         part = block_partition(program, args.blocks, method=args.method)
         print(f"chosen blocks: {part.chosen}")

@@ -7,6 +7,7 @@ brute-force oracle stays viable on every instance they emit.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -31,9 +32,7 @@ def _throttled_degree(rng: random.Random, ind: list, v: int,
                       max_entry_degree: int, term_budget: int) -> int:
     """Random degree for the next layer reading v, capped so that the product
     of (individual degree + 1) stays within the term budget; adds it to ind."""
-    est = 1
-    for d in ind:
-        est *= d + 1
+    est = math.prod(d + 1 for d in ind)
     room = max_entry_degree
     while room > 0 and est // (ind[v] + 1) * (ind[v] + room + 1) > term_budget:
         room -= 1

@@ -311,10 +311,7 @@ def eliminate_summand(parts, t: int,
         restriction = part1.abp.restrict(dict(zip(subset, a))).expand(guard)
         assignments.append(a)
         if not solver.try_add(restriction.terms):
-            dep = solver.dependency(restriction.terms)
-            alpha = [0] * len(assignments)
-            for b, c in (dep or {}).items():
-                alpha[b] = c
+            alpha = solver.express(restriction.terms, len(assignments))
             alpha[-1] = field.p - 1
             break
     if alpha is None:

@@ -3,9 +3,9 @@
 Each round of the white-box test picks, from the read order alone, a large
 per-read-monotone, regularly-interleaving subset of the remaining variables,
 and walks the round's points over it (sized by the width and degrees of the
-program left) until a point keeps the restricted program nonzero (probes per
-point, then one expansion of a cheap round, else per point an expansion, a
-capped expansion on the grid, or a recursion); then it goes on with the
+program left) until a point keeps the restricted program nonzero (one probe
+per point, then one expansion of a cheap round, else per point a capped
+expansion, and a recursion only where it gives up); then it goes on with the
 rest.  ``_round_points`` is the one source of a round's points: the test
 walks them as they are made, and the stored sets (``roabp_hitting_set``,
 ``k_pass_hitting_set``, the product set ``read_k_hitting_set``) keep them.
@@ -27,7 +27,6 @@ from .sequences import (ReadSequence, is_regularly_interleaving,
 
 DEFAULT_POINT_GUARD = 10 ** 6
 DEFAULT_FASTPATH_TERMS = 4096
-DEFAULT_PROBES = 12
 
 
 @dataclass
@@ -194,18 +193,15 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
     when the round exhausts its points."""
     fixed = set(subset)
     reads = any(v not in fixed for v in work.read_order())
-    small = math.prod(d + 1 for v, d in enumerate(work.individual_degrees())
-                      if v not in fixed) <= DEFAULT_FASTPATH_TERMS
     poly = None
     for tried, pt in enumerate(points, 1):
         assignment = dict(zip(subset, pt))
         if poly is None:
-            for _ in range(1 if small else DEFAULT_PROBES):
-                point = [work.field.random(rng) for _ in range(work.num_vars)]
-                for v, value in assignment.items():
-                    point[v] = value
-                if work.evaluate(point) != 0:
-                    return tried, pt
+            point = [work.field.random(rng) for _ in range(work.num_vars)]
+            for v, value in assignment.items():
+                point[v] = value
+            if work.evaluate(point) != 0:
+                return tried, pt
             if work.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
                 poly = work.expand()
                 if poly.is_zero:
@@ -216,8 +212,7 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
             rest = poly.substitute(assignment)
         else:
             sub = work.restrict(assignment)
-            rest = (sub.expand(DEFAULT_EXPAND_GUARD, DEFAULT_FASTPATH_TERMS)
-                    if small or generator == "grid" else None)
+            rest = sub.expand(DEFAULT_EXPAND_GUARD, DEFAULT_FASTPATH_TERMS)
             if rest is None:
                 rest = read_k_pit(sub, generator, rng.getrandbits(32), count, path)
         if not rest.is_zero:
@@ -231,21 +226,15 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
 
     Each round prunes the read sequence to a per-read-monotone,
     regularly-interleaving subset y_i and scans the generator's points over
-    y_i in order for the first whose restriction stays nonzero.  All of a
-    round's restrictions have the same size estimate (free degrees do not
-    change), and each candidate is decided by three rules: (1) one random
-    probe if the estimate is within ``DEFAULT_FASTPATH_TERMS``, else
-    ``DEFAULT_PROBES``; (2) after a miss, a round program within that limit is
-    expanded once: zero ends the round, else substitution decides each point;
-    (3) otherwise a candidate that reads nothing was decided by its probe, and
-    any other is restricted, then expanded with a term budget of
-    ``DEFAULT_FASTPATH_TERMS`` if its estimate is within the limit (where the
-    budget cannot be outgrown) or the generator is grid.  The expansion
-    decides the candidate unless a partial product outgrows the budget; only
-    then, and always above the limit with the random and external
-    generators, is the restriction tested recursively.  An exhausted round
-    means zero; else the accepted points make a witness, re-checked by
-    evaluation.  With the grid generator the verdict is exact.
+    y_i in order for the first whose restriction stays nonzero.  Whatever the
+    generator, each candidate gets (1) one random probe; (2) after a miss, a
+    round program within ``DEFAULT_FASTPATH_TERMS`` is expanded once: zero
+    ends the round, else substitution decides each point; (3) otherwise a
+    candidate that reads nothing was decided by its probe, and any other is
+    restricted and expanded with a budget of ``DEFAULT_FASTPATH_TERMS``
+    terms, and tested recursively only if a partial product outgrows it.  An
+    exhausted round means zero; else the accepted points make a witness,
+    re-checked by evaluation.  With the grid generator the verdict is exact.
     """
     cls = validate(abp)
     work = cls.normalized

@@ -217,6 +217,14 @@ class TestPipelines:
         assert code == 0
         assert out.startswith("dimension ")
 
+    def test_evaldim_negative_prefix_exit_two(self, capsys):
+        # order[:-1] would silently split after all but the last variable
+        code, out, err = run(capsys, "evaldim", FIXTURES / "pn_2.json",
+                             "--prefix", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--prefix must be >= 0" in err
+
     def test_evaldim_sets_with_r(self, capsys):
         code, out, _ = run(capsys, "evaldim", FIXTURES / "qn_2.json",
                            "--S", "1,2", "--T", "3,4", "--R", "5,6")
@@ -281,6 +289,12 @@ class TestExperiments:
                            "--file", FIXTURES / "pn_2.json", "--blocks", "4")
         assert code == 0
         assert "|U|=" in out
+
+    def test_blocks_experiment_without_file_named(self, capsys):
+        code, out, err = run(capsys, "experiment", "blocks")
+        assert code == 2
+        assert out == ""
+        assert "needs --file" in err
 
     def test_external_points_pit_round_covers_all_vars(self, capsys):
         # two_pass.json prunes to the full variable set in round one, so a

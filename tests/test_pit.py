@@ -331,8 +331,8 @@ Q4_VERDICT = ((0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1), [
 
 class TestHardFamilies:
     """P_n and Q_n candidates are estimated far above the fast-path limit but
-    expand within it, so grid verdicts decide them by capped expansion and
-    never recurse."""
+    expand within it, so every generator decides them by capped expansion
+    and never recurses."""
 
     @pytest.fixture
     def recursions(self, monkeypatch):
@@ -362,6 +362,23 @@ class TestHardFamilies:
         v = read_k_pit(program)
         assert not v.is_zero
         assert program.evaluate(v.witness) != 0
+        assert recursions == []
+
+    @pytest.mark.parametrize("generator", ["random", "external"])
+    def test_zeroed_pn_decided_without_recursion(self, field, recursions, tmp_path,
+                                                 generator):
+        # emptying P_4's first layer makes it zero; its first round fixes 7
+        # of 12 variables, so a 7-column file fits only that round
+        program = gen_pn(4, field, with_poly=False).realization
+        first = program.layers[0]
+        empty = UniMatrix(field, first.var, tuple(((),) * len(row) for row in first.entries))
+        zeroed = ObliviousAbp(field, program.num_vars, (empty,) + program.layers[1:])
+        path = tmp_path / "points.txt"
+        path.write_text("".join(f"{i} 1 2 3 4 5 6\n" for i in range(5)))
+        v = read_k_pit(zeroed, generator, count=30, path=path)
+        assert v.is_zero
+        assert [(len(r.subset), r.points_tried, r.chosen) for r in v.iterations] == [
+            (7, 30 if generator == "random" else 5, None)]
         assert recursions == []
 
 

@@ -16,10 +16,11 @@ layer's entries from d_v + 1 substituted points.  ``restrict`` and
 ``roabp_synthesize`` must give the same canonical text as these.
 
 ``reference_read_k_pit`` is the identity test that scans each round candidate
-by candidate: every candidate is restricted, gets ``DEFAULT_PROBES`` random
-probes, and is then expanded or tested recursively.  ``read_k_pit``, which
-decides each round once, must give the same verdict, witness and iteration
-records, or the same refusal.
+by candidate: every candidate is restricted, gets one random probe, and is
+then expanded with a budget of ``DEFAULT_FASTPATH_TERMS`` terms, or tested
+recursively if the expansion gives up.  ``read_k_pit``, which expands a cheap
+round once, must give the same verdict, witness and iteration records, or the
+same refusal.
 """
 
 import json
@@ -150,12 +151,12 @@ def _reference_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
                        count, path) -> bool:
     if not abp.read_order():
         return abp.evaluate([0] * abp.num_vars) != 0
-    for _ in range(pit.DEFAULT_PROBES):
-        if abp.evaluate([abp.field.random(rng) for _ in range(abp.num_vars)]) != 0:
-            return True
-    if abp.estimated_terms() <= pit.DEFAULT_FASTPATH_TERMS:
-        return not abp.expand().is_zero
-    return not reference_read_k_pit(abp, generator, rng.getrandbits(32), count, path).is_zero
+    if abp.evaluate([abp.field.random(rng) for _ in range(abp.num_vars)]) != 0:
+        return True
+    rest = abp.expand(DEFAULT_EXPAND_GUARD, pit.DEFAULT_FASTPATH_TERMS)
+    if rest is None:
+        rest = reference_read_k_pit(abp, generator, rng.getrandbits(32), count, path)
+    return not rest.is_zero
 
 
 def reference_read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
