@@ -114,7 +114,10 @@ class ObliviousAbp:
         the estimated term count exceeds the guard.  With a ``budget`` the
         estimate is not checked; instead the expansion gives up and returns
         None (undecided, never a truncated result) as soon as a column's term
-        map holds more than ``budget`` terms."""
+        map holds more than ``budget`` terms.  A layer whose entries are all
+        zero decides the result at once: the zero polynomial."""
+        if any(layer.is_zero for layer in self.layers):
+            return SparsePoly.zero(self.field, self.num_vars)
         if budget is None and (est := self.estimated_terms()) > guard:
             raise GuardExceeded(
                 f"expansion estimated at {est} terms exceeds guard {guard}"

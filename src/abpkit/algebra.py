@@ -274,7 +274,8 @@ class UniMatrix:
     """Matrix whose entries are univariate polynomials in one shared variable,
     given as coefficient tuples (lowest degree first).  ``var=None`` marks a
     constant matrix that reads nothing; ``padding`` tags identity layers added
-    to make every variable read exactly k times.
+    to make every variable read exactly k times.  ``is_zero`` is set on
+    construction: every entry is the zero polynomial.
     """
 
     field: PrimeField
@@ -296,6 +297,7 @@ class UniMatrix:
                     if len(e) > 1:
                         raise ValueError("constant layer has a non-constant entry")
         self.entries = rows
+        self.is_zero = not any(map(any, rows))
 
     @property
     def width_in(self) -> int:

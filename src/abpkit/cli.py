@@ -237,6 +237,9 @@ def _cmd_experiment(args) -> int:
                                                  ("W", part.W))))
         return 0
     # iteration-bound
+    for flag, value in (("--r-max", args.r_max), ("--n-max", args.n_max)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1 for a non-empty sweep, got {value}")
     p_values = [Fraction(x) for x in args.p_grid.split(",")]
     rows = [(str(p), r, n, int(ok)) for p, r, n, ok in
             iteration_bound_sweep(p_values, range(1, args.r_max + 1), args.n_max)]

@@ -303,43 +303,46 @@ def read_k_hitting_set(abp: ObliviousAbp, generator: str = "grid", seed: int = 0
 
 
 def _iroot(value: int, k: int) -> int:
-    """Floor of the integer k-th root."""
+    """Floor of the integer k-th root.  The seed is the float root, shifted
+    into place; one Newton step lifts it to or above the floor, and Newton's
+    descent from there needs a few steps."""
     if value < 0:
         raise ValueError("negative radicand")
     if value == 0:
         return 0
-    x = 1 << ((value.bit_length() + k - 1) // k + 1)
-    while True:
-        y = ((k - 1) * x + value // x ** (k - 1)) // k
-        if y >= x:
-            break
+    shift = max(value.bit_length() // k - 52, 0)
+    x = int(math.exp(math.log(value) / k - shift * math.log(2))) + 2 << shift
+    x = ((k - 1) * x + value // x ** (k - 1)) // k      # >= the floor, by AM-GM
+    while (y := ((k - 1) * x + value // x ** (k - 1)) // k) < x:
         x = y
     while x ** k > value:
         x -= 1
     return x
 
 
-def _pow_bounds(base: Fraction, exp: Fraction, bits: int) -> tuple:
-    """Rational enclosure of base**exp for base >= 0 and 0 < exp < 1."""
-    if base < 0:
-        raise ValueError("negative base")
-    if base == 0:
-        return Fraction(0), Fraction(0)
-    a, b = exp.numerator, exp.denominator
-    num = base.numerator ** a * (1 << (bits * b))
-    den = base.denominator ** a
-    root = _iroot(num // den, b)
-    scale = 1 << bits
-    return Fraction(root, scale), Fraction(root + 1, scale)
+def _enclosures(n: int, a: int, b: int, r: int, bits: int) -> tuple:
+    """Enclosures [a_lo, a_hi] of n^(1-p) and [c_lo, c_hi] of (n - n^p/r)^(1-p) for
+    p = a/b and c = b - a, as numerators over 2^bits: floor b-th roots of the power
+    times 2^(bits*b), and those + 1 (a zero base gives 0).  The inner term lies in
+    [m - 1, m] / (r*2^bits), m = n*r*2^bits - (root for n^p), and its scaled power
+    is m^c * 2^(bits*a) / r^c, whose floor has the same floor root."""
+    c = b - a
+    root_a = _iroot(n ** c << bits * b, b)
+    m = (n * r << bits) - _iroot(n ** a << bits * b, b)     # >= 0: n^p <= n*r
+    c_lo = _iroot((max(m - 1, 0) ** c << bits * a) // r ** c, b)
+    c_hi = _iroot((m ** c << bits * a) // r ** c, b) + 1 if m else 0
+    return root_a, root_a + 1, c_lo, c_hi
 
 
 def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
-    """Exact decision, via rational interval arithmetic, of the inequality
+    """Exact decision of the inequality
 
         n^(1-p) - (n - n^p / r)^(1-p) >= (1-p) / r
 
     for 0 < p < 1 (given as an exact rational, e.g. the string "0.1") and a
-    positive integer r.  Precision is refined until the comparison resolves.
+    positive integer r.  With p = a/b, each side is enclosed by integer b-th
+    roots at a scale of 2^bits, and the comparisons are products of integers;
+    the precision doubles from ``bits`` until one of them resolves.
     """
     if isinstance(p, float):
         p = Fraction(str(p))
@@ -349,18 +352,15 @@ def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
         raise ValueError("p must lie strictly between 0 and 1")
     if r < 1 or n < 1:
         raise ValueError("r and n must be positive integers")
-    rhs = (1 - p) / r
-    nfrac = Fraction(n)
+    if bits < 1:
+        raise ValueError(f"bits must be a positive integer, got {bits}")
+    a, b = p.numerator, p.denominator
     while True:
-        a_lo, a_hi = _pow_bounds(nfrac, 1 - p, bits)
-        b_lo, b_hi = _pow_bounds(nfrac, p, bits)
-        inner_lo = max(nfrac - b_hi / r, Fraction(0))
-        inner_hi = max(nfrac - b_lo / r, Fraction(0))
-        c_lo, _ = _pow_bounds(inner_lo, 1 - p, bits)
-        _, c_hi = _pow_bounds(inner_hi, 1 - p, bits)
-        if a_lo - c_hi >= rhs:
+        a_lo, a_hi, c_lo, c_hi = _enclosures(n, a, b, r, bits)
+        rhs = (b - a) << bits       # (1-p)/r, times b * r * 2^bits
+        if (a_lo - c_hi) * b * r >= rhs:
             return True
-        if a_hi - c_lo < rhs:
+        if (a_hi - c_lo) * b * r < rhs:
             return False
         bits *= 2
         if bits > 4096:

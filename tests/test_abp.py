@@ -49,6 +49,18 @@ class TestExpand:
                   UniMatrix(field, 1, (((),),)))
         assert ObliviousAbp(field, 2, layers).expand().is_zero
 
+    def test_zero_layer_decides_before_guard_and_budget(self, field):
+        # P_3 with its last layer emptied: zero, though its estimate is over
+        # the guard and its partial products outgrow a budget of one term
+        p3 = gen_pn(3, field, with_poly=False).realization
+        last = p3.layers[-1]
+        empty = UniMatrix(field, last.var, tuple(((),) * len(row) for row in last.entries))
+        zeroed = ObliviousAbp(field, p3.num_vars, p3.layers[:-1] + (empty,))
+        assert p3.estimated_terms() > 100
+        assert p3.expand(budget=1) is None
+        assert zeroed.expand(guard=100) == SparsePoly.zero(field, p3.num_vars)
+        assert zeroed.expand(budget=1) == SparsePoly.zero(field, p3.num_vars)
+
     def test_p2_matches_independent_formula(self, field):
         v = [SparsePoly.variable(field, 4, i) for i in range(4)]
         direct = (v[0] + v[1]) * (v[2] + v[3]) * (v[0] + v[2]) * (v[1] + v[3])

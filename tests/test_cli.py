@@ -255,6 +255,17 @@ class TestExperiments:
         assert lines[0] == "p,r,n,ok"
         assert len(lines) == 1 + 2 * 3 * 50
 
+    @pytest.mark.parametrize("flag, value", [("--r-max", 0), ("--n-max", 0),
+                                             ("--n-max", -5)])
+    def test_iteration_bound_empty_sweep_refused(self, capsys, flag, value):
+        # an empty grid would pass vacuously: "0 grid points checked"
+        args = {"--r-max": 3, "--n-max": 50, flag: value}
+        code, out, err = run(capsys, "experiment", "iteration-bound",
+                             *(x for kv in args.items() for x in kv))
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     def test_pn_experiment(self, capsys, tmp_path):
         report = tmp_path / "pn.csv"
         code, out, _ = run(capsys, "experiment", "pn-evaldim", "--n", "2",

@@ -367,18 +367,23 @@ class TestHardFamilies:
     @pytest.mark.parametrize("generator", ["random", "external"])
     def test_zeroed_pn_decided_without_recursion(self, field, recursions, tmp_path,
                                                  generator):
-        # emptying P_4's first layer makes it zero; its first round fixes 7
-        # of 12 variables, so a 7-column file fits only that round
-        program = gen_pn(4, field, with_poly=False).realization
-        first = program.layers[0]
-        empty = UniMatrix(field, first.var, tuple(((),) * len(row) for row in first.entries))
-        zeroed = ObliviousAbp(field, program.num_vars, (empty,) + program.layers[1:])
-        path = tmp_path / "points.txt"
-        path.write_text("".join(f"{i} 1 2 3 4 5 6\n" for i in range(5)))
-        v = read_k_pit(zeroed, generator, count=30, path=path)
-        assert v.is_zero
-        assert [(len(r.subset), r.points_tried, r.chosen) for r in v.iterations] == [
-            (7, 30 if generator == "random" else 5, None)]
+        # emptying P_4's first or P_5's last layer makes it zero; its first
+        # round fixes ``arity`` variables, so a file with that many columns
+        # fits only that round
+        for n, layer, arity in [(4, 0, 7), (5, -1, 9)]:
+            program = gen_pn(n, field, with_poly=False).realization
+            layers = list(program.layers)
+            old = layers[layer]
+            layers[layer] = UniMatrix(field, old.var,
+                                      tuple(((),) * len(row) for row in old.entries))
+            zeroed = ObliviousAbp(field, program.num_vars, tuple(layers))
+            path = tmp_path / "points.txt"
+            path.write_text("".join(" ".join(map(str, range(i, i + arity))) + "\n"
+                                    for i in range(5)))
+            v = read_k_pit(zeroed, generator, count=30, path=path)
+            assert v.is_zero
+            assert [(len(r.subset), r.points_tried, r.chosen) for r in v.iterations] == [
+                (arity, 30 if generator == "random" else 5, None)]
         assert recursions == []
 
 
@@ -454,6 +459,28 @@ class TestIterationBound:
             iteration_bound_check(0, Fraction(1, 2), 1)
         with pytest.raises(ValueError):
             iteration_bound_check(5, Fraction(1, 2), 0)
+
+    def test_rejects_nonpositive_bits(self):
+        # a zero bits would double to 0 forever, a negative one fail on a shift
+        for bits in (0, -3):
+            with pytest.raises(ValueError, match="bits"):
+                iteration_bound_check(10 ** 4, Fraction(1, 2), 9, bits=bits)
+
+    @pytest.mark.parametrize("n, p, r", [(10 ** 6, Fraction(1, 2), 2),
+                                         (50, Fraction(9, 10), 9),
+                                         (7, Fraction(1, 3), 4)])
+    def test_coarse_start_doubles_to_the_same_decision(self, monkeypatch, n, p, r):
+        # four roots per precision: more than four calls means bits doubled
+        want = iteration_bound_check(n, p, r)
+        calls = []
+        real = pit._iroot
+
+        def counted(value, k):
+            calls.append(k)
+            return real(value, k)
+        monkeypatch.setattr(pit, "_iroot", counted)
+        assert iteration_bound_check(n, p, r, bits=1) is want
+        assert len(calls) > 4
 
     def test_violated_inequality_detected(self):
         # with the bound's right side scaled up the comparison must fail;

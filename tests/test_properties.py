@@ -15,6 +15,12 @@ constant layers, then runs of constant layers are multiplied together) and
 layer's entries from d_v + 1 substituted points.  ``restrict`` and
 ``roabp_synthesize`` must give the same canonical text as these.
 
+``reference_iroot`` is the integer root by Newton's method from a power of
+two, and ``reference_enclosures`` the ``Fraction`` enclosures of the
+iteration-count inequality, built by ``reference_pow_bounds``.  ``_iroot``
+must give the same roots, and ``iteration_bound_check``'s integer enclosures
+the same endpoints.
+
 ``reference_read_k_pit`` is the identity test that scans each round candidate
 by candidate: every candidate is restricted, gets one random probe, and is
 then expanded with a budget of ``DEFAULT_FASTPATH_TERMS`` terms, or tested
@@ -26,9 +32,10 @@ same refusal.
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abpkit import pit
@@ -145,6 +152,50 @@ def reference_synthesize(f: SparsePoly, order) -> Roabp:
             profile.append(len(basis_polys))
         cur_basis = basis_polys
     return Roabp(ObliviousAbp(field, n, tuple(layers)), order, tuple(profile))
+
+
+def reference_iroot(value: int, k: int) -> int:
+    if value < 0:
+        raise ValueError("negative radicand")
+    if value == 0:
+        return 0
+    x = 1 << ((value.bit_length() + k - 1) // k + 1)
+    while True:
+        y = ((k - 1) * x + value // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    while x ** k > value:
+        x -= 1
+    return x
+
+
+def reference_pow_bounds(base: Fraction, exp: Fraction, bits: int) -> tuple:
+    """Rational enclosure of base**exp for base >= 0 and 0 < exp < 1.  The
+    root is ``pit._iroot``, checked against ``reference_iroot`` on its own:
+    from a power of two, Newton's method needs over a thousand steps for a
+    1,000th root."""
+    if base == 0:
+        return Fraction(0), Fraction(0)
+    a, b = exp.numerator, exp.denominator
+    num = base.numerator ** a * (1 << (bits * b))
+    den = base.denominator ** a
+    root = pit._iroot(num // den, b)
+    scale = 1 << bits
+    return Fraction(root, scale), Fraction(root + 1, scale)
+
+
+def reference_enclosures(n: int, p: Fraction, r: int, bits: int) -> tuple:
+    """Enclosures [a_lo, a_hi] of n^(1-p) and [c_lo, c_hi] of
+    (n - n^p/r)^(1-p), as numerators over 2^bits."""
+    nfrac = Fraction(n)
+    a_lo, a_hi = reference_pow_bounds(nfrac, 1 - p, bits)
+    b_lo, b_hi = reference_pow_bounds(nfrac, p, bits)
+    inner_lo = max(nfrac - b_hi / r, Fraction(0))
+    inner_hi = max(nfrac - b_lo / r, Fraction(0))
+    c_lo, _ = reference_pow_bounds(inner_lo, 1 - p, bits)
+    _, c_hi = reference_pow_bounds(inner_hi, 1 - p, bits)
+    return tuple(int(x * (1 << bits)) for x in (a_lo, a_hi, c_lo, c_hi))
 
 
 def _reference_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
@@ -531,6 +582,42 @@ class TestPitMatchesReference:
             assert seen["substitutions"] > 0
         if limit == 4096:
             assert seen["zero rounds by one expansion"] > 0
+
+
+class TestIterationBoundMatchesReference:
+    @staticmethod
+    def root_or_error(fn, value, k):
+        try:
+            return fn(value, k)
+        except ZeroDivisionError:
+            return "k = 0"
+
+    def test_iroot(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(st.integers(0, 5000).flatmap(lambda bits: st.integers(0, 1 << bits)),
+               st.sampled_from([0, 1]) | st.integers(2, 40))
+        def check(value, k):
+            assert (self.root_or_error(pit._iroot, value, k)
+                    == self.root_or_error(reference_iroot, value, k))
+            seen[k] += k < 2
+            seen["past the float range"] += value > 1 << 1024
+
+        check()
+        assert min(seen[0], seen[1], seen["past the float range"]) > 0
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 10 ** 6), st.integers(1, 1000),
+           st.sampled_from([Fraction(1, 1000), Fraction(999, 1000), Fraction(1, 3),
+                            Fraction(2, 3), Fraction(7, 9),
+                            *(Fraction(j, 10) for j in range(1, 10))]),
+           st.sampled_from([32, 64, 128, 256, 512]))
+    @example(1, 1, Fraction(1, 2), 32)      # n - n^p/r = 0: the zero base
+    def test_enclosure_endpoints(self, n, r, p, bits):
+        # every decision is True (mean value theorem), so compare endpoints
+        assert (pit._enclosures(n, p.numerator, p.denominator, r, bits)
+                == reference_enclosures(n, p, r, bits))
 
 
 class TestGridPitAgainstOracle:
