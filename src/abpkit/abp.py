@@ -5,7 +5,9 @@ The polynomial computed by a program is the (1,1) entry of the product of its
 layer matrices.  ``expand`` is the brute-force oracle that turns a program
 into an explicit SparsePoly; it is guarded so it refuses (never truncates)
 when the estimated term count is too large, or, given a term budget, gives up
-as undecided once a partial product outgrows it.
+as undecided once a partial product outgrows it.  It keys monomials by packed
+ints, one bit field per variable as wide as its individual degree, which no
+exponent of a partial product exceeds: shifting a term is one add, no carry.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix, mat_mul
@@ -86,6 +88,9 @@ class ObliviousAbp:
         return degs
 
     def estimated_terms(self) -> int:
+        """Bound on the expansion's terms: 0 if a layer is all zero, else the degree box."""
+        if any(layer.is_zero for layer in self.layers):
+            return 0
         return math.prod(d + 1 for d in self.individual_degrees())
 
     # -- semantics -----------------------------------------------------------
@@ -115,35 +120,40 @@ class ObliviousAbp:
         estimate is not checked; instead the expansion gives up and returns
         None (undecided, never a truncated result) as soon as a column's term
         map holds more than ``budget`` terms.  A layer whose entries are all
-        zero decides the result at once: the zero polynomial."""
+        zero decides the result at once: the zero polynomial.  Term maps key
+        a monomial by one int, v's exponent in a field of d_v.bit_length() bits
+        (d_v its individual degree), so x_v^e shifts a key by e << offset_v; no
+        exponent of v in a partial product exceeds d_v, so no add carries."""
         if any(layer.is_zero for layer in self.layers):
             return SparsePoly.zero(self.field, self.num_vars)
-        if budget is None and (est := self.estimated_terms()) > guard:
+        degs = self.individual_degrees()
+        if budget is None and (est := math.prod(d + 1 for d in degs)) > guard:
             raise GuardExceeded(
                 f"expansion estimated at {est} terms exceeds guard {guard}"
             )
-        # One plain term map per column.  An entry coefficient c at degree e
-        # of the layer's variable v maps a term a*x^exps to (a*c)*x^(exps+e*v);
-        # sums are reduced mod p once per layer.
+        # One term map per column; sums are reduced mod p once per layer.
+        offsets = list(accumulate((d.bit_length() for d in degs), initial=0))
         p = self.field.p
-        row = [{(0,) * self.num_vars: 1}]
+        row = [{0: 1}]
         for layer in self.layers:
-            v = layer.var
+            offset = 0 if layer.var is None else offsets[layer.var]
             out = [{} for _ in range(layer.width_out)]
             for terms, entries in zip(row, layer.entries):
                 if not terms:
                     continue
                 for acc, coeffs in zip(out, entries):
                     get = acc.get
-                    shifts = [(e, c) for e, c in enumerate(coeffs) if c]
-                    for exps, a in terms.items():
-                        for e, c in shifts:
-                            key = exps[:v] + (exps[v] + e,) + exps[v + 1:] if e else exps
-                            acc[key] = get(key, 0) + a * c
-            row = [{exps: r for exps, a in acc.items() if (r := a % p)} for acc in out]
+                    shifts = [(e << offset, c) for e, c in enumerate(coeffs) if c]
+                    for key, a in terms.items():
+                        for shift, c in shifts:
+                            k = key + shift
+                            acc[k] = get(k, 0) + a * c
+            row = [{key: r for key, a in acc.items() if (r := a % p)} for acc in out]
             if budget is not None and max(map(len, row)) > budget:
                 return None
-        return SparsePoly._trusted(self.field, self.num_vars, row[0])
+        fields = [(lo, (1 << d.bit_length()) - 1) for lo, d in zip(offsets, degs)]
+        return SparsePoly._trusted(self.field, self.num_vars, {
+            tuple(key >> lo & mask for lo, mask in fields): a for key, a in row[0].items()})
 
     def restrict(self, assignment: Mapping[int, int]) -> "ObliviousAbp":
         """Fix some variables.  Each run of layers that read nothing or read a

@@ -27,6 +27,7 @@ from .sequences import (ReadSequence, is_regularly_interleaving,
 
 DEFAULT_POINT_GUARD = 10 ** 6
 DEFAULT_FASTPATH_TERMS = 4096
+MAX_P_DENOMINATOR = 10 ** 4
 
 
 @dataclass
@@ -342,7 +343,8 @@ def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
     for 0 < p < 1 (given as an exact rational, e.g. the string "0.1") and a
     positive integer r.  With p = a/b, each side is enclosed by integer b-th
     roots at a scale of 2^bits, and the comparisons are products of integers;
-    the precision doubles from ``bits`` until one of them resolves.
+    the precision doubles from ``bits`` until one of them resolves.  A b above
+    ``MAX_P_DENOMINATOR`` is refused: the radicands have bits*b bits.
     """
     if isinstance(p, float):
         p = Fraction(str(p))
@@ -355,6 +357,8 @@ def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
     if bits < 1:
         raise ValueError(f"bits must be a positive integer, got {bits}")
     a, b = p.numerator, p.denominator
+    if b > MAX_P_DENOMINATOR:
+        raise ValueError(f"p = {p} has denominator {b} > {MAX_P_DENOMINATOR}")
     while True:
         a_lo, a_hi, c_lo, c_hi = _enclosures(n, a, b, r, bits)
         rhs = (b - a) << bits       # (1-p)/r, times b * r * 2^bits

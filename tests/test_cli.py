@@ -266,6 +266,13 @@ class TestExperiments:
         assert out == ""
         assert flag in err
 
+    def test_iteration_bound_large_denominator_refused(self, capsys):
+        code, out, err = run(capsys, "experiment", "iteration-bound",
+                             "--p-grid", "0.00001", "--r-max", "1", "--n-max", "5")
+        assert code == 2
+        assert out == ""
+        assert "denominator 100000" in err
+
     def test_pn_experiment(self, capsys, tmp_path):
         report = tmp_path / "pn.csv"
         code, out, _ = run(capsys, "experiment", "pn-evaldim", "--n", "2",

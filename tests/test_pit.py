@@ -275,6 +275,31 @@ class TestReadKPit:
         assert all(rec.points_tried == 1 for rec in v.iterations)
         assert calls["expand"] == 0
 
+    def test_zero_layer_round_restricts_nothing(self, field, monkeypatch):
+        """A program with an all-zero layer estimates 0 terms, so its round is
+        decided by the round's one expansion, which the zero layer answers at
+        once.  Criterion 1's program k3#25 has one; estimated at 6,480 terms,
+        it restricted, probed and expanded each of its 54 points."""
+        rng = random.Random(1003)
+        for _ in range(26):
+            n, w, roll = rng.randint(1, 8), rng.randint(1, 3), rng.random()
+            zero_kind = "cancel" if roll < 0.12 else ("zero_layer" if roll < 0.22 else None)
+            program = random_read_k_abp(rng, field, n, 3, w, max_entry_degree=2,
+                                        term_budget=20000, zero_kind=zero_kind)
+        assert zero_kind == "zero_layer"
+        calls = {"restrict": 0, "evaluate": 0, "expand": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _real=getattr(ObliviousAbp, name)):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(ObliviousAbp, name, counted)
+        v = read_k_pit(program, seed=25)
+        assert v.is_zero
+        assert [(r.h_size, r.points_tried, r.chosen) for r in v.iterations] == [
+            (54, 54, None)]
+        assert calls == {"restrict": 0, "evaluate": 1, "expand": 1}
+        assert program.estimated_terms() == 0
+
     def test_random_default_count_zero_round(self, field):
         """The default random count sizes this round at 4096 points; a zero
         round still ends after one expansion, with every point counted."""
@@ -459,6 +484,18 @@ class TestIterationBound:
             iteration_bound_check(0, Fraction(1, 2), 1)
         with pytest.raises(ValueError):
             iteration_bound_check(5, Fraction(1, 2), 0)
+
+    def test_rejects_large_denominator(self, monkeypatch):
+        # the radicands have bits * b bits: at b = 10^5 one call took 5.2 s,
+        # and 0.123456789 would ask for a shift by 32 * 10^9 bits
+        roots = []
+        monkeypatch.setattr(pit, "_iroot", lambda value, k: roots.append(k))
+        for p in (Fraction(1, 10 ** 5), "0.123456789", 1e-5, Fraction(10 ** 4, 10 ** 4 + 1)):
+            with pytest.raises(ValueError, match="denominator"):
+                iteration_bound_check(1000, p, 1)
+        assert roots == []
+        monkeypatch.undo()
+        assert iteration_bound_check(1000, Fraction(1, pit.MAX_P_DENOMINATOR), 1)
 
     def test_rejects_nonpositive_bits(self):
         # a zero bits would double to 0 forever, a negative one fail on a shift

@@ -9,6 +9,11 @@ with the expansion oracle or refuse.  Mutated program documents must either
 load and round-trip byte-identically through the canonical text, or be
 refused with a ValueError.
 
+``reference_tuple_expand`` is ``expand``'s loop as it was before term maps
+were keyed by packed ints: each key is an exponent tuple, rebuilt on every
+shift.  ``expand`` must give the same terms in the same order, and give up
+(None) at exactly the same budgets.
+
 ``reference_restrict`` is the two-pass ``restrict`` (fixed layers become
 constant layers, then runs of constant layers are multiplied together) and
 ``reference_synthesize`` the read-once synthesis that interpolates each
@@ -41,9 +46,11 @@ from hypothesis import strategies as st
 from abpkit import pit
 from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, parse_text, read_sequence,
                         to_canonical_text, to_json_obj, validate)
-from abpkit.algebra import LinearSolver, PrimeField, SparsePoly, UniMatrix, mat_mul
+from abpkit.algebra import (GuardExceeded, LinearSolver, PrimeField, SparsePoly,
+                            UniMatrix, mat_mul)
 from abpkit.corpus import random_read_k_abp
 from abpkit.evaldim import Roabp, _greedy_basis, pd_rank, roabp_synthesize
+from abpkit.hardpoly import gen_pn
 from abpkit.pit import IterationRecord, PitVerdict, read_k_pit
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -69,6 +76,33 @@ def reference_expand(abp: ObliviousAbp) -> SparsePoly:
             out.append(acc)
         row = out
     return row[0]
+
+
+def reference_tuple_expand(abp: ObliviousAbp, guard: int = DEFAULT_EXPAND_GUARD,
+                           budget: int | None = None) -> SparsePoly | None:
+    if any(layer.is_zero for layer in abp.layers):
+        return SparsePoly.zero(abp.field, abp.num_vars)
+    if budget is None and (est := abp.estimated_terms()) > guard:
+        raise GuardExceeded(f"expansion estimated at {est} terms exceeds guard {guard}")
+    p = abp.field.p
+    row = [{(0,) * abp.num_vars: 1}]
+    for layer in abp.layers:
+        v = layer.var
+        out = [{} for _ in range(layer.width_out)]
+        for terms, entries in zip(row, layer.entries):
+            if not terms:
+                continue
+            for acc, coeffs in zip(out, entries):
+                get = acc.get
+                shifts = [(e, c) for e, c in enumerate(coeffs) if c]
+                for exps, a in terms.items():
+                    for e, c in shifts:
+                        key = exps[:v] + (exps[v] + e,) + exps[v + 1:] if e else exps
+                        acc[key] = get(key, 0) + a * c
+        row = [{exps: r for exps, a in acc.items() if (r := a % p)} for acc in out]
+        if budget is not None and max(map(len, row)) > budget:
+            return None
+    return SparsePoly._trusted(abp.field, abp.num_vars, row[0])
 
 
 def reference_restrict(abp: ObliviousAbp, assignment) -> ObliviousAbp:
@@ -469,6 +503,113 @@ class TestCappedExpand:
 
         check()
         assert min(seen["undecided zero"], seen["undecided"], seen["decided"]) > 0
+
+
+EXPAND_BUDGETS = (None, 1, 2, 3, 5, 8, 16, 50, 256, 4096)
+
+
+@st.composite
+def packed_cases(draw):
+    """A program from ``programs()`` or a read-k corpus program over p in
+    {7, 101}, zero by cancelling lanes or by a zero layer one time in three
+    each."""
+    if draw(st.booleans()):
+        return draw(programs(primes=(2, 7, 101)))
+    field = PrimeField(draw(st.sampled_from((7, 101))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return random_read_k_abp(rng, field, rng.randint(1, 6), rng.randint(1, 3),
+                             rng.randint(1, 3), max_entry_degree=2, term_budget=5000,
+                             zero_kind=rng.choice((None, "cancel", "zero_layer")))
+
+
+def wide_program(n: int) -> ObliviousAbp:
+    """Width-2 program over n variables: one lane multiplies 2*x_v^3 over
+    every v, the other (1 + x_v) over the first three, so the result has 9
+    terms and its packed keys span 2*n bits."""
+    field = PrimeField(101)
+    layers = [UniMatrix(field, None, (((1,), (1,)),))]
+    for v in range(n):
+        layers.append(UniMatrix(field, v, (((0, 0, 0, 2), ()),
+                                           ((), (1, 1) if v < 3 else (1,)))))
+    layers.append(UniMatrix(field, None, (((1,),), ((1,),))))
+    return ObliviousAbp(field, n, tuple(layers))
+
+
+class TestPackedExpandMatchesTupleLoop:
+    """``expand`` keys its term maps by packed ints; the tuple-keyed loop
+    must give the same terms in the same insertion order, and give up at
+    the same budgets."""
+
+    @staticmethod
+    def check(abp: ObliviousAbp, budgets=EXPAND_BUDGETS) -> Counter:
+        seen = Counter()
+        for budget in budgets:
+            fast = abp.expand(DEFAULT_EXPAND_GUARD, budget)
+            ref = reference_tuple_expand(abp, DEFAULT_EXPAND_GUARD, budget)
+            assert (fast is None) == (ref is None)
+            if fast is None:
+                seen["undecided"] += 1
+            else:
+                assert list(fast.terms.items()) == list(ref.terms.items())
+                assert_canonical(fast)
+                seen["zero" if fast.is_zero else "nonzero"] += 1
+        return seen
+
+    def test_same_terms_in_the_same_order(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(packed_cases())
+        def check(abp):
+            seen.update(self.check(abp))
+
+        check()
+        assert min(seen["undecided"], seen["zero"], seen["nonzero"]) > 0
+
+    def test_no_variables(self):
+        field = PrimeField(7)
+        for layers in ((), (UniMatrix.constant(field, ((3, 4),)),
+                            UniMatrix.constant(field, ((2,), (5,))))):
+            abp = ObliviousAbp(field, 0, layers)
+            assert self.check(abp) == Counter(nonzero=len(EXPAND_BUDGETS))
+            assert list(abp.expand().terms) == [()]
+
+    def test_unread_and_degree_zero_variables(self):
+        # x_1 is read by no layer and x_2 only at degree 0, so both get
+        # zero-bit fields and every key holds x_0's and x_3's exponents alone
+        field = PrimeField(101)
+        layers = (UniMatrix(field, 0, (((1, 2), (0, 0, 3)),)),
+                  UniMatrix(field, None, (((4,), (5,)), ((6,), (7,)))),
+                  UniMatrix(field, 2, (((9,), ()), ((), (8,)))),
+                  UniMatrix(field, 3, (((0, 1),), ((1, 0, 0, 1),))))
+        abp = ObliviousAbp(field, 4, layers)
+        assert abp.individual_degrees() == [2, 0, 0, 3]
+        self.check(abp)
+        f = abp.expand()
+        assert f == reference_expand(abp)
+        assert {e[1] for e in f.terms} == {e[2] for e in f.terms} == {0}
+
+    def test_pn_realization(self):
+        # P_5 outgrows these budgets; fixed at its first two rounds' accepted
+        # points it has 642 terms
+        p5 = gen_pn(5, with_poly=False).realization
+        assert self.check(p5, (1, 50, 4096)) == Counter(undecided=3)
+        assignment = {}
+        for rec in read_k_pit(p5).iterations[:2]:
+            assignment.update(zip(rec.subset, rec.chosen))
+        fixed = p5.restrict(assignment)
+        assert self.check(fixed, (None, 50, 4096)) == Counter(undecided=1, nonzero=2)
+        assert len(fixed.expand().terms) == 642
+
+    def test_keys_wider_than_64_bits(self):
+        # the estimate 4^40 is over the guard, so only budgets apply
+        abp = wide_program(40)
+        assert sum(d.bit_length() for d in abp.individual_degrees()) == 80
+        assert self.check(abp, EXPAND_BUDGETS[1:]) == Counter(undecided=5, nonzero=4)
+        f = abp.expand(DEFAULT_EXPAND_GUARD, 9)
+        assert len(f.terms) == 9
+        assert f.terms[(3,) * 40] == pow(2, 40, 101)
+        assert f == reference_expand(abp)
 
 
 class TestRestrictMatchesReference:
