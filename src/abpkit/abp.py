@@ -2,12 +2,13 @@
 matrices, one read variable per layer.
 
 The polynomial computed by a program is the (1,1) entry of the product of its
-layer matrices.  ``expand`` is the brute-force oracle that turns a program
-into an explicit SparsePoly; it is guarded so it refuses (never truncates)
-when the estimated term count is too large, or, given a term budget, gives up
-as undecided once a partial product outgrows it.  It keys monomials by packed
-ints, one bit field per variable as wide as its individual degree, which no
-exponent of a partial product exceeds: shifting a term is one add, no carry.
+layer matrices: the sum of its source-to-sink path products (Nisan 1991), zero
+if no path has only nonzero entries.  ``expand`` is the brute-force oracle that
+turns a program into an explicit SparsePoly; it is guarded so it refuses (never
+truncates) when the estimated term count is too large, or, given a term budget,
+gives up as undecided once a partial product outgrows it.  It keys monomials by
+packed ints, one bit field per variable as wide as its individual degree, which
+no exponent of a partial product exceeds: shifting a term is one add, no carry.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import accumulate, groupby
 from typing import Iterable, Mapping, Sequence
 
@@ -87,11 +88,20 @@ class ObliviousAbp:
                 degs[layer.var] += layer.degree
         return degs
 
+    @cached_property
+    def reaches_sink(self) -> bool:
+        """Whether a source-sink path has only nonzero entries; if not, the program is 0."""
+        live = 1                # bit i: vertex i of the current layer boundary is reached
+        for layer in self.layers:
+            todo, live = live, 0
+            while todo:         # OR in the support mask of each reached row, lowest first
+                live |= layer.support[(todo & -todo).bit_length() - 1]
+                todo &= todo - 1
+        return live != 0
+
     def estimated_terms(self) -> int:
-        """Bound on the expansion's terms: 0 if a layer is all zero, else the degree box."""
-        if any(layer.is_zero for layer in self.layers):
-            return 0
-        return math.prod(d + 1 for d in self.individual_degrees())
+        """Bound on the expansion's terms: 0 if no source-sink path, else the degree box."""
+        return math.prod(d + 1 for d in self.individual_degrees()) if self.reaches_sink else 0
 
     # -- semantics -----------------------------------------------------------
 
@@ -99,19 +109,20 @@ class ObliviousAbp:
         if len(point) != self.num_vars:
             raise ValueError(f"point length {len(point)} != num_vars {self.num_vars}")
         p = self.field.p
-        vec = [1]
+        vec = [1]       # Horner on each nonzero entry, one reduction mod p per layer
         for layer in self.layers:
-            grid = layer.eval_at(point[layer.var]) if layer.var is not None \
-                else layer.eval_at(0)
+            x = 0 if layer.var is None else point[layer.var] % p
             out = [0] * layer.width_out
-            for j in range(layer.width_out):
-                s = 0
-                for i, v in enumerate(vec):
-                    if v:
-                        s += v * grid[i][j]
-                out[j] = s % p
-            vec = out
-        return vec[0] % p if vec else 1
+            for v, row in zip(vec, layer.entries):
+                if v:
+                    for j, coeffs in enumerate(row):
+                        if coeffs:
+                            acc = 0
+                            for c in reversed(coeffs):
+                                acc = acc * x + c
+                            out[j] += v * acc
+            vec = [s % p for s in out]
+        return vec[0]
 
     def expand(self, guard: int = DEFAULT_EXPAND_GUARD,
                budget: int | None = None) -> SparsePoly | None:
@@ -119,12 +130,13 @@ class ObliviousAbp:
         the estimated term count exceeds the guard.  With a ``budget`` the
         estimate is not checked; instead the expansion gives up and returns
         None (undecided, never a truncated result) as soon as a column's term
-        map holds more than ``budget`` terms.  A layer whose entries are all
-        zero decides the result at once: the zero polynomial.  Term maps key
+        map holds more than ``budget`` terms.  A program with no source-sink
+        path of nonzero entries decides the result at once: the zero
+        polynomial, before the guard or the budget is looked at.  Term maps key
         a monomial by one int, v's exponent in a field of d_v.bit_length() bits
         (d_v its individual degree), so x_v^e shifts a key by e << offset_v; no
         exponent of v in a partial product exceeds d_v, so no add carries."""
-        if any(layer.is_zero for layer in self.layers):
+        if not self.reaches_sink:
             return SparsePoly.zero(self.field, self.num_vars)
         degs = self.individual_degrees()
         if budget is None and (est := math.prod(d + 1 for d in degs)) > guard:

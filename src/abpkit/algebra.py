@@ -10,6 +10,7 @@ objects can be shared freely between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -274,9 +275,7 @@ class UniMatrix:
     """Matrix whose entries are univariate polynomials in one shared variable,
     given as coefficient tuples (lowest degree first).  ``var=None`` marks a
     constant matrix that reads nothing; ``padding`` tags identity layers added
-    to make every variable read exactly k times.  ``is_zero`` is set on
-    construction: every entry is the zero polynomial.
-    """
+    to make every variable read exactly k times."""
 
     field: PrimeField
     var: int | None
@@ -297,7 +296,6 @@ class UniMatrix:
                     if len(e) > 1:
                         raise ValueError("constant layer has a non-constant entry")
         self.entries = rows
-        self.is_zero = not any(map(any, rows))
 
     @property
     def width_in(self) -> int:
@@ -307,9 +305,14 @@ class UniMatrix:
     def width_out(self) -> int:
         return len(self.entries[0])
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return max((len(e) - 1 for row in self.entries for e in row if e), default=0)
+
+    @cached_property
+    def support(self) -> tuple:
+        """Per row, a bitmask of the columns whose entry is nonzero."""
+        return tuple(sum(1 << j for j, e in enumerate(row) if e) for row in self.entries)
 
     @classmethod
     def identity(cls, field: PrimeField, size: int, var: int | None = None,

@@ -61,6 +61,18 @@ class TestExpand:
         assert zeroed.expand(guard=100) == SparsePoly.zero(field, p3.num_vars)
         assert zeroed.expand(budget=1) == SparsePoly.zero(field, p3.num_vars)
 
+    def test_no_path_without_a_zero_layer(self, field):
+        # [[x_1, 0]] then [[0], [x_2]]: every layer has a nonzero entry, but
+        # the source reaches only the vertex the second layer leaves by 0
+        layers = (UniMatrix(field, 0, (((0, 1), ()),)),
+                  UniMatrix(field, 1, (((),), ((0, 1),))))
+        a = ObliviousAbp(field, 2, layers)
+        assert not a.reaches_sink
+        assert a.estimated_terms() == 0
+        assert a.expand(guard=0) == SparsePoly.zero(field, 2)
+        assert a.expand(budget=0) == SparsePoly.zero(field, 2)
+        assert a.evaluate([3, 4]) == 0
+
     def test_p2_matches_independent_formula(self, field):
         v = [SparsePoly.variable(field, 4, i) for i in range(4)]
         direct = (v[0] + v[1]) * (v[2] + v[3]) * (v[0] + v[2]) * (v[1] + v[3])

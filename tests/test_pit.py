@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from abpkit import abp as abpmod
 from abpkit import pit
 from abpkit.abp import ObliviousAbp
 from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
@@ -352,12 +353,23 @@ Q4_VERDICT = ((0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1), [
     ((2, 5), 25, 7, (1, 1)),
 ], [3.1692578903312194e-08, 3.0126326106255796e-08, 2.9062222993920346e-08,
     2.7625962846339005e-08, 2.5333119627514897e-08])
+P6_VERDICT = ((0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1,
+               0, 0, 0, 0, 1, 0, 0, 0, 0, 0), [
+    ((0, 6, 12, 18, 24, 30, 31, 32, 33, 34, 35), 177147, 244,
+     (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ((1, 7, 13, 19, 25, 26, 27, 28, 29), 19683, 82, (0, 0, 0, 0, 1, 0, 0, 0, 0)),
+    ((2, 8, 14, 20, 21, 22, 23), 2187, 28, (0, 0, 0, 1, 0, 0, 0)),
+    ((3, 9, 15, 16, 17), 243, 10, (0, 0, 1, 0, 0)),
+    ((4, 10, 11), 27, 4, (0, 1, 0)),
+    ((5,), 3, 2, (1,)),
+], [0.07407407407407407, 0.06172839506172839, 0.04938271604938271,
+    0.037037037037037035, 0.024691358024691357, 0.012345679012345678])
 
 
 class TestHardFamilies:
     """P_n and Q_n candidates are estimated far above the fast-path limit but
-    expand within it, so every generator decides them by capped expansion
-    and never recurses."""
+    have no source-sink path or expand within it, so every generator decides
+    them by reachability or capped expansion and never recurses."""
 
     @pytest.fixture
     def recursions(self, monkeypatch):
@@ -370,7 +382,8 @@ class TestHardFamilies:
         return calls
 
     @pytest.mark.parametrize("gen, n, want", [(gen_pn, 4, P4_VERDICT),
-                                              (gen_qn, 4, Q4_VERDICT)])
+                                              (gen_qn, 4, Q4_VERDICT),
+                                              (gen_pn, 6, P6_VERDICT)])
     def test_pinned_verdicts(self, field, gen, n, want):
         program = gen(n, field, with_poly=False).realization
         v = read_k_pit(program)
@@ -380,6 +393,30 @@ class TestHardFamilies:
                 for r in v.iterations] == records
         assert [r.size_floor for r in v.iterations] == pytest.approx(floors, rel=1e-12)
         assert program.evaluate(v.witness) != 0
+
+    def test_pn_zero_candidates_decided_by_reachability(self, field, monkeypatch):
+        """P_6's zero candidates have no source-sink path of nonzero entries,
+        so none of them reaches the term-map loop; only the last two rounds'
+        nonzero candidates do.  Deciding each by an all-zero layer, the term
+        maps were built 242, 80, 26, 8, 1 and 1 times.  The loop is counted by
+        its one call of ``accumulate`` (the bit-field offsets), each round by
+        its one call of ``_choose_subset``."""
+        per_round = []
+        accumulate, choose_subset = abpmod.accumulate, pit._choose_subset
+
+        def counted_accumulate(*args, **kwargs):
+            per_round[-1] += 1
+            return accumulate(*args, **kwargs)
+
+        def counted_choose_subset(seq):
+            per_round.append(0)
+            return choose_subset(seq)
+        monkeypatch.setattr(abpmod, "accumulate", counted_accumulate)
+        monkeypatch.setattr(pit, "_choose_subset", counted_choose_subset)
+        v = read_k_pit(gen_pn(6, field, with_poly=False).realization)
+        assert [r.points_tried for r in v.iterations] == [244, 82, 28, 10, 4, 2]
+        assert len(per_round) == 6 and per_round[0] <= 2
+        assert all(got <= most for got, most in zip(per_round, [0, 0, 0, 0, 1, 1]))
 
     @pytest.mark.parametrize("gen, n", [(gen_pn, 4), (gen_qn, 5), (gen_pn, 5)])
     def test_no_recursion(self, field, recursions, gen, n):

@@ -12,7 +12,14 @@ refused with a ValueError.
 ``reference_tuple_expand`` is ``expand``'s loop as it was before term maps
 were keyed by packed ints: each key is an exponent tuple, rebuilt on every
 shift.  ``expand`` must give the same terms in the same order, and give up
-(None) at exactly the same budgets.
+(None) at exactly the same budgets.  Like ``expand``, it decides a program
+with no source-sink path as zero before the guard or the budget.
+
+``reference_reaches_sink`` enumerates source-to-sink paths of nonzero
+entries depth first.  ``reaches_sink`` must agree with it, and a program
+with no such path must expand to zero by ``reference_expand``.
+``reference_evaluate`` is ``evaluate`` as it was, one ``eval_at`` grid per
+layer; ``evaluate`` must give the same value at any integer point.
 
 ``reference_restrict`` is the two-pass ``restrict`` (fixed layers become
 constant layers, then runs of constant layers are multiplied together) and
@@ -80,7 +87,7 @@ def reference_expand(abp: ObliviousAbp) -> SparsePoly:
 
 def reference_tuple_expand(abp: ObliviousAbp, guard: int = DEFAULT_EXPAND_GUARD,
                            budget: int | None = None) -> SparsePoly | None:
-    if any(layer.is_zero for layer in abp.layers):
+    if not abp.reaches_sink:
         return SparsePoly.zero(abp.field, abp.num_vars)
     if budget is None and (est := abp.estimated_terms()) > guard:
         raise GuardExceeded(f"expansion estimated at {est} terms exceeds guard {guard}")
@@ -103,6 +110,36 @@ def reference_tuple_expand(abp: ObliviousAbp, guard: int = DEFAULT_EXPAND_GUARD,
         if budget is not None and max(map(len, row)) > budget:
             return None
     return SparsePoly._trusted(abp.field, abp.num_vars, row[0])
+
+
+def reference_reaches_sink(abp: ObliviousAbp) -> bool:
+    """Depth-first enumeration of source-to-sink paths over nonzero entries,
+    stopping at the first complete one."""
+    def walk(depth: int, vertex: int) -> bool:
+        if depth == len(abp.layers):
+            return True
+        return any(walk(depth + 1, j)
+                   for j, e in enumerate(abp.layers[depth].entries[vertex]) if e)
+    return walk(0, 0)
+
+
+def reference_evaluate(abp: ObliviousAbp, point) -> int:
+    """``evaluate`` as it was: one ``eval_at`` grid per layer, the row vector
+    multiplied into it column by column."""
+    p = abp.field.p
+    vec = [1]
+    for layer in abp.layers:
+        grid = layer.eval_at(point[layer.var]) if layer.var is not None \
+            else layer.eval_at(0)
+        out = [0] * layer.width_out
+        for j in range(layer.width_out):
+            s = 0
+            for i, v in enumerate(vec):
+                if v:
+                    s += v * grid[i][j]
+            out[j] = s % p
+        vec = out
+    return vec[0] % p if vec else 1
 
 
 def reference_restrict(abp: ObliviousAbp, assignment) -> ObliviousAbp:
@@ -478,6 +515,69 @@ def capped_cases(draw):
                                 rng.randint(1, 3), max_entry_degree=2, term_budget=5000,
                                 zero_kind=rng.choice((None, "cancel")))
     return abp, draw(st.integers(1, 256))
+
+
+@st.composite
+def sparse_programs(draw):
+    """A program from ``programs()`` or a read-k corpus program zero by
+    cancelling lanes, with each entry outside identity-padding layers zeroed
+    at a drawn rate."""
+    if draw(st.booleans()):
+        abp = draw(programs(primes=(2, 7, 101)))
+    else:
+        field = PrimeField(draw(st.sampled_from((7, 101))))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        abp = random_read_k_abp(rng, field, rng.randint(1, 6), rng.randint(1, 3),
+                                rng.randint(1, 3), max_entry_degree=2, term_budget=5000,
+                                zero_kind="cancel")
+    rate = draw(st.sampled_from((0.0, 0.2, 0.5, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return ObliviousAbp(abp.field, abp.num_vars, tuple(
+        layer if layer.padding else
+        UniMatrix(abp.field, layer.var, tuple(tuple(() if rng.random() < rate else e
+                                                    for e in row)
+                                              for row in layer.entries))
+        for layer in abp.layers))
+
+
+class TestReachability:
+    def test_equal_to_path_enumeration_and_zero_when_unreached(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(sparse_programs())
+        def check(abp):
+            assert abp.reaches_sink == reference_reaches_sink(abp)
+            if abp.reaches_sink:
+                seen["path"] += 1
+            else:
+                assert reference_expand(abp).is_zero
+                seen["no path" if all(any(map(any, layer.entries)) for layer in abp.layers)
+                     else "zero layer"] += 1
+
+        check()
+        assert min(seen["path"], seen["no path"], seen["zero layer"]) > 0
+
+
+class TestEvaluateMatchesReference:
+    def test_equal_to_grid_loop(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(st.data(), sparse_programs())
+        def check(data, abp):
+            p = abp.field.p
+            point = data.draw(st.lists(st.integers(-3 * p, 3 * p) | st.integers(),
+                                       min_size=abp.num_vars, max_size=abp.num_vars))
+            assert abp.evaluate(point) == reference_evaluate(abp, point)
+            seen["constant layer"] += any(layer.var is None for layer in abp.layers)
+            seen["padding layer"] += any(layer.padding for layer in abp.layers)
+            seen["negative"] += any(x < 0 for x in point)
+            seen["at least p"] += any(x >= p for x in point)
+
+        check()
+        assert min(seen["constant layer"], seen["padding layer"], seen["negative"],
+                   seen["at least p"]) > 0
 
 
 class TestCappedExpand:
