@@ -9,6 +9,10 @@ truncates) when the estimated term count is too large, or, given a term budget,
 gives up as undecided once a partial product outgrows it.  It keys monomials by
 packed ints, one bit field per variable as wide as its individual degree, which
 no exponent of a partial product exceeds: shifting a term is one add, no carry.
+
+``restrict``, ``UniMatrix.constant`` and ``ReadSequence.from_order``/``restrict``
+skip re-validation: they keep validated layers and, folding, the widths at a run's
+borders; ``constant`` reduces its own entries; a relabeled order is valid as built.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
-from itertools import accumulate, groupby
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix, mat_mul
+from .algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
 from .sequences import ReadSequence
 
 DEFAULT_EXPAND_GUARD = 10 ** 6
@@ -170,21 +174,40 @@ class ObliviousAbp:
     def restrict(self, assignment: Mapping[int, int]) -> "ObliviousAbp":
         """Fix some variables.  Each run of layers that read nothing or read a
         fixed variable is folded into one constant layer, the product of
-        their values, which never changes the computed polynomial."""
+        their values, which never changes the computed polynomial.  A fold takes in
+        each later layer in one pass; the result is not validated again (module notes)."""
         for i in assignment:
             if not 0 <= i < self.num_vars:
                 raise ValueError(f"assigned variable {i} out of range")
+        p = self.field.p
         layers = []
-        for fixed, run in groupby(self.layers,
-                                  lambda layer: layer.var is None or layer.var in assignment):
-            if fixed:
-                grids = (layer.eval_at(0 if layer.var is None else assignment[layer.var])
-                         for layer in run)
-                layers.append(UniMatrix.constant(self.field,
-                                                 reduce(partial(mat_mul, self.field), grids)))
+        rows = None         # product of the current run of fixed layers
+        for layer in self.layers:
+            if layer.var is not None and layer.var not in assignment:
+                if rows is not None:
+                    layers.append(UniMatrix.constant(self.field, rows))
+                    rows = None
+                layers.append(layer)
+            elif rows is None:
+                rows = list(layer.eval_at(assignment.get(layer.var, 0)))
             else:
-                layers.extend(run)
-        return ObliviousAbp(self.field, self.num_vars, tuple(layers))
+                x = assignment.get(layer.var, 0) % p
+                for r, vec in enumerate(rows):
+                    out = [0] * layer.width_out
+                    for v, row in zip(vec, layer.entries):
+                        if v:
+                            for j, coeffs in enumerate(row):
+                                if coeffs:
+                                    acc = 0
+                                    for c in reversed(coeffs):
+                                        acc = acc * x + c
+                                    out[j] += v * acc
+                    rows[r] = [s % p for s in out]
+        if rows is not None:
+            layers.append(UniMatrix.constant(self.field, rows))
+        abp = object.__new__(ObliviousAbp)
+        abp.field, abp.num_vars, abp.layers = self.field, self.num_vars, tuple(layers)
+        return abp
 
 
 @dataclass

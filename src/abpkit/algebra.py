@@ -323,8 +323,23 @@ class UniMatrix:
 
     @classmethod
     def constant(cls, field: PrimeField, grid: Sequence[Sequence[int]]) -> "UniMatrix":
-        rows = tuple(tuple((c % field.p,) for c in row) for row in grid)
-        return cls(field, None, rows)
+        """Constant layer of an int grid; reducing its own entries, it skips validation."""
+        p = field.p
+        rows, support = [], []
+        for row in grid:
+            entries, mask = [], 0
+            for j, c in enumerate(row):
+                r = c % p
+                entries.append((r,) if r else ())
+                mask |= (r != 0) << j
+            rows.append(tuple(entries))
+            support.append(mask)
+        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("matrix must be non-empty and not ragged")
+        m = object.__new__(cls)
+        m.field, m.var, m.entries, m.padding = field, None, tuple(rows), False
+        m.degree, m.support = 0, tuple(support)
+        return m
 
     def eval_at(self, value: int) -> tuple:
         """Evaluate every entry at the given field value; returns an int grid."""
@@ -350,25 +365,6 @@ class UniMatrix:
         rows = tuple(tuple(tuple((c * x) % p for x in e) for e in row)
                      for row in self.entries)
         return UniMatrix(self.field, self.var, rows, self.padding)
-
-
-def mat_mul(field: PrimeField, a: Sequence[Sequence[int]],
-            b: Sequence[Sequence[int]]) -> tuple:
-    """Product of two constant int matrices over F_p."""
-    p = field.p
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != inner:
-        raise ValueError("dimension mismatch in matrix product")
-    out = []
-    for i in range(rows):
-        out_row = []
-        for j in range(cols):
-            s = 0
-            for t in range(inner):
-                s += a[i][t] * b[t][j]
-            out_row.append(s % p)
-        out.append(tuple(out_row))
-    return tuple(out)
 
 
 class LinearSolver:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -64,7 +65,7 @@ class ReadSequence:
     @classmethod
     def from_order(cls, order: Iterable) -> "ReadSequence":
         """Build from a raw order of element ids, relabeling so that first
-        occurrences come in increasing canonical order."""
+        occurrences come in increasing canonical order; valid as built, so not revalidated."""
         order = list(order)
         first: dict = {}
         labels: list = []
@@ -82,32 +83,43 @@ class ReadSequence:
         k = counts[0] if counts else 0
         if any(c != k for c in counts):
             raise ValueError("order is not read-k: unequal occurrence counts")
-        return cls(n, k, tuple(entries), tuple(labels))
+        seq = object.__new__(cls)
+        seq.n, seq.k, seq.entries, seq.labels = n, k, tuple(entries), tuple(labels)
+        return seq
 
     # -- accessors -----------------------------------------------------------
 
+    @cached_property
+    def _reads(self) -> tuple:
+        """At index i - 1, the elements in the order of their i-th occurrences."""
+        reads = [[] for _ in range(self.k)]
+        for e, c in self.entries:
+            reads[c - 1].append(e)
+        return tuple(map(tuple, reads))
+
+    _directions = cached_property(lambda self: tuple(map(_direction, self._reads)))
+
     def read_order(self, i: int) -> list:
         """The permutation of elements given by their i-th occurrences."""
-        return [e for e, c in self.entries if c == i]
+        return list(self._reads[i - 1]) if 1 <= i <= self.k else []
 
     def read_direction(self, i: int) -> str | None:
-        return _direction(self.read_order(i))
+        return self._directions[i - 1] if 1 <= i <= self.k else "flat"
 
     def is_per_read_monotone(self) -> bool:
-        return all(self.read_direction(i) is not None for i in range(1, self.k + 1))
+        return None not in self._directions
 
     # -- restriction ---------------------------------------------------------
 
     def restrict(self, keep) -> "ReadSequence":
-        """Drop all elements outside ``keep`` and relabel canonically; labels
-        compose so they still point at the original ids."""
+        """Drop all elements outside ``keep`` and relabel by ``from_order`` (not
+        validated again); labels compose so they still point at the original ids."""
         keep = set(keep)
         if not keep <= set(range(self.n)):
             raise ValueError("restriction set contains unknown elements")
-        filtered = [e for e, _ in self.entries if e in keep]
-        seq = ReadSequence.from_order(filtered)
-        return ReadSequence(seq.n, seq.k, seq.entries,
-                            tuple(self.labels[t] for t in seq.labels))
+        seq = ReadSequence.from_order([e for e, _ in self.entries if e in keep])
+        seq.labels = tuple(self.labels[t] for t in seq.labels)
+        return seq
 
     def __str__(self) -> str:
         def show(label):
@@ -187,7 +199,7 @@ def per_read_monotone_subset(S: ReadSequence) -> frozenset:
     |X'| >= n^(1/2^(k-1))."""
     alive = set(range(S.n))
     for i in range(2, S.k + 1):
-        order_i = [e for e in S.read_order(i) if e in alive]
+        order_i = [e for e in S._reads[i - 1] if e in alive]
         picked, _ = longest_monotone(order_i)
         alive = set(picked)
     return frozenset(alive)
@@ -335,7 +347,6 @@ def concat_decompose(S: ReadSequence) -> list:
         raise SequenceError("first read must be increasing")
     if S.n == 1:
         return [Segment(0, len(S.entries), tuple(range(1, S.k + 1)), "inc")]
-    dirs = {i: S.read_direction(i) for i in range(1, S.k + 1)}
     spans = {}
     for idx, (e, c) in enumerate(S.entries):
         if c not in spans:
@@ -348,7 +359,7 @@ def concat_decompose(S: ReadSequence) -> list:
     expected = "inc"
     mirror = tuple(S.n - 1 - t for t in range(S.n))
     while remaining:
-        opposite = [i for i in remaining if dirs[i] != expected]
+        opposite = [i for i in remaining if S.read_direction(i) != expected]
         boundary = min((spans[i][0] for i in opposite), default=len(S.entries))
         seg_reads = sorted(i for i in remaining if spans[i][1] < boundary)
         if not seg_reads:
@@ -356,7 +367,7 @@ def concat_decompose(S: ReadSequence) -> list:
                 f"reads do not alternate cleanly at position {boundary}"
             )
         for i in seg_reads:
-            if dirs[i] != expected or spans[i][0] < pos:
+            if S.read_direction(i) != expected or spans[i][0] < pos:
                 raise SequenceError(
                     f"read {i} crosses a segment border; sequence is not decomposable"
                 )

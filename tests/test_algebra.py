@@ -172,6 +172,16 @@ class TestUniMatrix:
         with pytest.raises(ValueError):
             UniMatrix(field, None, (((1, 2),),))
 
+    def test_constant_matches_validating_constructor(self, field):
+        grid = ((0, 5, -1), (field.p, 2 * field.p + 3, 0))
+        m = UniMatrix.constant(field, grid)
+        want = UniMatrix(field, None, tuple(tuple((c,) for c in row) for row in grid))
+        assert m == want
+        assert (m.support, m.degree) == (want.support, want.degree) == ((0b110, 0b010), 0)
+        for bad in ((), ((),), ((1, 2), (3,))):
+            with pytest.raises(ValueError):
+                UniMatrix.constant(field, bad)
+
     def test_identity(self, field):
         m = UniMatrix.identity(field, 3)
         assert m.eval_at(0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from abpkit.hardpoly import gen_pn, gen_qn
 from abpkit.pit import (iteration_bound, iteration_bound_check,
                         k_pass_hitting_set, read_k_hitting_set, read_k_pit,
                         roabp_hitting_set)
+from abpkit.sequences import ReadSequence
 
 
 class TestGridHittingSet:
@@ -417,6 +419,23 @@ class TestHardFamilies:
         assert [r.points_tried for r in v.iterations] == [244, 82, 28, 10, 4, 2]
         assert len(per_round) == 6 and per_round[0] <= 2
         assert all(got <= most for got, most in zip(per_round, [0, 0, 0, 0, 1, 1]))
+
+    def test_q4_builds_without_revalidating(self, field, monkeypatch):
+        """Restricted programs, their folded layers and read sequences are
+        valid by construction and skip ``__post_init__``: what is left is
+        ``normalize``'s padding layers and padded program.  Rebuilding every
+        restriction and sequence through it took 60, 9 and 25 calls."""
+        program = gen_qn(4, field, with_poly=False).realization
+        calls = Counter()
+        for cls in (UniMatrix, ObliviousAbp, ReadSequence):
+            def counted(self, name=cls.__name__, post_init=cls.__post_init__):
+                calls[name] += 1
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert not read_k_pit(program).is_zero
+        assert calls["UniMatrix"] <= 12
+        assert calls["ObliviousAbp"] <= 1
+        assert calls["ReadSequence"] == 0
 
     @pytest.mark.parametrize("gen, n", [(gen_pn, 4), (gen_qn, 5), (gen_pn, 5)])
     def test_no_recursion(self, field, recursions, gen, n):

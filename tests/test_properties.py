@@ -21,11 +21,14 @@ with no such path must expand to zero by ``reference_expand``.
 ``reference_evaluate`` is ``evaluate`` as it was, one ``eval_at`` grid per
 layer; ``evaluate`` must give the same value at any integer point.
 
-``reference_restrict`` is the two-pass ``restrict`` (fixed layers become
-constant layers, then runs of constant layers are multiplied together) and
-``reference_synthesize`` the read-once synthesis that interpolates each
-layer's entries from d_v + 1 substituted points.  ``restrict`` and
-``roabp_synthesize`` must give the same canonical text as these.
+``reference_restrict`` multiplies the ``eval_at`` grids of each run of fixed
+layers matrix by matrix and builds every layer and the program through the
+validating constructors, and ``reference_synthesize`` is the read-once
+synthesis that interpolates each layer's entries from d_v + 1 substituted
+points.  ``restrict`` and ``roabp_synthesize`` must give the same canonical
+text as these; ``restrict``, which skips validation, must also equal its
+result rebuilt through ``ObliviousAbp`` and ``UniMatrix``, with the same
+support and degree in every layer.
 
 ``reference_iroot`` is the integer root by Newton's method from a power of
 two, and ``reference_enclosures`` the ``Fraction`` enclosures of the
@@ -53,8 +56,7 @@ from hypothesis import strategies as st
 from abpkit import pit
 from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, parse_text, read_sequence,
                         to_canonical_text, to_json_obj, validate)
-from abpkit.algebra import (GuardExceeded, LinearSolver, PrimeField, SparsePoly,
-                            UniMatrix, mat_mul)
+from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp
 from abpkit.evaldim import Roabp, _greedy_basis, pd_rank, roabp_synthesize
 from abpkit.hardpoly import gen_pn
@@ -142,26 +144,35 @@ def reference_evaluate(abp: ObliviousAbp, point) -> int:
     return vec[0] % p if vec else 1
 
 
+def reference_mat_mul(field: PrimeField, a, b) -> tuple:
+    """Product of two constant int matrices over F_p, entry by entry."""
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) % field.p
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def reference_constant(field: PrimeField, grid) -> UniMatrix:
+    return UniMatrix(field, None, tuple(tuple((c,) for c in row) for row in grid))
+
+
 def reference_restrict(abp: ObliviousAbp, assignment) -> ObliviousAbp:
+    """``restrict`` through the validating constructors: each fixed layer's
+    ``eval_at`` grid, runs multiplied with ``reference_mat_mul``."""
     for i in assignment:
         if not 0 <= i < abp.num_vars:
             raise ValueError(f"assigned variable {i} out of range")
-    fixed = [layer.to_constant(assignment[layer.var])
-             if layer.var is not None and layer.var in assignment else layer
-             for layer in abp.layers]
     merged = []
     pending = None
-    for layer in fixed:
-        if layer.var is None:
-            grid = layer.eval_at(0)
-            pending = grid if pending is None else mat_mul(abp.field, pending, grid)
+    for layer in abp.layers:
+        if layer.var is None or layer.var in assignment:
+            grid = layer.eval_at(0 if layer.var is None else assignment[layer.var])
+            pending = grid if pending is None else reference_mat_mul(abp.field, pending, grid)
         else:
             if pending is not None:
-                merged.append(UniMatrix.constant(abp.field, pending))
+                merged.append(reference_constant(abp.field, pending))
                 pending = None
             merged.append(layer)
     if pending is not None:
-        merged.append(UniMatrix.constant(abp.field, pending))
+        merged.append(reference_constant(abp.field, pending))
     return ObliviousAbp(abp.field, abp.num_vars, tuple(merged))
 
 
@@ -720,6 +731,12 @@ class TestRestrictMatchesReference:
         restricted = abp.restrict(assignment)
         assert to_canonical_text(restricted) == \
             to_canonical_text(reference_restrict(abp, assignment))
+        rebuilt = ObliviousAbp(abp.field, abp.num_vars, tuple(
+            UniMatrix(layer.field, layer.var, layer.entries, layer.padding)
+            for layer in restricted.layers))
+        assert restricted == rebuilt
+        for got, want in zip(restricted.layers, rebuilt.layers):
+            assert (got.support, got.degree) == (want.support, want.degree)
         assert restricted.expand() == abp.expand().substitute(assignment)
 
 

@@ -70,6 +70,15 @@ def brute_two_regular(seq: ReadSequence) -> bool:
     return False
 
 
+def scan_direction(vals):
+    """Direction of a list of distinct values: 'flat', 'inc', 'dec' or None."""
+    if len(vals) < 2:
+        return "flat"
+    if vals == sorted(vals):
+        return "inc"
+    return "dec" if vals == sorted(vals, reverse=True) else None
+
+
 def all_read2_sequences(n):
     """Every read-2 order over n elements (canonical labels)."""
     base = [v for v in range(n) for _ in range(2)]
@@ -118,6 +127,45 @@ class TestProjectRestrict:
         r = s.restrict({1, 2})
         assert r.read_order(1) == list(range(r.n))
         assert r.labels == (1, 2)
+
+
+class TestBuiltOnce:
+    """``from_order`` and ``restrict`` skip ``__post_init__`` and cache each
+    occurrence's read: both must match the validating constructor and a
+    fresh scan of the entries."""
+
+    @staticmethod
+    def check(s):
+        assert s == ReadSequence(s.n, s.k, s.entries, s.labels)
+        scans = [[e for e, c in s.entries if c == i] for i in range(s.k + 2)]
+        for i, scan in enumerate(scans):
+            assert s.read_order(i) == scan
+            assert s.read_direction(i) == scan_direction(scan)
+        assert s.is_per_read_monotone() == \
+            all(scan_direction(scan) is not None for scan in scans)
+
+    def test_matches_validating_constructor(self):
+        rng = random.Random(11)
+        self.check(ReadSequence.from_order([]))
+        for trial in range(60):
+            n, k = rng.randint(1, 6), rng.randint(1, 4)
+            if trial % 2:
+                s = random_per_read_monotone_sequence(rng, n, k)
+            else:
+                order = [v for v in rng.sample(range(100), n) for _ in range(k)]
+                rng.shuffle(order)
+                s = ReadSequence.from_order(order)
+            s.read_order(1)         # a warm cache must not leak into restrictions
+            self.check(s)
+            for keep in (set(), set(range(n)), {e for e in range(n) if rng.random() < 0.5}):
+                r = s.restrict(keep)
+                self.check(r)
+                assert r.labels == tuple(s.labels[e] for e in sorted(keep))
+
+    def test_read_order_is_a_fresh_list(self):
+        s = ReadSequence.from_order([0, 1, 2, 1, 0, 2])
+        s.read_order(2).append(7)
+        assert s.read_order(2) == [1, 0, 2]
 
 
 # -- longest monotone -------------------------------------------------------------
