@@ -157,9 +157,14 @@ class ObliviousAbp:
             for terms, entries in zip(row, layer.entries):
                 if not terms:
                     continue
-                for acc, coeffs in zip(out, entries):
-                    get = acc.get
+                for j, coeffs in enumerate(entries):
                     shifts = [(e << offset, c) for e, c in enumerate(coeffs) if c]
+                    acc = out[j]
+                    if len(shifts) == 1 and not acc:    # distinct keys: fill in one pass
+                        (shift, c), = shifts
+                        out[j] = {key + shift: a * c for key, a in terms.items()}
+                        continue
+                    get = acc.get
                     for key, a in terms.items():
                         for shift, c in shifts:
                             k = key + shift
@@ -174,23 +179,28 @@ class ObliviousAbp:
     def restrict(self, assignment: Mapping[int, int]) -> "ObliviousAbp":
         """Fix some variables.  Each run of layers that read nothing or read a
         fixed variable is folded into one constant layer, the product of
-        their values, which never changes the computed polynomial.  A fold takes in
-        each later layer in one pass; the result is not validated again (module notes)."""
+        their values, which never changes the computed polynomial; a run of
+        one constant layer keeps that layer.  A fold takes in each later layer
+        in one pass; the result is not validated again (module notes)."""
         for i in assignment:
             if not 0 <= i < self.num_vars:
                 raise ValueError(f"assigned variable {i} out of range")
         p = self.field.p
         layers = []
-        rows = None         # product of the current run of fixed layers
+        rows = None         # the current fixed run's product, or its one constant layer
         for layer in self.layers:
             if layer.var is not None and layer.var not in assignment:
                 if rows is not None:
-                    layers.append(UniMatrix.constant(self.field, rows))
+                    layers.append(rows if type(rows) is UniMatrix
+                                  else UniMatrix.constant(self.field, rows))
                     rows = None
                 layers.append(layer)
             elif rows is None:
-                rows = list(layer.eval_at(assignment.get(layer.var, 0)))
+                rows = (layer if layer.var is None and not layer.padding
+                        else list(layer.eval_at(assignment.get(layer.var, 0))))
             else:
+                if type(rows) is UniMatrix:
+                    rows = list(rows.eval_at(0))
                 x = assignment.get(layer.var, 0) % p
                 for r, vec in enumerate(rows):
                     out = [0] * layer.width_out
@@ -204,7 +214,8 @@ class ObliviousAbp:
                                     out[j] += v * acc
                     rows[r] = [s % p for s in out]
         if rows is not None:
-            layers.append(UniMatrix.constant(self.field, rows))
+            layers.append(rows if type(rows) is UniMatrix
+                          else UniMatrix.constant(self.field, rows))
         abp = object.__new__(ObliviousAbp)
         abp.field, abp.num_vars, abp.layers = self.field, self.num_vars, tuple(layers)
         return abp

@@ -23,8 +23,7 @@ from .hardpoly import (block_partition, eliminate_summand,
                        experiment_pn_evaldim, experiment_qn_evaldim,
                        gen_pn, gen_qn)
 from .pit import iteration_bound_sweep, read_k_pit
-from .sequences import (concat_decompose, is_regularly_interleaving,
-                        per_read_monotone_subset, regularly_interleaving_subset)
+from .sequences import concat_decompose, is_regularly_interleaving, prune
 
 
 def _ints(text: str) -> list:
@@ -170,13 +169,11 @@ def _cmd_sequence(args) -> int:
         gaps = [k_gap_check(cls.normalized, i) for i in range(1, program.num_vars + 1)]
         print("gap counts per prefix: " + " ".join(str(g) for g in gaps))
         return 0
-    mono = per_read_monotone_subset(seq)
-    s1 = seq.restrict(mono)
+    mono, regular = prune(seq)
     print("per-read-monotone subset: "
           + " ".join(f"x{seq.labels[e] + 1}" for e in sorted(mono)))
-    regular = regularly_interleaving_subset(s1)
     print("regularly-interleaving subset: "
-          + " ".join(f"x{s1.labels[e] + 1}" for e in sorted(regular)))
+          + " ".join(f"x{seq.labels[e] + 1}" for e in sorted(regular)))
     return 0
 
 

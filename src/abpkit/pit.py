@@ -1,12 +1,15 @@
 """Hitting sets and identity testing for read-k oblivious programs.
 
 Each round of the white-box test picks, from the read order alone, a large
-per-read-monotone, regularly-interleaving subset of the remaining variables,
-and walks the round's points over it (sized by the width and degrees of the
-program left) until a point keeps the restricted program nonzero (one probe
-per point, then one expansion of a cheap round, else per point a capped
-expansion, and a recursion only where it gives up); then it goes on with the
-rest.  ``_round_points`` is the one source of a round's points: the test
+per-read-monotone, regularly-interleaving subset of the remaining variables
+(pruning the read sequence in place), and walks the round's points over it
+(sized by the width and degrees of the program left) until a point keeps the
+restricted program nonzero.  Candidates get one probe each until the round's
+first miss; then a cheap round is expanded once, and in a large one every
+later candidate is restricted first: no source-sink path means zero, else a
+probe of the restriction, a capped expansion, and a recursion only where it
+gives up.  The accepted candidate's restriction is the next round's program.
+``_round_points`` is the one source of a round's points: the test
 walks them as they are made, and the stored sets (``roabp_hitting_set``,
 ``k_pass_hitting_set``, the product set ``read_k_hitting_set``) keep them.
 Grid points make the verdict exact; random ones trade completeness for size.
@@ -22,8 +25,7 @@ from fractions import Fraction
 
 from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, read_sequence, validate
 from .algebra import GuardExceeded, PrimeField
-from .sequences import (ReadSequence, is_regularly_interleaving,
-                        per_read_monotone_subset, regularly_interleaving_subset)
+from .sequences import ReadSequence, prune
 
 DEFAULT_POINT_GUARD = 10 ** 6
 DEFAULT_FASTPATH_TERMS = 4096
@@ -166,16 +168,11 @@ def k_pass_hitting_set(n: int, width: int, degree: int, k: int, field: PrimeFiel
 
 
 def _choose_subset(seq: ReadSequence) -> tuple:
-    """One pruning round: per-read-monotone then regularly-interleaving.
-    Returns (original variable ids, size floor) for the surviving subset."""
-    mono = per_read_monotone_subset(seq)
-    s1 = seq.restrict(mono)
-    regular = regularly_interleaving_subset(s1)
-    s2 = s1.restrict(regular)
-    ok, _ = is_regularly_interleaving(s2)
-    if not ok or not s2.is_per_read_monotone():
-        raise RuntimeError("pruned subset failed its structural checks")
-    subset = tuple(sorted(s1.labels[e] for e in regular))
+    """One pruning round: per-read-monotone then regularly-interleaving, on
+    the sequence itself (``prune``).  Returns (original variable ids, size
+    floor) for the surviving subset."""
+    _, regular = prune(seq)
+    subset = tuple(sorted(seq.labels[e] for e in regular))
     k = max(seq.k, 1)
     floor = seq.n ** (1.0 / 2 ** (k - 1)) / 3 ** (k * k)
     return subset, floor
@@ -190,34 +187,41 @@ def iteration_bound(n: int, k: int) -> float:
 
 def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
                 path) -> tuple | None:
-    """One round of ``read_k_pit``: (points tried, accepted point), or None
-    when the round exhausts its points."""
-    fixed = set(subset)
-    reads = any(v not in fixed for v in work.read_order())
+    """One round of ``read_k_pit``: (points tried, accepted point, its
+    restriction or None if none was built), or None when the round exhausts
+    its points."""
     poly = None
+    missed = restrict_first = False
     for tried, pt in enumerate(points, 1):
         assignment = dict(zip(subset, pt))
+        sub = work.restrict(assignment) if restrict_first else None
         if poly is None:
             point = [work.field.random(rng) for _ in range(work.num_vars)]
             for v, value in assignment.items():
                 point[v] = value
-            if work.evaluate(point) != 0:
-                return tried, pt
-            if work.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
-                poly = work.expand()
-                if poly.is_zero:
-                    return None
-            elif not reads:
+            if sub is not None and not sub.reaches_sink:
+                continue
+            if (sub or work).evaluate(point) != 0:
+                return tried, pt, sub
+            if not missed:
+                missed = True
+                if work.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
+                    poly = work.expand()
+                    if poly.is_zero:
+                        return None
+                elif not set(work.read_order()) <= set(subset):
+                    restrict_first = True
+                    sub = work.restrict(assignment)
+            if poly is None and sub is None:    # reads nothing else: the probe decides
                 continue
         if poly is not None:
             rest = poly.substitute(assignment)
         else:
-            sub = work.restrict(assignment)
             rest = sub.expand(DEFAULT_EXPAND_GUARD, DEFAULT_FASTPATH_TERMS)
             if rest is None:
                 rest = read_k_pit(sub, generator, rng.getrandbits(32), count, path)
         if not rest.is_zero:
-            return tried, pt
+            return tried, pt, sub
     return None
 
 
@@ -228,14 +232,19 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     Each round prunes the read sequence to a per-read-monotone,
     regularly-interleaving subset y_i and scans the generator's points over
     y_i in order for the first whose restriction stays nonzero.  Whatever the
-    generator, each candidate gets (1) one random probe; (2) after a miss, a
-    round program within ``DEFAULT_FASTPATH_TERMS`` is expanded once: zero
-    ends the round, else substitution decides each point; (3) otherwise a
-    candidate that reads nothing was decided by its probe, and any other is
-    restricted and expanded with a budget of ``DEFAULT_FASTPATH_TERMS``
-    terms, and tested recursively only if a partial product outgrows it.  An
-    exhausted round means zero; else the accepted points make a witness,
-    re-checked by evaluation.  With the grid generator the verdict is exact.
+    generator, each candidate gets one random probe up to the round's first
+    miss.  There the round program's terms are estimated, once: one within
+    ``DEFAULT_FASTPATH_TERMS`` is expanded (zero ends the round, else
+    substitution decides each point); a larger one that reads nothing outside
+    y_i leaves each candidate to its probe; in any other, that candidate and
+    every later one are restricted first.  A restriction with no source-sink
+    path is zero (its probe point is still drawn, so later draws stay put);
+    any other gets the probe, then an expansion with a budget of
+    ``DEFAULT_FASTPATH_TERMS`` terms, and a recursive test only if a partial
+    product outgrows it.  The accepted candidate's restriction, if built, is
+    the next round's program.  An exhausted round means zero; else the
+    accepted points make a witness, re-checked by evaluation.  With the grid
+    generator the verdict is exact.
     """
     cls = validate(abp)
     work = cls.normalized
@@ -250,13 +259,13 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
                                         [degs[v] for v in subset], work.field, generator,
                                         seed + len(iterations), count, path,
                                         DEFAULT_POINT_GUARD)
-        tried, chosen = (_scan_round(work, subset, points, rng, generator, count, path)
-                         or (size, None))
+        tried, chosen, sub = (_scan_round(work, subset, points, rng, generator, count,
+                                          path) or (size, None, None))
         iterations.append(IterationRecord(subset, floor, size, tried, chosen))
         if chosen is None:
             return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
         assigned.update(zip(subset, chosen))
-        work = work.restrict(dict(zip(subset, chosen)))
+        work = sub or work.restrict(dict(zip(subset, chosen)))
     if work.evaluate([0] * work.num_vars) == 0:
         return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
     witness = tuple(assigned.get(v, 0) for v in range(abp.num_vars))

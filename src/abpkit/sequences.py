@@ -10,6 +10,14 @@ The pruning operations trade elements for structure: first make every
 per-occurrence subsequence monotone, then make every pair of occurrences
 regularly interleaving.  Both properties are downward-closed, which the
 pipeline relies on when it prunes pair by pair.
+
+``prune`` runs both passes on one sequence's own elements and labels, with no
+restricted copy in between.  That gives the same sets as restricting to the
+per-read-monotone subset first: a restriction relabels its elements by first
+occurrence, and first occurrences are already in increasing element order, so
+the relabeling is monotone.  Every comparison the passes make (the directions
+of the reads, the longest-monotone ties, the pair pruning's widest gap and its
+tie-break on the element) comes out the same on either labeling.
 """
 
 from __future__ import annotations
@@ -34,6 +42,14 @@ def _direction(vals: Sequence) -> str | None:
     if all(a > b for a, b in zip(vals, vals[1:])):
         return "dec"
     return None
+
+
+def _reads_of(entries: Sequence, k: int) -> tuple:
+    """At index i - 1, the elements in the order of their i-th occurrences."""
+    reads = [[] for _ in range(k)]
+    for e, c in entries:
+        reads[c - 1].append(e)
+    return tuple(map(tuple, reads))
 
 
 @dataclass
@@ -89,13 +105,7 @@ class ReadSequence:
 
     # -- accessors -----------------------------------------------------------
 
-    @cached_property
-    def _reads(self) -> tuple:
-        """At index i - 1, the elements in the order of their i-th occurrences."""
-        reads = [[] for _ in range(self.k)]
-        for e, c in self.entries:
-            reads[c - 1].append(e)
-        return tuple(map(tuple, reads))
+    _reads = cached_property(lambda self: _reads_of(self.entries, self.k))
 
     _directions = cached_property(lambda self: tuple(map(_direction, self._reads)))
 
@@ -240,9 +250,14 @@ def is_regularly_interleaving(S: ReadSequence):
     """True iff every pairwise occurrence projection is 2-regularly
     interleaving.  Returns (flag, witness) where witness maps each pair (i, j)
     to its block partition, or names the failing pair."""
+    return _check_interleaving(S.entries, S.k)
+
+
+def _check_interleaving(entries: Sequence, k: int):
+    """``is_regularly_interleaving`` on entries whose elements need not be 0..n-1."""
     witnesses = {}
-    for i, j in combinations(range(1, S.k + 1), 2):
-        pairs = [(e, 1 if c == i else 2) for e, c in S.entries if c in (i, j)]
+    for i, j in combinations(range(1, k + 1), 2):
+        pairs = [(e, 1 if c == i else 2) for e, c in entries if c in (i, j)]
         blocks = _two_regular_blocks(pairs)
         if blocks is None:
             return False, {"failing_pair": (i, j)}
@@ -309,12 +324,30 @@ def regularly_interleaving_subset(S: ReadSequence) -> frozenset:
     1/3 fraction per pair, so |X'| >= s/3^(k^2) overall."""
     if not S.is_per_read_monotone():
         raise SequenceError("input sequence is not per-read-monotone")
-    alive = set(range(S.n))
+    return _prune_pairs(S, frozenset(range(S.n)))
+
+
+def _prune_pairs(S: ReadSequence, alive: frozenset) -> frozenset:
+    """The pair pruning of ``regularly_interleaving_subset``, on the elements
+    ``alive`` of S, whose reads restricted to them are monotone."""
     for i, j in combinations(range(1, S.k + 1), 2):
         pairs = [(e, 1 if c == i else 2)
                  for e, c in S.entries if c in (i, j) and e in alive]
         alive = _prune_pair(pairs)
     return frozenset(alive)
+
+
+def prune(S: ReadSequence) -> tuple:
+    """Both pruning passes on S's own elements (exact, see the module notes):
+    (X', X'') with X' the per-read-monotone subset and X'' the
+    regularly-interleaving subset of S|X'.  S|X'' is checked for both
+    properties on S's entries, and a failure raises RuntimeError."""
+    mono = per_read_monotone_subset(S)
+    regular = _prune_pairs(S, mono)
+    kept = [(e, c) for e, c in S.entries if e in regular]
+    if None in map(_direction, _reads_of(kept, S.k)) or not _check_interleaving(kept, S.k)[0]:
+        raise RuntimeError("pruned subset failed its structural checks")
+    return mono, regular
 
 
 # -- concatenation decomposition --------------------------------------------------

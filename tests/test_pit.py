@@ -420,6 +420,39 @@ class TestHardFamilies:
         assert len(per_round) == 6 and per_round[0] <= 2
         assert all(got <= most for got, most in zip(per_round, [0, 0, 0, 0, 1, 1]))
 
+    def test_p6_candidates_decided_on_their_restriction(self, field, monkeypatch,
+                                                        recursions):
+        """After a round's first miss, P_6's later candidates are restricted
+        first: one with no source-sink path is zero with no probe, and the
+        accepted one's restriction is the next round's program.  Probing the
+        whole program and estimating its terms for every candidate took 368
+        ``evaluate`` and 362 ``estimated_terms`` calls in all.  Each candidate
+        still draws its probe point (36 values), except after the first miss
+        of the last two rounds, which are expanded once."""
+        per_round, draws = [], []
+        random_element = PrimeField.random
+        monkeypatch.setattr(PrimeField, "random",
+                            lambda self, rng: draws.append(1) or random_element(self, rng))
+        for name in ("evaluate", "estimated_terms", "restrict"):
+            def counted(self, *args, name=name, method=getattr(ObliviousAbp, name)):
+                per_round[-1][name] += 1
+                return method(self, *args)
+            monkeypatch.setattr(ObliviousAbp, name, counted)
+        choose_subset = pit._choose_subset
+
+        def counted_choose_subset(seq):
+            per_round.append(Counter())
+            return choose_subset(seq)
+        monkeypatch.setattr(pit, "_choose_subset", counted_choose_subset)
+        v = read_k_pit(gen_pn(6, field, with_poly=False).realization)
+        assert [r.points_tried for r in v.iterations] == [244, 82, 28, 10, 4, 2]
+        assert len(per_round) == 6 and recursions == []
+        per_round[-1]["evaluate"] -= 2      # the verdict's checks at 0 and at the witness
+        for calls, record in zip(per_round, v.iterations):
+            assert calls["evaluate"] <= 2 and calls["estimated_terms"] <= 1
+            assert calls["restrict"] <= record.points_tried
+        assert len(draws) == 36 * (244 + 82 + 28 + 10 + 1 + 1)
+
     def test_q4_builds_without_revalidating(self, field, monkeypatch):
         """Restricted programs, their folded layers and read sequences are
         valid by construction and skip ``__post_init__``: what is left is

@@ -36,12 +36,19 @@ iteration-count inequality, built by ``reference_pow_bounds``.  ``_iroot``
 must give the same roots, and ``iteration_bound_check``'s integer enclosures
 the same endpoints.
 
+``reference_choose_subset`` is a round's pruning as it was: the
+per-read-monotone subset, the sequence restricted to it (relabeled), the
+regularly-interleaving subset of that, read back through the restricted
+labels.  ``pit._choose_subset``, which prunes the sequence in place, must give
+the same subset and floor.
+
 ``reference_read_k_pit`` is the identity test that scans each round candidate
 by candidate: every candidate is restricted, gets one random probe, and is
 then expanded with a budget of ``DEFAULT_FASTPATH_TERMS`` terms, or tested
-recursively if the expansion gives up.  ``read_k_pit``, which expands a cheap
-round once, must give the same verdict, witness and iteration records, or the
-same refusal.
+recursively if the expansion gives up.  It picks each round's subset with
+``reference_choose_subset``.  ``read_k_pit``, which expands a cheap round once
+and decides later candidates of a large one on their restriction, must give
+the same verdict, witness and iteration records, or the same refusal.
 """
 
 import json
@@ -57,10 +64,12 @@ from abpkit import pit
 from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, parse_text, read_sequence,
                         to_canonical_text, to_json_obj, validate)
 from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
-from abpkit.corpus import random_read_k_abp
+from abpkit.corpus import random_per_read_monotone_sequence, random_read_k_abp
 from abpkit.evaldim import Roabp, _greedy_basis, pd_rank, roabp_synthesize
 from abpkit.hardpoly import gen_pn
 from abpkit.pit import IterationRecord, PitVerdict, read_k_pit
+from abpkit.sequences import (ReadSequence, is_regularly_interleaving,
+                              per_read_monotone_subset, regularly_interleaving_subset)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -280,6 +289,19 @@ def reference_enclosures(n: int, p: Fraction, r: int, bits: int) -> tuple:
     return tuple(int(x * (1 << bits)) for x in (a_lo, a_hi, c_lo, c_hi))
 
 
+def reference_choose_subset(seq: ReadSequence) -> tuple:
+    mono = per_read_monotone_subset(seq)
+    s1 = seq.restrict(mono)
+    regular = regularly_interleaving_subset(s1)
+    s2 = s1.restrict(regular)
+    ok, _ = is_regularly_interleaving(s2)
+    if not ok or not s2.is_per_read_monotone():
+        raise RuntimeError("pruned subset failed its structural checks")
+    subset = tuple(sorted(s1.labels[e] for e in regular))
+    k = max(seq.k, 1)
+    return subset, seq.n ** (1.0 / 2 ** (k - 1)) / 3 ** (k * k)
+
+
 def _reference_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
                        count, path) -> bool:
     if not abp.read_order():
@@ -301,7 +323,7 @@ def reference_read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int =
     assigned = {}
     iterations = []
     while work.read_order():
-        subset, floor = pit._choose_subset(read_sequence(work))
+        subset, floor = reference_choose_subset(read_sequence(work))
         degs = work.individual_degrees()
         hs = pit.roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
                                    work.field, generator, seed + len(iterations), count,
@@ -436,10 +458,25 @@ def pit_cases(draw):
     points = []
     work = validate(abp).normalized
     if generator == "external" and work.read_order():
-        arity = len(pit._choose_subset(read_sequence(work))[0])
+        arity = len(reference_choose_subset(read_sequence(work))[0])
         points = [[rng.randrange(field.p) for _ in range(arity)]
                   for _ in range(rng.randint(1, 8))]
     return abp, generator, count, points
+
+
+@st.composite
+def read_orders(draw):
+    """A read-k order over n <= 30 variables with k in 0..4, the variable ids
+    shuffled: a uniformly shuffled order, or (one time in three) a random
+    per-read-monotone one."""
+    n = draw(st.integers(0, 30))
+    k = draw(st.integers(0, 4))
+    ids = draw(st.permutations(range(n)))
+    if k and not draw(st.integers(0, 2)):
+        seq = random_per_read_monotone_sequence(random.Random(draw(st.integers(0, 2 ** 32))),
+                                                n, k)
+        return ReadSequence.from_order([ids[e] for e, _ in seq.entries])
+    return ReadSequence.from_order(draw(st.permutations([v for v in ids for _ in range(k)])))
 
 
 def _paths(value, path=()):
@@ -738,6 +775,64 @@ class TestRestrictMatchesReference:
         for got, want in zip(restricted.layers, rebuilt.layers):
             assert (got.support, got.degree) == (want.support, want.degree)
         assert restricted.expand() == abp.expand().substitute(assignment)
+
+
+    def test_lone_constant_layer_kept(self):
+        """A run of fixed layers that is one constant layer keeps that layer;
+        a longer run, or a constant layer marked as padding, is folded."""
+        field = PrimeField(7)
+        first = UniMatrix(field, 0, (((1, 2), (0, 1)),))
+        middle = UniMatrix(field, None, (((3,), (1,)), ((), (5,))))
+        read = UniMatrix(field, 1, (((1, 1),), ((2,),)))
+        last = UniMatrix(field, None, (((4,),),))
+        padded = UniMatrix(field, None, (((4,),),), padding=True)
+        for layers, assignment, kept in [
+                ((first, middle, read, last), {}, (1, 3)),
+                ((first, middle, read, last), {0: 2}, (2,)),
+                ((first, middle, read, last), {1: 4}, ()),
+                ((first, middle, read, padded), {}, (1,))]:
+            abp = ObliviousAbp(field, 2, layers)
+            restricted = abp.restrict(assignment)
+            want = reference_restrict(abp, assignment)
+            assert to_canonical_text(restricted) == to_canonical_text(want)
+            assert restricted == want
+            assert tuple(i for i, layer in enumerate(restricted.layers)
+                         if any(layer is old for old in layers if old.var is None)) == kept
+
+
+class TestChooseSubsetMatchesReference:
+    """Pruning in place gives the subset and floor of the old pipeline."""
+
+    @staticmethod
+    def check(seq: ReadSequence, seen: Counter) -> None:
+        got = pit._choose_subset(seq)
+        assert got == reference_choose_subset(seq)
+        seen[(seq.k, min(len(got[0]), 3))] += 1
+
+    def test_read_k_orders(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(read_orders())
+        def check(seq):
+            self.check(seq, seen)
+
+        check()
+        assert {k for k, _ in seen} == {0, 1, 2, 3, 4}
+        assert all(seen[(k, 3)] for k in (1, 2, 3, 4))
+
+    def test_padded_programs(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(programs(primes=(2, 101), max_vars=6))
+        def check(abp):
+            work = validate(abp).normalized
+            self.check(read_sequence(work), seen)
+            seen["padded"] += any(layer.padding for layer in work.layers)
+
+        check()
+        assert seen["padded"] > 0
 
 
 class TestSynthesisMatchesReference:
