@@ -3,12 +3,16 @@ matrices, one read variable per layer.
 
 The polynomial computed by a program is the (1,1) entry of the product of its
 layer matrices: the sum of its source-to-sink path products (Nisan 1991), zero
-if no path has only nonzero entries.  ``expand`` is the brute-force oracle that
-turns a program into an explicit SparsePoly; it is guarded so it refuses (never
-truncates) when the estimated term count is too large, or, given a term budget,
-gives up as undecided once a partial product outgrows it.  It keys monomials by
-packed ints, one bit field per variable as wide as its individual degree, which
-no exponent of a partial product exceeds: shifting a term is one add, no carry.
+if no path has only nonzero entries.  It is also zero if its read-once
+relaxation is, the program with each layer reading a fresh variable, which is
+decided by forward span in time polynomial in layers, width and degree
+(Raz–Shpilka 2005); cancelling lanes have a path but a zero relaxation.
+``expand`` is the brute-force oracle that turns a program into an explicit
+SparsePoly; it is guarded so it refuses (never truncates) when the estimated
+term count is too large, or, given a term budget, gives up as undecided once a
+partial product outgrows it.  It keys monomials by packed ints, one bit field
+per variable as wide as its individual degree, which no exponent of a partial
+product exceeds: shifting a term is one add, no carry.
 
 ``restrict``, ``UniMatrix.constant`` and ``ReadSequence.from_order``/``restrict``
 skip re-validation: they keep validated layers and, folding, the widths at a run's
@@ -26,7 +30,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
+from .algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
 from .sequences import ReadSequence
 
 DEFAULT_EXPAND_GUARD = 10 ** 6
@@ -103,6 +107,33 @@ class ObliviousAbp:
                 todo &= todo - 1
         return live != 0
 
+    @cached_property
+    def relaxation_zero(self) -> bool:
+        """Whether the read-once relaxation, each layer reading a fresh variable,
+        is zero; if so, the program is 0.  Forward span (Raz–Shpilka 2005): a
+        basis of the row vectors source·A_1,e_1···A_i,e_i over all exponents e,
+        zero once a layer's span is empty."""
+        p = self.field.p
+        basis = [{0: 1}]
+        for layer in self.layers:
+            solver = LinearSolver(self.field)
+            span = []
+            for vec in basis:
+                outs = [{} for _ in range(layer.degree + 1)]    # vec·A_e, one per e
+                for i, a in vec.items():
+                    for j, coeffs in enumerate(layer.entries[i]):
+                        for out, c in zip(outs, coeffs):
+                            if c:
+                                out[j] = out.get(j, 0) + a * c
+                for out in outs:
+                    out = {j: r for j, c in out.items() if (r := c % p)}
+                    if solver.try_add(out):
+                        span.append(out)
+            if not span:
+                return True
+            basis = span
+        return False
+
     def estimated_terms(self) -> int:
         """Bound on the expansion's terms: 0 if no source-sink path, else the degree box."""
         return math.prod(d + 1 for d in self.individual_degrees()) if self.reaches_sink else 0
@@ -136,14 +167,18 @@ class ObliviousAbp:
         None (undecided, never a truncated result) as soon as a column's term
         map holds more than ``budget`` terms.  A program with no source-sink
         path of nonzero entries decides the result at once: the zero
-        polynomial, before the guard or the budget is looked at.  Term maps key
+        polynomial, before the guard or the budget is looked at.  So does one
+        whose degree-box estimate passes layers * width^2, the span check's
+        own cost scale, and whose read-once relaxation is zero.  Term maps key
         a monomial by one int, v's exponent in a field of d_v.bit_length() bits
         (d_v its individual degree), so x_v^e shifts a key by e << offset_v; no
         exponent of v in a partial product exceeds d_v, so no add carries."""
-        if not self.reaches_sink:
-            return SparsePoly.zero(self.field, self.num_vars)
         degs = self.individual_degrees()
-        if budget is None and (est := math.prod(d + 1 for d in degs)) > guard:
+        est = math.prod(d + 1 for d in degs)
+        if not self.reaches_sink or (est > len(self.layers) * self.width ** 2
+                                     and self.relaxation_zero):
+            return SparsePoly.zero(self.field, self.num_vars)
+        if budget is None and est > guard:
             raise GuardExceeded(
                 f"expansion estimated at {est} terms exceeds guard {guard}"
             )

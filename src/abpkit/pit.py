@@ -7,8 +7,9 @@ per-read-monotone, regularly-interleaving subset of the remaining variables
 restricted program nonzero.  Candidates get one probe each until the round's
 first miss; then a cheap round is expanded once, and in a large one every
 later candidate is restricted first: no source-sink path means zero, else a
-probe of the restriction, a capped expansion, and a recursion only where it
-gives up.  The accepted candidate's restriction is the next round's program.
+probe of the restriction, a capped expansion (zero at once if the read-once
+relaxation is), and a recursion only where it gives up.  The accepted
+candidate's restriction is the next round's program.
 ``_round_points`` is the one source of a round's points: the test
 walks them as they are made, and the stored sets (``roabp_hitting_set``,
 ``k_pass_hitting_set``, the product set ``read_k_hitting_set``) keep them.
@@ -241,10 +242,12 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     path is zero (its probe point is still drawn, so later draws stay put);
     any other gets the probe, then an expansion with a budget of
     ``DEFAULT_FASTPATH_TERMS`` terms, and a recursive test only if a partial
-    product outgrows it.  The accepted candidate's restriction, if built, is
-    the next round's program.  An exhausted round means zero; else the
-    accepted points make a witness, re-checked by evaluation.  With the grid
-    generator the verdict is exact.
+    product outgrows it.  That expansion is zero before any term map when the
+    restriction's degree box is large and its read-once relaxation is zero
+    (``ObliviousAbp.expand``), as for cancelling lanes.  The accepted
+    candidate's restriction, if built, is the next round's program.  An
+    exhausted round means zero; else the accepted points make a witness,
+    re-checked by evaluation.  With the grid generator the verdict is exact.
     """
     cls = validate(abp)
     work = cls.normalized

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,7 @@ def pit_corpus_run():
     total = 0
     mismatches = 0
     zeros = 0
+    zero_split = Counter()      # how expand's shortcuts decide the zero programs
     witness_bad = 0
     iteration_log = []
     for k in (1, 2, 3):
@@ -64,6 +66,9 @@ def pit_corpus_run():
             verdict = read_k_pit(program, generator="grid", seed=i)
             total += 1
             zeros += not oracle_nonzero
+            if not oracle_nonzero:
+                zero_split["no path" if not program.reaches_sink else
+                           "relaxation" if program.relaxation_zero else "neither"] += 1
             if verdict.is_zero == oracle_nonzero:
                 mismatches += 1
             if not verdict.is_zero and program.evaluate(verdict.witness) == 0:
@@ -72,7 +77,7 @@ def pit_corpus_run():
                 (program.num_vars, max(k, 1), len(verdict.iterations)))
     elapsed = time.time() - start
     return {"total": total, "mismatches": mismatches, "zeros": zeros,
-            "witness_bad": witness_bad, "elapsed": elapsed,
+            "zero_split": zero_split, "witness_bad": witness_bad, "elapsed": elapsed,
             "iteration_log": iteration_log}
 
 
@@ -86,6 +91,14 @@ def test_criterion_1_pit_exactness(pit_corpus_run):
            f"{r['total']} instances ({r['zeros']} zero), "
            f"{r['mismatches']} mismatches, {r['witness_bad']} bad witnesses, "
            f"{r['elapsed']:.1f}s < 600s")
+
+
+def test_criterion_1_zero_programs_by_shortcut(pit_corpus_run):
+    """Every zero program of criterion 1 is seen by one of ``expand``'s two
+    zero checks: 75 have no source-sink path (a zero layer) and the other 66,
+    cancelling lanes, have a zero read-once relaxation."""
+    assert pit_corpus_run["zeros"] == 141
+    assert pit_corpus_run["zero_split"] == {"no path": 75, "relaxation": 66}
 
 
 def test_criterion_2_width_collapse():

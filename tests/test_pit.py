@@ -1,6 +1,7 @@
 """Hitting sets, the white-box identity test, and the round-count inequality."""
 
 import itertools
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from abpkit import abp as abpmod
 from abpkit import pit
-from abpkit.abp import ObliviousAbp
+from abpkit.abp import ObliviousAbp, to_canonical_text
 from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
 from abpkit.hardpoly import gen_pn, gen_qn
@@ -18,6 +19,7 @@ from abpkit.pit import (iteration_bound, iteration_bound_check,
                         roabp_hitting_set)
 from abpkit.sequences import ReadSequence
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 class TestGridHittingSet:
     def test_two_vars_multilinear(self, field):
@@ -302,6 +304,26 @@ class TestReadKPit:
             (54, 54, None)]
         assert calls == {"restrict": 0, "evaluate": 1, "expand": 1}
         assert program.estimated_terms() == 0
+
+    def test_cancelling_lanes_decided_by_relaxation(self, field, monkeypatch):
+        """Two equal lanes over 18 variables read twice (the fixture
+        ``cancel_zero_wide.json``) have a zero read-once relaxation, so every
+        candidate of the one zero round is decided without an expansion.
+        Each one used to give up its capped expansion and recurse: 217 calls
+        and about 35 s, and ``expand`` refused 7,464,960 estimated terms."""
+        program = random_read_k_abp(random.Random(7), field, 18, 2, 2, max_entry_degree=2,
+                                    term_budget=10 ** 9, zero_kind="cancel")
+        assert to_canonical_text(program) == (FIXTURES / "cancel_zero_wide.json").read_text()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].num_vars)
+            return read_k_pit(*args, **kwargs)
+        monkeypatch.setattr(pit, "read_k_pit", counted)
+        v = pit.read_k_pit(program)
+        assert v.is_zero and len(v.iterations) == 1 and len(calls) == 1
+        assert program.estimated_terms() == 7464960
+        assert program.expand().is_zero
 
     def test_random_default_count_zero_round(self, field):
         """The default random count sizes this round at 4096 points; a zero

@@ -13,7 +13,15 @@ refused with a ValueError.
 were keyed by packed ints: each key is an exponent tuple, rebuilt on every
 shift.  ``expand`` must give the same terms in the same order, and give up
 (None) at exactly the same budgets.  Like ``expand``, it decides a program
-with no source-sink path as zero before the guard or the budget.
+as zero before the guard or the budget when it has no source-sink path, or
+when its degree box passes layers * width^2 and its read-once relaxation is
+zero.
+
+``relaxed`` is that relaxation, layer i reading fresh variable i;
+``relaxation_zero`` must equal its ``reference_expand`` being zero, and a
+program whose relaxation is zero must expand to zero.  ``crossed_lanes``
+builds zero read-k programs the relaxation misses, so capped expansions that
+give up on a zero, and recursive tests, keep their inputs.
 
 ``reference_reaches_sink`` enumerates source-to-sink paths of nonzero
 entries depth first.  ``reaches_sink`` must agree with it, and a program
@@ -98,9 +106,11 @@ def reference_expand(abp: ObliviousAbp) -> SparsePoly:
 
 def reference_tuple_expand(abp: ObliviousAbp, guard: int = DEFAULT_EXPAND_GUARD,
                            budget: int | None = None) -> SparsePoly | None:
-    if not abp.reaches_sink:
+    est = abp.estimated_terms()
+    if not abp.reaches_sink or (est > len(abp.layers) * abp.width ** 2
+                                and abp.relaxation_zero):
         return SparsePoly.zero(abp.field, abp.num_vars)
-    if budget is None and (est := abp.estimated_terms()) > guard:
+    if budget is None and est > guard:
         raise GuardExceeded(f"expansion estimated at {est} terms exceeds guard {guard}")
     p = abp.field.p
     row = [{(0,) * abp.num_vars: 1}]
@@ -132,6 +142,49 @@ def reference_reaches_sink(abp: ObliviousAbp) -> bool:
         return any(walk(depth + 1, j)
                    for j, e in enumerate(abp.layers[depth].entries[vertex]) if e)
     return walk(0, 0)
+
+
+def relaxed(abp: ObliviousAbp) -> ObliviousAbp:
+    """The read-once relaxation: layer i reads fresh variable i, a constant
+    layer reads nothing."""
+    return ObliviousAbp(abp.field, len(abp.layers), tuple(
+        UniMatrix(abp.field, None if layer.var is None else i, layer.entries)
+        for i, layer in enumerate(abp.layers)))
+
+
+def crossed_lanes(rng: random.Random, field: PrimeField, n: int, k: int,
+                  max_degree: int) -> ObliviousAbp:
+    """A zero read-k program (k >= 2) that the read-once relaxation misses.
+    Two lanes multiply the same factor f_v(x_v) for every variable, the first
+    lane at v's first read and the second at its last, with 1 at the other
+    reads, and the sink subtracts them.  Relaxed, the lanes read different
+    fresh variables wherever f_v is not constant.  Over (x0, 1), diag(x1, 1),
+    diag(1, x0), diag(1, x1) the lanes compute x0*x1 - x0*x1 and the
+    relaxation y1*y2 - y3*y4."""
+    order = [v for v in range(n) for _ in range(k)]
+    rng.shuffle(order)
+    first = {v: pos for pos, v in reversed(list(enumerate(order)))}
+    last = {v: pos for pos, v in enumerate(order)}
+    factor = [tuple(rng.randrange(field.p) for _ in range(rng.randint(0, max_degree)))
+              + (rng.randrange(1, field.p),) for _ in range(n)]
+    layers = []
+    for pos, v in enumerate(order):
+        a = factor[v] if pos == first[v] else (1,)
+        b = factor[v] if pos == last[v] else (1,)
+        layers.append(UniMatrix(field, v, ((a, b),) if pos == 0 else ((a, ()), ((), b))))
+    c = rng.randrange(1, field.p)
+    layers.append(UniMatrix(field, None, (((c,),), ((field.p - c,),))))
+    return ObliviousAbp(field, n, tuple(layers))
+
+
+def corpus_program(rng: random.Random, field: PrimeField, n: int, k: int, width: int,
+                   max_degree: int, zero_kind: str | None) -> ObliviousAbp:
+    """A read-k corpus program, or crossed lanes (read at least twice) for
+    ``zero_kind="crossed"``."""
+    if zero_kind == "crossed":
+        return crossed_lanes(rng, field, n, max(k, 2), max_degree)
+    return random_read_k_abp(rng, field, n, k, width, max_entry_degree=max_degree,
+                             term_budget=5000, zero_kind=zero_kind)
 
 
 def reference_evaluate(abp: ObliviousAbp, point) -> int:
@@ -433,16 +486,16 @@ def pit_cases(draw):
     """A program with a generator: grid, external (a file of random points
     sized for the first round) or random with a small count.  The program is
     a read-k corpus program over p in {2, 3, 5, 7, 101} and k in {1, 2, 3},
-    made zero (cancelling lanes or a zero layer) two times in three, or (one
-    time in four) one from ``programs()``."""
+    made zero (cancelling lanes, a zero layer or crossed lanes) three times in
+    four, or (one time in four) one from ``programs()``."""
     field = PrimeField(draw(st.sampled_from((2, 3, 5, 7, 101))))
     k = draw(st.integers(1, 3))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if draw(st.integers(0, 3)):
-        abp = random_read_k_abp(rng, field, rng.randint(1, 6), k, rng.randint(1, 3),
-                                max_entry_degree=max(1, min(2, (field.p - 1) // k)),
-                                term_budget=5000,
-                                zero_kind=rng.choice((None, "cancel", "zero_layer")))
+        zero_kind = rng.choice((None, "cancel", "zero_layer", "crossed"))
+        reads = 2 if zero_kind == "crossed" else k      # reads of x_v with degree > 0
+        abp = corpus_program(rng, field, rng.randint(1, 6), k, rng.randint(1, 3),
+                             max(1, min(2, (field.p - 1) // reads)), zero_kind)
     else:
         abp = draw(programs(primes=(field.p,), max_degree=2))
     if draw(st.booleans()):
@@ -553,15 +606,15 @@ class TestExpandMatchesReference:
 @st.composite
 def capped_cases(draw):
     """A program from ``programs()`` or a read-k corpus program (zero by
-    cancelling lanes one time in two), with a term budget of 1 to 256."""
+    cancelling or crossed lanes one time in three each), with a term budget
+    of 1 to 256."""
     if draw(st.booleans()):
         abp = draw(programs(primes=(2, 7, 101)))
     else:
         field = PrimeField(draw(st.sampled_from((7, 101))))
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
-        abp = random_read_k_abp(rng, field, rng.randint(1, 6), rng.randint(1, 3),
-                                rng.randint(1, 3), max_entry_degree=2, term_budget=5000,
-                                zero_kind=rng.choice((None, "cancel")))
+        abp = corpus_program(rng, field, rng.randint(1, 6), rng.randint(1, 3),
+                             rng.randint(1, 3), 2, rng.choice((None, "cancel", "crossed")))
     return abp, draw(st.integers(1, 256))
 
 
@@ -579,13 +632,31 @@ def sparse_programs(draw):
                                 rng.randint(1, 3), max_entry_degree=2, term_budget=5000,
                                 zero_kind="cancel")
     rate = draw(st.sampled_from((0.0, 0.2, 0.5, 0.8)))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return zero_entries(abp, random.Random(draw(st.integers(0, 2 ** 32))), rate)
+
+
+def zero_entries(abp: ObliviousAbp, rng: random.Random, rate: float) -> ObliviousAbp:
+    """The program with each entry outside identity-padding layers zeroed at ``rate``."""
     return ObliviousAbp(abp.field, abp.num_vars, tuple(
         layer if layer.padding else
         UniMatrix(abp.field, layer.var, tuple(tuple(() if rng.random() < rate else e
                                                     for e in row)
                                               for row in layer.entries))
         for layer in abp.layers))
+
+
+@st.composite
+def relaxation_cases(draw):
+    """Programs whose read-once relaxation expands quickly: up to 6 layers of
+    degree 2 from ``programs()``, or cancelling or crossed lanes over up to 3
+    variables read up to twice, each entry zeroed at a drawn rate."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        abp = draw(programs(primes=(2, 7, 101), max_layers=6, max_degree=2))
+    else:
+        abp = corpus_program(rng, PrimeField(draw(st.sampled_from((7, 101)))),
+                             rng.randint(1, 3), 2, 1, 2, rng.choice(("cancel", "crossed")))
+    return zero_entries(abp, rng, draw(st.sampled_from((0.0, 0.0, 0.2, 0.5))))
 
 
 class TestReachability:
@@ -605,6 +676,41 @@ class TestReachability:
 
         check()
         assert min(seen["path"], seen["no path"], seen["zero layer"]) > 0
+
+
+class TestRelaxation:
+    def test_equal_to_relaxed_expansion_and_zero_when_fired(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(relaxation_cases())
+        def check(abp):
+            assert abp.relaxation_zero == reference_expand(relaxed(abp)).is_zero
+            zero = reference_expand(abp).is_zero
+            if abp.relaxation_zero:
+                assert zero
+                seen["relaxation zero with a path" if abp.reaches_sink else "no path"] += 1
+            else:
+                assert abp.reaches_sink
+                seen["zero the relaxation misses" if zero else "nonzero"] += 1
+
+        check()
+        assert min(seen["no path"], seen["relaxation zero with a path"],
+                   seen["zero the relaxation misses"]) > 0
+
+    def test_crossed_lanes(self):
+        """``crossed_lanes``' example: x0*x1 - x0*x1, relaxed y1*y2 - y3*y4."""
+        field = PrimeField(101)
+        x, one = (0, 1), (1,)
+        abp = ObliviousAbp(field, 2, (
+            UniMatrix(field, 0, ((x, one),)),
+            UniMatrix(field, 1, ((x, ()), ((), one))),
+            UniMatrix(field, 0, ((one, ()), ((), x))),
+            UniMatrix(field, 1, ((one, ()), ((), x))),
+            UniMatrix(field, None, (((1,),), ((100,),)))))
+        assert abp.reaches_sink and not abp.relaxation_zero
+        assert abp.expand().is_zero
+        assert len(reference_expand(relaxed(abp)).terms) == 2
 
 
 class TestEvaluateMatchesReference:
@@ -631,7 +737,8 @@ class TestEvaluateMatchesReference:
 class TestCappedExpand:
     """A capped expansion is exact or undecided: it returns None or exactly
     ``expand()``, and never None when the budget covers the estimate, since
-    every reduced term map holds distinct monomials of the degree box."""
+    every reduced term map holds distinct monomials of the degree box.
+    Crossed lanes keep an undecided zero whose relaxation was checked."""
 
     def test_exact_or_undecided(self):
         seen = Counter()
@@ -645,12 +752,17 @@ class TestCappedExpand:
                 assert capped is not None
             if capped is None:
                 seen["undecided zero" if abp.expand().is_zero else "undecided"] += 1
+                # the relaxation was looked at and missed the zero
+                seen["undecided zero past the relaxation"] += (
+                    abp.expand().is_zero
+                    and abp.estimated_terms() > len(abp.layers) * abp.width ** 2)
             else:
                 assert capped == abp.expand()
                 seen["decided"] += 1
 
         check()
-        assert min(seen["undecided zero"], seen["undecided"], seen["decided"]) > 0
+        assert min(seen["undecided zero"], seen["undecided zero past the relaxation"],
+                   seen["undecided"], seen["decided"]) > 0
 
 
 EXPAND_BUDGETS = (None, 1, 2, 3, 5, 8, 16, 50, 256, 4096)
@@ -659,15 +771,15 @@ EXPAND_BUDGETS = (None, 1, 2, 3, 5, 8, 16, 50, 256, 4096)
 @st.composite
 def packed_cases(draw):
     """A program from ``programs()`` or a read-k corpus program over p in
-    {7, 101}, zero by cancelling lanes or by a zero layer one time in three
-    each."""
+    {7, 101}, zero by cancelling lanes, by a zero layer or by crossed lanes
+    one time in four each."""
     if draw(st.booleans()):
         return draw(programs(primes=(2, 7, 101)))
     field = PrimeField(draw(st.sampled_from((7, 101))))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    return random_read_k_abp(rng, field, rng.randint(1, 6), rng.randint(1, 3),
-                             rng.randint(1, 3), max_entry_degree=2, term_budget=5000,
-                             zero_kind=rng.choice((None, "cancel", "zero_layer")))
+    return corpus_program(rng, field, rng.randint(1, 6), rng.randint(1, 3),
+                          rng.randint(1, 3), 2,
+                          rng.choice((None, "cancel", "zero_layer", "crossed")))
 
 
 def wide_program(n: int) -> ObliviousAbp:
