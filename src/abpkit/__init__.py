@@ -5,7 +5,7 @@ Modules:
   abp        the oblivious program model: validate, evaluate, expand, restrict, serialize
   sequences  read-sequence combinatorics: monotone and regularly-interleaving pruning
   evaldim    evaluation dimension, read-once synthesis, width-collapse conversions
-  pit        hitting sets and the white-box identity test
+  pit        the white-box identity test, its per-round points and round-count bound
   hardpoly   the hard families P_n and Q_n with dimension experiments
   corpus     seeded random instances for testing and experiments
   cli        command-line entry point
@@ -20,9 +20,7 @@ from .sequences import (ReadSequence, SequenceError, concat_decompose,
 from .evaldim import (EvalDimReport, Roabp, eval_dim, k_gap_check,
                       k_gap_to_roabp, k_pass_to_roabp, roabp_synthesize,
                       roabp_width_profile)
-from .pit import (HittingSet, PitVerdict, iteration_bound,
-                  iteration_bound_check, k_pass_hitting_set, read_k_hitting_set,
-                  read_k_pit, roabp_hitting_set)
+from .pit import PitVerdict, iteration_bound, iteration_bound_check, read_k_pit
 from .hardpoly import (BlockPartition, EliminationResult, HardFamilyInstance,
                        block_partition, eliminate_summand, experiment_pn_evaldim,
                        experiment_qn_evaldim, gen_pn, gen_qn, pn_projection_step,

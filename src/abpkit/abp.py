@@ -144,19 +144,9 @@ class ObliviousAbp:
         if len(point) != self.num_vars:
             raise ValueError(f"point length {len(point)} != num_vars {self.num_vars}")
         p = self.field.p
-        vec = [1]       # Horner on each nonzero entry, one reduction mod p per layer
+        vec = [1]
         for layer in self.layers:
-            x = 0 if layer.var is None else point[layer.var] % p
-            out = [0] * layer.width_out
-            for v, row in zip(vec, layer.entries):
-                if v:
-                    for j, coeffs in enumerate(row):
-                        if coeffs:
-                            acc = 0
-                            for c in reversed(coeffs):
-                                acc = acc * x + c
-                            out[j] += v * acc
-            vec = [s % p for s in out]
+            vec = _times_layer(vec, layer, 0 if layer.var is None else point[layer.var] % p, p)
         return vec[0]
 
     def expand(self, guard: int = DEFAULT_EXPAND_GUARD,
@@ -237,23 +227,28 @@ class ObliviousAbp:
                 if type(rows) is UniMatrix:
                     rows = list(rows.eval_at(0))
                 x = assignment.get(layer.var, 0) % p
-                for r, vec in enumerate(rows):
-                    out = [0] * layer.width_out
-                    for v, row in zip(vec, layer.entries):
-                        if v:
-                            for j, coeffs in enumerate(row):
-                                if coeffs:
-                                    acc = 0
-                                    for c in reversed(coeffs):
-                                        acc = acc * x + c
-                                    out[j] += v * acc
-                    rows[r] = [s % p for s in out]
+                rows = [_times_layer(vec, layer, x, p) for vec in rows]
         if rows is not None:
             layers.append(rows if type(rows) is UniMatrix
                           else UniMatrix.constant(self.field, rows))
         abp = object.__new__(ObliviousAbp)
         abp.field, abp.num_vars, abp.layers = self.field, self.num_vars, tuple(layers)
         return abp
+
+
+def _times_layer(vec: list, layer: UniMatrix, x: int, p: int) -> list:
+    """Row vector ``vec`` times ``layer`` at x: Horner on each nonzero entry,
+    one reduction mod p."""
+    out = [0] * layer.width_out
+    for v, row in zip(vec, layer.entries):
+        if v:
+            for j, coeffs in enumerate(row):
+                if coeffs:
+                    acc = 0
+                    for c in reversed(coeffs):
+                        acc = acc * x + c
+                    out[j] += v * acc
+    return [s % p for s in out]
 
 
 @dataclass

@@ -431,39 +431,17 @@ class LinearSolver:
         self.rank += 1
         return True
 
-    def dependency(self, vec: Mapping) -> dict | None:
-        """If vec lies in the span, return {basis_index: coeff} over the added
-        vectors with vec == sum coeff * basis; otherwise None."""
+    def express(self, vec: Mapping, size: int | None = None) -> list | None:
+        """Dense coefficient list c of vec over the added basis, vec ==
+        sum c[b] * basis[b], padded to ``size``; None if vec is outside the span."""
         if not self.track_coords:
             raise ValueError("solver was not built with track_coords")
         residual, combo = self._reduce(vec)
         if residual:
             return None
         p = self.field.p
-        out: dict = {}
+        out = [0] * (self.rank if size is None else size)
         for idx, c in combo.items():
             for b, v in self._coords[idx].items():
-                t = (out.get(b, 0) + c * v) % p
-                if t:
-                    out[b] = t
-                else:
-                    out.pop(b, None)
+                out[b] = (out[b] + c * v) % p
         return out
-
-    def express(self, vec: Mapping, size: int | None = None) -> list | None:
-        """Dense coefficient list of vec over the added basis, or None."""
-        dep = self.dependency(vec)
-        if dep is None:
-            return None
-        n = self.rank if size is None else size
-        out = [0] * n
-        for b, v in dep.items():
-            out[b] = v
-        return out
-
-
-def sparse_rank(field: PrimeField, vectors: Iterable[Mapping]) -> int:
-    solver = LinearSolver(field)
-    for v in vectors:
-        solver.try_add(v)
-    return solver.rank

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .abp import DEFAULT_EXPAND_GUARD, ClassificationError, ObliviousAbp, validate
-from .algebra import LinearSolver, SparsePoly, UniMatrix, sparse_rank
+from .algebra import LinearSolver, SparsePoly, UniMatrix
 
 
 @dataclass
@@ -89,7 +89,10 @@ def _pd_rows(f: SparsePoly, S: Sequence[int], T: Sequence[int]) -> list:
 
 def pd_rank(f: SparsePoly, S, T) -> int:
     """Rank over F_p of the partial derivative matrix for the split (S, T)."""
-    return sparse_rank(f.field, _pd_rows(f, S, T))
+    solver = LinearSolver(f.field)
+    for row in _pd_rows(f, S, T):
+        solver.try_add(row)
+    return solver.rank
 
 
 def _greedy_basis(f: SparsePoly, S: Sequence[int], target: int,

@@ -10,10 +10,10 @@ later candidate is restricted first: no source-sink path means zero, else a
 probe of the restriction, a capped expansion (zero at once if the read-once
 relaxation is), and a recursion only where it gives up.  The accepted
 candidate's restriction is the next round's program.
-``_round_points`` is the one source of a round's points: the test
-walks them as they are made, and the stored sets (``roabp_hitting_set``,
-``k_pass_hitting_set``, the product set ``read_k_hitting_set``) keep them.
-Grid points make the verdict exact; random ones trade completeness for size.
+``_round_points`` makes a round's points (grid, random or a user file), and
+the test walks them as they are made: the paper's hitting set, the product
+of the rounds' sets, is never stored.  Grid points make the verdict exact;
+random ones trade completeness for size.
 """
 
 from __future__ import annotations
@@ -31,26 +31,6 @@ from .sequences import ReadSequence, prune
 DEFAULT_POINT_GUARD = 10 ** 6
 DEFAULT_FASTPATH_TERMS = 4096
 MAX_P_DENOMINATOR = 10 ** 4
-
-
-@dataclass
-class HittingSet:
-    """Points over a declared variable subset, with provenance recording how
-    they were produced (grid, random, or loaded from an external file)."""
-
-    vars: tuple
-    points: tuple
-    provenance: str
-
-    def __post_init__(self) -> None:
-        self.vars = tuple(self.vars)
-        self.points = tuple(tuple(pt) for pt in self.points)
-        for pt in self.points:
-            if len(pt) != len(self.vars):
-                raise ValueError("hitting set point arity mismatch")
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass
@@ -79,21 +59,19 @@ class PitVerdict:
         self.iterations = tuple(self.iterations)
 
 
-def _round_points(vars, width: int, degree, field: PrimeField, generator: str,
-                  seed: int, count: int | None, path, guard: int) -> tuple:
-    """One round's point source over ``vars``: (size, points, provenance).
-    Every refusal comes before the first point; grid and random points are
-    made only when the caller reaches them.  The grid {0..d_v} per variable
-    hits every nonzero polynomial with those individual degree bounds,
-    unconditionally (and ignores the width); over F_p it needs d_v + 1
+def _round_points(vars, width: int, degrees, field: PrimeField, generator: str,
+                  seed: int, count: int | None, path) -> tuple:
+    """One round's point source over ``vars``, one degree bound each: (size,
+    points).  Every refusal comes before the first point; grid and random
+    points are made only when the caller reaches them.  The grid {0..d_v} per
+    variable hits every nonzero polynomial with those individual degree
+    bounds, unconditionally (and ignores the width); over F_p it needs d_v + 1
     distinct values, so a degree bound >= p is refused.  Random draws
     ``count`` points, by default (|vars| * width * max(d, 1))^2.  External
     loads a user file, one assignment per line, decimal field elements in
     declared variable order; its validity as a generator is trusted."""
-    degrees = [degree] * len(vars) if isinstance(degree, int) else [int(d) for d in degree]
+    guard = DEFAULT_POINT_GUARD
     if generator == "grid":
-        if len(degrees) != len(vars):
-            raise ValueError("one degree bound per variable required")
         size = 1
         for d in degrees:
             if d < 0:
@@ -105,7 +83,7 @@ def _round_points(vars, width: int, degree, field: PrimeField, generator: str,
             size *= d + 1
             if size > guard:
                 raise GuardExceeded(f"grid of {size}+ points exceeds guard {guard}")
-        return size, itertools.product(*(range(d + 1) for d in degrees)), "grid"
+        return size, itertools.product(*(range(d + 1) for d in degrees))
     if generator == "random":
         if count is None:
             count = max(1, (len(vars) * width * max(max(degrees, default=0), 1)) ** 2)
@@ -114,8 +92,7 @@ def _round_points(vars, width: int, degree, field: PrimeField, generator: str,
         if count > guard:
             raise GuardExceeded(f"{count} random points exceeds guard {guard}")
         rng = random.Random(seed)
-        return (count, (tuple(field.random(rng) for _ in vars) for _ in range(count)),
-                f"random(seed={seed},count={count})")
+        return count, (tuple(field.random(rng) for _ in vars) for _ in range(count))
     if generator != "external":
         raise ValueError(f"unknown generator {generator!r}")
     if path is None:
@@ -138,34 +115,7 @@ def _round_points(vars, width: int, degree, field: PrimeField, generator: str,
             points.append(tuple(v % field.p for v in vals))
     if not points:
         raise ValueError(f"{path}: no points")
-    return len(points), points, f"external({path})"
-
-
-def roabp_hitting_set(vars, width: int, degree, field: PrimeField,
-                      generator: str = "grid", seed: int = 0,
-                      count: int | None = None, path=None,
-                      guard: int = DEFAULT_POINT_GUARD) -> HittingSet:
-    """Point set aimed at width-``width`` read-once programs over ``vars``:
-    the points of ``_round_points``, stored.  The grid generator is
-    unconditionally complete; random is probabilistically complete."""
-    vars = tuple(vars)
-    _, points, provenance = _round_points(vars, width, degree, field, generator,
-                                          seed, count, path, guard)
-    return HittingSet(vars, points, provenance)
-
-
-def k_pass_hitting_set(n: int, width: int, degree: int, k: int, field: PrimeField,
-                       order=None, generator: str = "grid", seed: int = 0,
-                       count: int | None = None, path=None,
-                       guard: int = DEFAULT_POINT_GUARD) -> HittingSet:
-    """Hitting set for k-pass programs in the given order: the read-once set
-    for collapsed width w^(2k) (plain w when k = 1) at individual degree k*d."""
-    vars = tuple(order) if order is not None else tuple(range(n))
-    if sorted(vars) != list(range(n)):
-        raise ValueError("order must be a permutation of all variables")
-    eff_width = width if k == 1 else width ** (2 * k)
-    return roabp_hitting_set(vars, eff_width, k * degree, field,
-                             generator, seed, count, path, guard)
+    return len(points), points
 
 
 def _choose_subset(seq: ReadSequence) -> tuple:
@@ -258,10 +208,9 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     while work.read_order():
         subset, floor = _choose_subset(read_sequence(work))
         degs = work.individual_degrees()
-        size, points, _ = _round_points(subset, work.width ** (2 * k),
-                                        [degs[v] for v in subset], work.field, generator,
-                                        seed + len(iterations), count, path,
-                                        DEFAULT_POINT_GUARD)
+        size, points = _round_points(subset, work.width ** (2 * k),
+                                     [degs[v] for v in subset], work.field, generator,
+                                     seed + len(iterations), count, path)
         tried, chosen, sub = (_scan_round(work, subset, points, rng, generator, count,
                                           path) or (size, None, None))
         iterations.append(IterationRecord(subset, floor, size, tried, chosen))
@@ -275,41 +224,6 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     if abp.evaluate(witness) == 0:
         raise RuntimeError("internal error: witness evaluates to zero")
     return PitVerdict(False, witness, iterations, generator, abp.num_vars, k)
-
-
-def read_k_hitting_set(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
-                       guard: int = DEFAULT_POINT_GUARD, count: int | None = None,
-                       path=None) -> HittingSet:
-    """The full point set the test walks: the cartesian product of the
-    per-round sets H_1^(y_1) x ... x H_t^(y_t).  Each round is sized as in
-    ``read_k_pit``, by the program left after the earlier rounds' subsets are
-    fixed; fixing them at zeros gives the same read order, width and degrees
-    as fixing them at the accepted points."""
-    cls = validate(abp)
-    work = cls.normalized
-    k = max(cls.k, 1)
-    rounds = []
-    while work.read_order():
-        subset, _ = _choose_subset(read_sequence(work))
-        degs = work.individual_degrees()
-        rounds.append((subset, *_round_points(subset, work.width ** (2 * k),
-                                              [degs[v] for v in subset], work.field,
-                                              generator, seed + len(rounds), count,
-                                              path, guard)))
-        work = work.restrict(dict.fromkeys(subset, 0))
-    if math.prod(size for _, size, _, _ in rounds) > guard:
-        raise GuardExceeded(f"cartesian product exceeds guard {guard}")
-    n = abp.num_vars
-    points = []
-    for combo in itertools.product(*(pts for _, _, pts, _ in rounds)):
-        point = [0] * n
-        for (subset, *_), pt in zip(rounds, combo):
-            for v, val in zip(subset, pt):
-                point[v] = val
-        points.append(point)
-    prov = " x ".join(f"{source}^{{{','.join(str(v + 1) for v in subset)}}}"
-                      for subset, _, _, source in rounds) or "empty"
-    return HittingSet(tuple(range(n)), points, prov)
 
 
 # -- iteration-count inequality ------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abpkit.algebra import LinearSolver, PrimeField, SparsePoly, UniMatrix, sparse_rank
+from abpkit.algebra import LinearSolver, PrimeField, SparsePoly, UniMatrix
+from abpkit.evaldim import pd_rank
 
 from conftest import make_random_poly
 
@@ -190,15 +191,24 @@ class TestUniMatrix:
 class TestLinearSolver:
     def test_rank_known_matrix(self, field):
         rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}]
-        assert sparse_rank(field, rows) == 2
+        solver = LinearSolver(field)
+        assert [solver.try_add(row) for row in rows] == [True, False, True]
+        assert solver.rank == 2
+        # the same rows as x*(y + 2y^2) + 2x^2*(y + 2y^2) + x^3*y^2, split by x | y
+        x, y = SparsePoly.variable(field, 2, 0), SparsePoly.variable(field, 2, 1)
+        f = (x + (x * x).scale(2)) * (y + (y * y).scale(2)) + x * x * x * y * y
+        assert pd_rank(f, [0], [1]) == 2
 
     def test_dependency_coefficients(self, field):
         solver = LinearSolver(field, track_coords=True)
         assert solver.try_add({0: 1, 1: 1})
         assert solver.try_add({1: 1})
         # (3, 1) = 3*(1,1) - 2*(0,1)
-        dep = solver.dependency({0: 3, 1: 1})
-        assert dep == {0: 3, 1: (field.p - 2)}
+        assert solver.express({0: 3, 1: 1}) == [3, field.p - 2]
+        assert solver.express({0: 3, 1: 1}, size=4) == [3, field.p - 2, 0, 0]
+        assert solver.express({2: 1}) is None
+        with pytest.raises(ValueError, match="track_coords"):
+            LinearSolver(field).express({0: 1})
 
     def test_express_roundtrip_random(self, field):
         rng = random.Random(4)

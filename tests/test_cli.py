@@ -142,13 +142,15 @@ class TestPit:
         assert "count >= 1" in err
 
     def test_empty_points_file_exit_two(self, capsys, tmp_path):
+        # an empty file and a missing one are both refused
         path = tmp_path / "none.txt"
         path.write_text("# comments only\n\n")
-        code, out, err = run(capsys, "pit", FIXTURES / "pn_3.json",
-                             "--generator", "external", "--points-file", path)
-        assert code == 2
-        assert out == ""
-        assert "no points" in err
+        for points, message in [(path, "no points"), (tmp_path / "absent.txt", "absent.txt")]:
+            code, out, err = run(capsys, "pit", FIXTURES / "pn_3.json",
+                                 "--generator", "external", "--points-file", points)
+            assert code == 2
+            assert out == ""
+            assert message in err
 
 
 class TestRoundTrip:

@@ -1,8 +1,9 @@
-"""Hitting sets, the white-box identity test, and the round-count inequality."""
+"""The white-box identity test, its per-round points, and the round-count inequality."""
 
 import itertools
 import pathlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -11,42 +12,76 @@ import pytest
 from abpkit import abp as abpmod
 from abpkit import pit
 from abpkit.abp import ObliviousAbp, to_canonical_text
-from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
+from abpkit.algebra import GuardExceeded, PrimeField, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
 from abpkit.hardpoly import gen_pn, gen_qn
-from abpkit.pit import (iteration_bound, iteration_bound_check,
-                        k_pass_hitting_set, read_k_hitting_set, read_k_pit,
-                        roabp_hitting_set)
+from abpkit.pit import iteration_bound, iteration_bound_check, read_k_pit
 from abpkit.sequences import ReadSequence
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
-class TestGridHittingSet:
+
+def chain(field, *coeffs):
+    """Width-1 read-once program: the product over v of the polynomial in x_v
+    with coefficients ``coeffs[v]``, lowest degree first."""
+    return ObliviousAbp(field, len(coeffs), tuple(
+        UniMatrix(field, v, ((tuple(c),),)) for v, c in enumerate(coeffs)))
+
+
+def records(verdict):
+    return [(r.subset, r.h_size, r.points_tried, r.chosen) for r in verdict.iterations]
+
+
+class TestGridPoints:
+    """A round's grid is {0..d_v} per subset variable, walked in
+    ``itertools.product`` order: a read-once program is one round, so its
+    records show the grid's size and where the walk stops."""
+
     def test_two_vars_multilinear(self, field):
-        hs = roabp_hitting_set((0, 1), 1, 1, field, generator="grid")
-        assert set(hs.points) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert hs.provenance == "grid"
+        v = read_k_pit(chain(field, (0, 1), (0, 1)))       # x1*x2
+        assert records(v) == [((0, 1), 4, 4, (1, 1))]
+        assert v.witness == (1, 1)
 
     def test_single_var_degree3(self, field):
-        hs = roabp_hitting_set((0,), 1, 3, field, generator="grid")
-        assert hs.points == ((0,), (1,), (2,), (3,))
+        v = read_k_pit(chain(field, (0, 2, field.p - 3, 1)))     # x(x-1)(x-2)
+        assert records(v) == [((0,), 4, 4, (3,))]
 
     def test_zero_vanishes_nonzero_hit(self, field):
-        z = SparsePoly.zero(field, 2)
-        f = SparsePoly.variable(field, 2, 0) + SparsePoly.variable(field, 2, 1)
-        hs = roabp_hitting_set((0, 1), 1, 1, field, generator="grid")
-        assert all(z.evaluate(pt) == 0 for pt in hs.points)
-        assert any(f.evaluate(pt) != 0 for pt in hs.points)
-        assert f.evaluate((0, 1)) != 0
+        # x1 + x2 is hit at the grid's second point; x1*x2 - x1*x2 at none
+        plus = ObliviousAbp(field, 2, (UniMatrix(field, 0, (((0, 1), (1,)),)),
+                                       UniMatrix(field, 1, (((1,),), ((0, 1),)))))
+        assert records(read_k_pit(plus)) == [((0, 1), 4, 2, (0, 1))]
+        cancel = ObliviousAbp(field, 2, (
+            UniMatrix(field, 0, (((0, 1), (0, 1)),)),
+            UniMatrix(field, 1, (((0, 1), ()), ((), (0, 1)))),
+            UniMatrix(field, None, (((1,),), ((field.p - 1,),)))))
+        v = read_k_pit(cancel)
+        assert v.is_zero and records(v) == [((0, 1), 4, 4, None)]
 
-    def test_guard(self, field):
-        with pytest.raises(GuardExceeded):
-            roabp_hitting_set(tuple(range(30)), 1, 2, field, generator="grid", guard=1000)
+    def test_guard(self, field, monkeypatch):
+        """P_7's first round declares 3^13 grid points and is refused before
+        any point is walked (about 0.5 ms for the whole call)."""
+        program = gen_pn(7, field, with_poly=False).realization
+        calls = Counter()
+        for name in ("evaluate", "restrict", "expand"):
+            def counted(self, *args, name=name, method=getattr(ObliviousAbp, name)):
+                calls[name] += 1
+                return method(self, *args)
+            monkeypatch.setattr(ObliviousAbp, name, counted)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            with pytest.raises(GuardExceeded, match=r"grid of 1594323\+ points exceeds guard"):
+                read_k_pit(program)
+            times.append(time.perf_counter() - start)
+        assert calls == Counter()
+        assert min(times) < 0.01
 
     def test_degree_reaching_p_refused(self, f7):
-        assert len(roabp_hitting_set((0,), 1, 6, f7, generator="grid")) == 7
+        v = read_k_pit(chain(f7, (0, 0, 0, 0, 0, 0, 1)))      # x^6: d = 6 < 7
+        assert records(v) == [((0,), 7, 2, (1,))]
         with pytest.raises(ValueError, match="wraps mod p"):
-            roabp_hitting_set((0, 1), 1, [1, 7], f7, generator="grid")
+            read_k_pit(chain(f7, (0, 1), (0, 0, 0, 0, 0, 0, 0, 1)))      # x1*x2^7
 
 
 def x7_minus_x(f7):
@@ -62,10 +97,6 @@ class TestSmallFieldRefusal:
         with pytest.raises(ValueError, match="wraps mod p"):
             read_k_pit(a)
 
-    def test_read_k_hitting_set_refuses_degree_p(self, f7):
-        with pytest.raises(ValueError):
-            read_k_hitting_set(x7_minus_x(f7))
-
     def test_degree_below_p_still_decided(self, f7):
         # x^6 - 1 vanishes on F_7 minus {0} but not at 0
         a = ObliviousAbp(f7, 1, (UniMatrix(f7, 0, (((6, 0, 0, 0, 0, 0, 1),),)),))
@@ -75,8 +106,19 @@ class TestSmallFieldRefusal:
 
 class TestGenerators:
     def test_grid_dispatch_matches(self, field):
-        a = roabp_hitting_set((0, 1, 2), width=4, degree=2, field=field)
-        assert a.points == tuple(itertools.product(range(3), repeat=3))
+        """The default generator is the grid, and a read-once program's one
+        round stops at the first grid point, in product order, where the
+        program is nonzero."""
+        rng = random.Random(29)
+        for i in range(20):
+            a = random_roabp(rng, field, 3, 2, entry_degree=2).abp
+            v = read_k_pit(a, seed=i)
+            assert v == read_k_pit(a, "grid", seed=i)
+            grid = list(itertools.product(*(range(d + 1) for d in a.individual_degrees())))
+            hits = [pt for pt in grid if a.evaluate(pt) != 0]
+            assert records(v) == [((0, 1, 2), len(grid),
+                                   grid.index(hits[0]) + 1 if hits else len(grid),
+                                   hits[0] if hits else None)]
 
     def test_random_generator_hits_random_roabps(self, field):
         rng = random.Random(30)
@@ -88,73 +130,43 @@ class TestGenerators:
             if part.abp.expand().is_zero:
                 continue
             tried += 1
-            hs = roabp_hitting_set(tuple(range(n)), w, 2, field,
-                                   generator="random", seed=i,
-                                   count=(n * w * 2) ** 2)
-            assert any(part.abp.evaluate(pt) != 0 for pt in hs.points)
+            v = read_k_pit(part.abp, "random", seed=i, count=(n * w * 2) ** 2)
+            assert not v.is_zero and part.abp.evaluate(v.witness) != 0
         assert tried >= 150
 
     def test_random_seed_determinism(self, field):
-        a = roabp_hitting_set((0, 1, 2), 1, 1, field, generator="random", seed=9, count=50)
-        b = roabp_hitting_set((0, 1, 2), 1, 1, field, generator="random", seed=9, count=50)
-        c = roabp_hitting_set((0, 1, 2), 1, 1, field, generator="random", seed=10, count=50)
-        assert a.points == b.points
-        assert a.points != c.points
+        a = chain(field, (0, 1), (1, 1), (2, 0, 1))
+        nine = read_k_pit(a, "random", seed=9, count=50)
+        assert nine == read_k_pit(a, "random", seed=9, count=50)
+        ten = read_k_pit(a, "random", seed=10, count=50)
+        assert nine.iterations[0].chosen != ten.iterations[0].chosen
 
     def test_external_round_trip(self, field, tmp_path):
+        # x1*(x2 - 4)*x3 is zero at the first two points, not at the third
         path = tmp_path / "points.txt"
         path.write_text("# demo points\n0 1 2\n3, 4, 5\n\n6 7 8\n")
-        hs = roabp_hitting_set((0, 1, 2), 1, 1, field, generator="external", path=path)
-        assert hs.points == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-        assert hs.provenance.startswith("external")
+        v = read_k_pit(chain(field, (0, 1), (field.p - 4, 1), (0, 1)), "external",
+                       path=path)
+        assert records(v) == [((0, 1, 2), 3, 3, (6, 7, 8))]
 
     def test_external_arity_error(self, field, tmp_path):
+        # a bad line is named by file and line number
         path = tmp_path / "bad.txt"
-        path.write_text("1 2\n")
-        with pytest.raises(ValueError, match="expected 3 values"):
-            roabp_hitting_set((0, 1, 2), 1, 1, field, generator="external", path=path)
+        for text, message in [("1 2\n", "1: expected 3 values, got 2"),
+                              ("0 1 2\n# a comment\n1, x, 2\n", "3: non-integer entry")]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"^{path}:{message}$"):
+                read_k_pit(chain(field, (0, 1), (0, 1), (0, 1)), "external", path=path)
 
     def test_external_missing_file(self, field):
         with pytest.raises(OSError):
-            roabp_hitting_set((0,), 1, 1, field, generator="external",
-                              path="no/such/file.txt")
+            read_k_pit(chain(field, (0, 1)), "external", path="no/such/file.txt")
+        with pytest.raises(ValueError, match="needs a points file path"):
+            read_k_pit(chain(field, (0, 1)), "external")
 
     def test_unknown_generator(self, field):
-        with pytest.raises(ValueError):
-            roabp_hitting_set((0,), 1, 1, field, generator="quantum")
-
-
-class TestKPassHittingSet:
-    def test_k1_plain_width_grid(self, field):
-        hs = k_pass_hitting_set(2, width=3, degree=1, k=1, field=field)
-        assert len(hs) == 4  # grid at degree 1*1
-
-    def test_k2_width_16_degree_doubles(self, field):
-        hs = k_pass_hitting_set(2, width=2, degree=1, k=2, field=field)
-        # grid ignores the width but must cover individual degree k*d = 2
-        assert len(hs) == 9
-
-    def test_k2_random_sized_for_collapsed_width(self, field):
-        hs = k_pass_hitting_set(2, width=2, degree=1, k=2, field=field,
-                                generator="random", seed=0,
-                                guard=10 ** 7)
-        # default count targets the collapsed width 2^4: (n * 16 * kd)^2
-        assert len(hs) == (2 * 16 * 2) ** 2
-
-    def test_hits_two_pass_corpus(self, field):
-        rng = random.Random(31)
-        from abpkit.corpus import random_k_pass_abp
-        checked = 0
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            w = rng.randint(1, 2)
-            a = random_k_pass_abp(rng, field, n, 2, w, entry_degree=1)
-            if a.expand().is_zero:
-                continue
-            checked += 1
-            hs = k_pass_hitting_set(n, w, 1, 2, field)
-            assert any(a.evaluate(pt) != 0 for pt in hs.points)
-        assert checked >= 40
+        with pytest.raises(ValueError, match="unknown generator 'quantum'"):
+            read_k_pit(chain(field, (0, 1)), "quantum")
 
 
 class TestReadKPit:
@@ -207,6 +219,21 @@ class TestReadKPit:
             assert v.is_zero == (not oracle_nonzero)
             if not v.is_zero:
                 assert a.evaluate(v.witness) != 0
+
+    def test_hits_two_pass_corpus(self, field):
+        rng = random.Random(31)
+        from abpkit.corpus import random_k_pass_abp
+        checked = 0
+        for i in range(60):
+            n = rng.randint(1, 5)
+            w = rng.randint(1, 2)
+            a = random_k_pass_abp(rng, field, n, 2, w, entry_degree=1)
+            if a.expand().is_zero:
+                continue
+            checked += 1
+            v = read_k_pit(a, seed=i)
+            assert not v.is_zero and a.evaluate(v.witness) != 0
+        assert checked >= 40
 
     def test_soundness_under_random_generator(self, field):
         rng = random.Random(33)
@@ -337,7 +364,8 @@ class TestReadKPit:
     def test_random_points_drawn_lazily(self, field, monkeypatch):
         """A round that hits at its first point draws that one point, not the
         declared count: here one point of the five subset variables and one
-        five-value probe, against 10^5 declared points."""
+        five-value probe, against 10^5 declared points.  A count over the
+        guard draws none."""
         a = random_read_k_abp(random.Random(0), field, 5, 1, 2, 1, term_budget=3000)
         draws = {"n": 0}
         draw = PrimeField.random
@@ -350,6 +378,10 @@ class TestReadKPit:
         assert not v.is_zero
         [rec] = v.iterations
         assert (len(rec.subset), rec.h_size, rec.points_tried) == (5, 10 ** 5, 1)
+        assert draws["n"] == len(rec.subset) + a.num_vars
+        # a count over the point guard is refused before any draw
+        with pytest.raises(GuardExceeded, match="1000001 random points exceeds guard"):
+            read_k_pit(a, generator="random", count=10 ** 6 + 1)
         assert draws["n"] == len(rec.subset) + a.num_vars
 
     def test_verdict_determinism(self, field):
@@ -524,48 +556,39 @@ class TestHardFamilies:
 
 
 class TestCartesianStructure:
+    """The test walks one path through the paper's hitting set, the product
+    H_1 x ... x H_t of its rounds' point sets, each over its round's subset."""
+
     def test_product_set_matches_iteration_subsets(self, field):
-        rng = random.Random(37)
-        a = random_read_k_abp(rng, field, 5, 2, 2, 1, term_budget=2000)
-        v = read_k_pit(a)
-        assert not v.is_zero
-        hs = read_k_hitting_set(a)
-        # the construction walks the same deterministic subset chain
-        groups = []
-        for chunk in hs.provenance.split(" x "):
-            inner = chunk[chunk.index("^{") + 2:-1]
-            groups.append(tuple(sorted(int(x) - 1 for x in inner.split(","))))
-        assert groups == [rec.subset for rec in v.iterations]
-        expect_size = 1
-        for rec in v.iterations:
-            expect_size *= rec.h_size
-        assert len(hs) == expect_size
-        assert sorted(x for g in groups for x in g) == list(range(5))
-        assert v.witness in set(hs.points)
+        rng = random.Random(38)
+        hit_checks = 0
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            a = random_read_k_abp(rng, field, n, rng.randint(1, 2), 2, 1, term_budget=2000)
+            v = read_k_pit(a)
+            assert v.is_zero == a.expand().is_zero
+            subsets = [rec.subset for rec in v.iterations]
+            if v.is_zero:
+                assert v.iterations[-1].chosen is None
+                continue
+            assert sorted(x for g in subsets for x in g) == list(range(n))
+            degs = a.individual_degrees()
+            for rec in v.iterations:
+                assert rec.chosen == tuple(v.witness[x] for x in rec.subset)
+                assert all(c <= degs[x] for x, c in zip(rec.subset, rec.chosen))
+            assert a.evaluate(v.witness) != 0
+            hit_checks += 1
+        assert hit_checks >= 12
 
     def test_random_rounds_sized_as_the_test_walks_them(self, field):
         """The second round's width is smaller once the first round's subset
-        is fixed; the product set sizes it by that width, as read_k_pit does."""
+        is fixed, and the default random count sizes the round by it."""
         rng = random.Random(222)
         k = rng.choice((2, 3))
         a = random_read_k_abp(rng, field, rng.randint(2, 5), k, rng.randint(2, 3), 1,
                               term_budget=2000)
         v = read_k_pit(a, generator="random")
         assert [rec.h_size for rec in v.iterations] == [1024, 1]
-        assert len(read_k_hitting_set(a, generator="random")) == 1024
-
-    def test_nonzero_program_hit_by_product_set(self, field):
-        rng = random.Random(38)
-        hit_checks = 0
-        for _ in range(20):
-            a = random_read_k_abp(rng, field, rng.randint(1, 5),
-                                  rng.randint(1, 2), 2, 1, term_budget=2000)
-            if a.expand().is_zero:
-                continue
-            hs = read_k_hitting_set(a, guard=10 ** 5)
-            assert any(a.evaluate(pt) != 0 for pt in hs.points)
-            hit_checks += 1
-        assert hit_checks >= 12
 
 
 class TestIterationBound:

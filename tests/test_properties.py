@@ -378,18 +378,19 @@ def reference_read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int =
     while work.read_order():
         subset, floor = reference_choose_subset(read_sequence(work))
         degs = work.individual_degrees()
-        hs = pit.roabp_hitting_set(subset, work.width ** (2 * k), [degs[v] for v in subset],
-                                   work.field, generator, seed + len(iterations), count,
-                                   path, pit.DEFAULT_POINT_GUARD)
+        _, points = pit._round_points(subset, work.width ** (2 * k), [degs[v] for v in subset],
+                                      work.field, generator, seed + len(iterations), count,
+                                      path)
+        points = list(points)
         chosen = None
         tried = 0
-        for pt in hs.points:
+        for pt in points:
             tried += 1
             candidate = work.restrict(dict(zip(subset, pt)))
             if _reference_nonzero(candidate, rng, generator, count, path):
                 chosen = pt
                 break
-        iterations.append(IterationRecord(subset, floor, len(hs), tried, chosen))
+        iterations.append(IterationRecord(subset, floor, len(points), tried, chosen))
         if chosen is None:
             return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
         assigned.update(zip(subset, chosen))
