@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .abp import DEFAULT_EXPAND_GUARD, ClassificationError, ObliviousAbp, validate
@@ -72,18 +73,20 @@ def _check_partition(num_vars: int, *parts) -> None:
 
 def _pd_rows(f: SparsePoly, S: Sequence[int], T: Sequence[int]) -> list:
     """Rows of the partial derivative matrix: one sparse vector per S-monomial
-    of f, indexed by T-monomials.  Requires the support of f inside S union T."""
+    of f over T-monomials numbered as first met; f must live on S union T."""
     S = sorted(S)
     T = sorted(T)
-    allowed = set(S) | set(T)
-    rows: dict = {}
-    for exps, c in f.terms.items():
-        for i, e in enumerate(exps):
-            if e and i not in allowed:
-                raise ValueError(f"polynomial mentions variable {i} outside S and T")
-        skey = tuple(exps[i] for i in S)
-        tkey = tuple(exps[i] for i in T)
-        rows.setdefault(skey, {})[tkey] = c
+    outside = sorted(set(range(f.num_vars)).difference(S, T))
+    if outside:
+        for exps in f.terms:
+            for i in outside:
+                if exps[i]:
+                    raise ValueError(f"polynomial mentions variable {i} outside S and T")
+    skey = itemgetter(*S) if S else (lambda exps: ())
+    tkey = itemgetter(*T) if T else (lambda exps: ())
+    rows, cols = {}, {}
+    for s, t, c in zip(map(skey, f.terms), map(tkey, f.terms), f.terms.values()):
+        rows.setdefault(s, {})[cols.setdefault(t, len(cols))] = c
     return list(rows.values())
 
 
@@ -132,6 +135,8 @@ def eval_dim(f: SparsePoly, S, T, R=(), *, trials: int = 3, seed: int = 0,
     if not R:
         dim, best_sub, trial_dims = pd_rank(f, S, T), f, ()
     else:
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1 when R is nonempty, got {trials}")
         rng = random.Random(seed)
         dim, best_sub, trial_dims = -1, None, []
         for _ in range(trials):

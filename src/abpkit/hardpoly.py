@@ -48,14 +48,14 @@ def pn_var_name(n: int, v: int) -> str:
 
 def _pn_polynomial(field: PrimeField, n: int, block) -> SparsePoly:
     """Product of the row sums and the column sums of the submatrix on rows
-    and columns ``block`` (1-based), over all n^2 variables."""
+    and columns ``block`` (1-based), over all n^2 variables.  The two products
+    are built apart and multiplied once, which pairs fewer terms."""
     nv = n * n
-    poly = SparsePoly.const(field, nv, 1)
-    for i in block:
-        poly = poly * SparsePoly.linear(field, nv, {pn_var(n, i, j): 1 for j in block})
-    for j in block:
-        poly = poly * SparsePoly.linear(field, nv, {pn_var(n, i, j): 1 for i in block})
-    return poly
+    rows = cols = SparsePoly.const(field, nv, 1)
+    for a in block:
+        rows = rows * SparsePoly.linear(field, nv, {pn_var(n, a, b): 1 for b in block})
+        cols = cols * SparsePoly.linear(field, nv, {pn_var(n, b, a): 1 for b in block})
+    return rows * cols
 
 
 def gen_pn(n: int, field: PrimeField = DEFAULT_FIELD,
@@ -395,9 +395,10 @@ def experiment_pn_evaldim(n: int, max_size: int = 4,
     same floor for inspection."""
     if n > PN_SYMBOLIC_LIMIT:
         raise GuardExceeded(f"experiment guarded at n <= {PN_SYMBOLIC_LIMIT}")
-    inst = gen_pn(n, field, with_poly=True)
-    poly = inst.polynomial
+    if n < 1:
+        raise ValueError("n must be at least 1")
     nv = n * n
+    poly = _pn_polynomial(field, n, range(1, n + 1))
     if subsets is None:
         subsets = []
         for t in range(0, max_size + 1):
@@ -405,7 +406,10 @@ def experiment_pn_evaldim(n: int, max_size: int = 4,
     rows = []
     for subset in subsets:
         t = len(subset)
-        complement = tuple(v for v in range(nv) if v not in set(subset))
+        chosen = set(subset)
+        if len(chosen) != t or not chosen <= set(range(nv)):
+            raise ValueError(f"subset {tuple(subset)} needs distinct variables in 0..{nv - 1}")
+        complement = tuple(v for v in range(nv) if v not in chosen)
         dim = pd_rank(poly, subset, complement)
         floor = 2 ** (math.isqrt(t - 1) + 1 if t > 0 else 0)
         rows.append(PnRow(tuple(subset), t, dim, floor, t < n, dim >= floor))
@@ -441,7 +445,7 @@ def pn_projection_step(n: int, t: int, field: PrimeField = DEFAULT_FIELD,
     if n > PN_SYMBOLIC_LIMIT:
         raise GuardExceeded(f"projection experiment guarded at n <= {PN_SYMBOLIC_LIMIT}")
     rng = random.Random(seed)
-    poly = gen_pn(n, field, with_poly=True).polynomial
+    poly = _pn_polynomial(field, n, range(1, n + 1))
     nv = n * n
     subset = tuple(pn_var(n, 1, j) for j in range(1, t + 1))
     if subset:
@@ -551,8 +555,9 @@ def experiment_qn_evaldim(n: int, pairs: int = 50, trials: int = 3,
     matched (x + y) pairs crossing between S and T."""
     if n > QN_SYMBOLIC_LIMIT:
         raise GuardExceeded(f"experiment guarded at n <= {QN_SYMBOLIC_LIMIT}")
-    inst = gen_qn(n, field, with_poly=True)
-    poly = inst.polynomial
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    poly = _qn_polynomial(field, n)
     xy = list(range(2 * n))
     zvars = tuple(range(2 * n, 3 * n))
     rng = random.Random(seed)

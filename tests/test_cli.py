@@ -290,6 +290,28 @@ class TestExperiments:
         assert code == 0
         assert "0 floor violations" in out
 
+    @pytest.mark.parametrize("kind, n, message", [
+        ("pn-evaldim", 0, "error: n must be at least 1"),
+        ("qn-evaldim", 1, "error: n must be at least 2"),
+        ("pn-evaldim", 5, "error: experiment guarded at n <= 4"),
+        ("qn-evaldim", 7, "error: experiment guarded at n <= 6"),
+    ])
+    def test_family_size_refused(self, capsys, kind, n, message):
+        code, out, err = run(capsys, "experiment", kind, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [message]
+
+    def test_qn_no_trials_refused(self, capsys, tmp_path):
+        # no trial would leave dimension -1, reported as a floor violation
+        report = tmp_path / "qn.csv"
+        code, out, err = run(capsys, "experiment", "qn-evaldim", "--n", "2",
+                             "--pairs", "1", "--trials", "0", "--report", report)
+        assert code == 2
+        assert out == ""
+        assert "trials" in err
+        assert not report.exists()
+
     def test_experiment_reports_byte_identical(self, capsys, tmp_path):
         r1 = tmp_path / "one.csv"
         r2 = tmp_path / "two.csv"

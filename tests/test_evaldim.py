@@ -66,6 +66,18 @@ class TestEvalDim:
         with pytest.raises(ValueError):
             eval_dim(x1 + x2, [0], [0, 1])
 
+    @pytest.mark.parametrize("with_basis", [True, False])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_with_r_refused(self, field, trials, with_basis):
+        # no substitution would leave dimension -1 and no polynomial to scan
+        x1, x2, x3 = variables(field, 3)
+        with pytest.raises(ValueError, match="trials"):
+            eval_dim(x1 * x3 + x2, [0], [1], [2], trials=trials, with_basis=with_basis)
+
+    def test_trials_ignored_without_r(self, field):
+        x1, x2 = variables(field, 2)
+        assert eval_dim(x1 + x2, [0], [1], trials=0).dimension == 2
+
     def test_random_substitution_lower_bounds_exact(self, field):
         rng = random.Random(20)
         for _ in range(40):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from abpkit.abp import ObliviousAbp, validate
-from abpkit.algebra import PrimeField, SparsePoly, UniMatrix
+from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
 from abpkit.evaldim import Roabp, eval_dim
 from abpkit.hardpoly import (block_partition, eliminate_summand,
@@ -54,7 +54,6 @@ class TestGenPn:
         assert cls.pass_orders == (row_major, col_major)
 
     def test_symbolic_guard(self, field):
-        from abpkit.algebra import GuardExceeded
         with pytest.raises(GuardExceeded):
             gen_pn(5, field, with_poly=True)
         inst = gen_pn(5, field)  # program-only is fine
@@ -298,6 +297,33 @@ class TestExperiments:
         text = out.read_text().splitlines()
         assert text[0] == "subset,t,dimension,floor,lemma_applies,ok"
         assert len(text) == 1 + len(rep.rows)
+
+    @pytest.mark.parametrize("subset", [(0, 0), (-1,), (4,), (7,), (1, 2, 1)])
+    def test_pn_bad_subset_refused(self, field, subset):
+        # a repeat would rank a smaller set under t = len(subset), a negative
+        # index would wrap to the last variable
+        with pytest.raises(ValueError, match="distinct variables in 0..3"):
+            experiment_pn_evaldim(2, field=field, subsets=[subset])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_pn_small_n_refused(self, field, n):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            experiment_pn_evaldim(n, max_size=1, field=field)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_qn_small_n_refused(self, n):
+        with pytest.raises(ValueError, match="^n must be at least 2$"):
+            experiment_qn_evaldim(n, pairs=1)
+
+    def test_symbolic_limits_refused(self, field):
+        with pytest.raises(GuardExceeded, match="experiment guarded at n <= 4"):
+            experiment_pn_evaldim(5, max_size=0, field=field)
+        with pytest.raises(GuardExceeded, match="experiment guarded at n <= 6"):
+            experiment_qn_evaldim(7, pairs=1)
+
+    def test_qn_no_trials_refused(self):
+        with pytest.raises(ValueError, match="trials"):
+            experiment_qn_evaldim(2, pairs=1, trials=0)
 
     def test_qn_empty_s_dimension_one(self):
         field = PrimeField(101)

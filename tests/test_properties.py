@@ -38,6 +38,15 @@ text as these; ``restrict``, which skips validation, must also equal its
 result rebuilt through ``ObliviousAbp`` and ``UniMatrix``, with the same
 support and degree in every layer.
 
+``reference_pd_rows`` is the partial derivative matrix as it was built
+before its keys were taken with ``itemgetter``: every exponent of every term
+is scanned for a variable outside S and T, and columns are keyed by
+T-exponent tuples.  ``pd_rank`` must give the same rank as
+``reference_pd_rank``, and the same refusal text when a variable outside S
+and T has a nonzero exponent.  ``reference_pn_polynomial`` multiplies the
+row sums and then the column sums into one product, one linear form at a
+time; ``_pn_polynomial`` must give the same polynomial.
+
 ``reference_iroot`` is the integer root by Newton's method from a power of
 two, and ``reference_enclosures`` the ``Fraction`` enclosures of the
 iteration-count inequality, built by ``reference_pow_bounds``.  ``_iroot``
@@ -73,8 +82,8 @@ from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, parse_text, read_seq
                         to_canonical_text, to_json_obj, validate)
 from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_per_read_monotone_sequence, random_read_k_abp
-from abpkit.evaldim import Roabp, _greedy_basis, pd_rank, roabp_synthesize
-from abpkit.hardpoly import gen_pn
+from abpkit.evaldim import Roabp, _greedy_basis, _pd_rows, pd_rank, roabp_synthesize
+from abpkit.hardpoly import _pn_polynomial, gen_pn, pn_var
 from abpkit.pit import IterationRecord, PitVerdict, read_k_pit
 from abpkit.sequences import (ReadSequence, is_regularly_interleaving,
                               per_read_monotone_subset, regularly_interleaving_subset)
@@ -298,6 +307,38 @@ def reference_synthesize(f: SparsePoly, order) -> Roabp:
     return Roabp(ObliviousAbp(field, n, tuple(layers)), order, tuple(profile))
 
 
+def reference_pd_rows(f: SparsePoly, S, T) -> list:
+    S = sorted(S)
+    T = sorted(T)
+    allowed = set(S) | set(T)
+    rows: dict = {}
+    for exps, c in f.terms.items():
+        for i, e in enumerate(exps):
+            if e and i not in allowed:
+                raise ValueError(f"polynomial mentions variable {i} outside S and T")
+        skey = tuple(exps[i] for i in S)
+        tkey = tuple(exps[i] for i in T)
+        rows.setdefault(skey, {})[tkey] = c
+    return list(rows.values())
+
+
+def reference_pd_rank(f: SparsePoly, S, T) -> int:
+    solver = LinearSolver(f.field)
+    for row in reference_pd_rows(f, S, T):
+        solver.try_add(row)
+    return solver.rank
+
+
+def reference_pn_polynomial(field: PrimeField, n: int, block) -> SparsePoly:
+    nv = n * n
+    poly = SparsePoly.const(field, nv, 1)
+    for i in block:
+        poly = poly * SparsePoly.linear(field, nv, {pn_var(n, i, j): 1 for j in block})
+    for j in block:
+        poly = poly * SparsePoly.linear(field, nv, {pn_var(n, i, j): 1 for i in block})
+    return poly
+
+
 def reference_iroot(value: int, k: int) -> int:
     if value < 0:
         raise ValueError("negative radicand")
@@ -470,6 +511,24 @@ def synthesis_inputs(draw, max_vars=4, max_degree=3):
         terms = {e: c for e, c in terms.items() if sum(e) < field.p}
     order = draw(st.permutations(range(n)))
     return SparsePoly(field, n, terms), tuple(order)
+
+
+@st.composite
+def pd_cases(draw, max_vars=5, max_degree=3):
+    """A polynomial over p in {2, 5, 101} and a split of its variables into
+    S, T and the rest (R).  S or T is empty one time in four each; R's
+    variables keep their exponents, so some cases must be refused."""
+    field = PrimeField(draw(st.sampled_from((2, 5, 101))))
+    n = draw(st.integers(0, max_vars))
+    exps = st.tuples(*[st.integers(0, max_degree)] * n)
+    f = SparsePoly(field, n, draw(st.dictionaries(exps, st.integers(1, field.p - 1),
+                                                  max_size=12)))
+    part = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    for emptied in (0, 1):
+        if not draw(st.integers(0, 3)):
+            part = [2 if x == emptied else x for x in part]
+    S, T, R = ([v for v in range(n) if part[v] == k] for k in range(3))
+    return f, draw(st.permutations(S)), draw(st.permutations(T)), R
 
 
 JSON_VALUES = st.recursive(
@@ -973,6 +1032,65 @@ class TestSynthesisMatchesReference:
         field = PrimeField(p)
         self.check(SparsePoly.zero(field, n), tuple(range(n)))
         self.check(SparsePoly.const(field, n, 3), tuple(reversed(range(n))))
+
+
+class TestPdRankMatchesReference:
+    @staticmethod
+    def outcome(fn, f, S, T):
+        try:
+            return fn(f, S, T)
+        except ValueError as exc:
+            return f"refused: {exc}"
+
+    @PROPERTY_SETTINGS
+    @given(pd_cases(), st.data())
+    def test_same_rank_or_refusal(self, case, data):
+        f, S, T, R = case
+        assert self.outcome(pd_rank, f, S, T) == self.outcome(reference_pd_rank, f, S, T)
+        g = f.substitute({r: data.draw(st.integers(-f.field.p, 2 * f.field.p)) for r in R})
+        assert pd_rank(g, S, T) == reference_pd_rank(g, S, T)
+        assert len(_pd_rows(g, S, T)) == len(reference_pd_rows(g, S, T))
+
+    def test_cases_cover_every_shape(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(pd_cases())
+        def check(case):
+            f, S, T, R = case
+            seen["S empty"] += not S
+            seen["T empty"] += not T
+            seen["R substituted"] += bool(R) and not f.is_zero
+            seen["refused"] += str(self.outcome(pd_rank, f, S, T)).startswith("refused")
+
+        check()
+        assert min(seen[k] for k in ("S empty", "T empty", "R substituted", "refused")) > 0
+
+    def test_first_offending_variable_named(self):
+        field = PrimeField(101)
+        f = SparsePoly(field, 5, {(1, 0, 0, 0, 0): 1, (0, 0, 2, 0, 1): 3,
+                                  (0, 0, 0, 1, 0): 1})
+        for S, T, v in (([0], [1], 2), ([], [0, 1], 2), ([1, 0], [], 2), ([], [], 0)):
+            want = self.outcome(reference_pd_rank, f, S, T)
+            assert want == f"refused: polynomial mentions variable {v} outside S and T"
+            assert self.outcome(pd_rank, f, S, T) == want
+
+    def test_empty_sides(self):
+        field = PrimeField(101)
+        for f in (SparsePoly.zero(field, 0), SparsePoly.const(field, 0, 7),
+                  SparsePoly.zero(field, 2), SparsePoly.linear(field, 2, {0: 1, 1: 2}, 3)):
+            for S, T in (([], list(range(f.num_vars))), (list(range(f.num_vars)), [])):
+                assert pd_rank(f, S, T) == reference_pd_rank(f, S, T) == int(not f.is_zero)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pn_polynomial(self, n):
+        field = PrimeField(101)
+        blocks = [range(1, n + 1)] + [range(t + 1, n) for t in range(n - 1)]
+        blocks += [(1, n), (n,), ()]
+        for block in blocks:
+            got = _pn_polynomial(field, n, block)
+            assert got == reference_pn_polynomial(field, n, block)
+            assert_canonical(got)
 
 
 class TestTrustedResultsAreCanonical:
