@@ -265,16 +265,13 @@ class AbpClass:
     normalized: ObliviousAbp
 
 
-def normalize(abp: ObliviousAbp, k: int | None = None) -> ObliviousAbp:
-    """Pad with identity layers so every variable is read exactly k times.
+def normalize(abp: ObliviousAbp) -> ObliviousAbp:
+    """Pad with identity layers so every variable is read exactly k times, k
+    the tight read multiplicity (at least 1 when there are variables).
     Padding layers are 1x1 identities appended after the sink, which keeps the
     width and the computed polynomial unchanged."""
     counts = abp.read_counts()
-    k_tight = max(counts.values(), default=0)
-    if k is None:
-        k = max(k_tight, 1) if abp.num_vars else k_tight
-    if k_tight > k:
-        raise ValueError(f"program already reads a variable {k_tight} times > k={k}")
+    k = max(counts.values(), default=min(abp.num_vars, 1))
     pad = []
     for v in range(abp.num_vars):
         for _ in range(k - counts.get(v, 0)):

@@ -191,6 +191,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # an experiment with nothing in it would pass vacuously
+    sizes = {"pn-evaldim": (("--max-size", args.max_size, 0),),
+             "qn-evaldim": (("--pairs", args.pairs, 1),),
+             "iteration-bound": (("--r-max", args.r_max, 1), ("--n-max", args.n_max, 1))}
+    for flag, value, least in sizes.get(args.kind, ()):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least} for a non-empty sweep, got {value}")
     if args.kind == "pn-evaldim":
         report = experiment_pn_evaldim(args.n, max_size=args.max_size,
                                        field=PrimeField(args.field_prime))
@@ -224,7 +231,7 @@ def _cmd_experiment(args) -> int:
         if args.file is None:
             raise ValueError("experiment blocks needs --file")
         program = abpio.load(args.file)
-        part = block_partition(program, args.blocks, method=args.method)
+        part = block_partition(program, args.blocks)
         print(f"chosen blocks: {part.chosen}")
         print(f"|U|={len(part.U)} |V|={len(part.V)} |W|={len(part.W)}")
         if args.report:
@@ -234,9 +241,6 @@ def _cmd_experiment(args) -> int:
                                                  ("W", part.W))))
         return 0
     # iteration-bound
-    for flag, value in (("--r-max", args.r_max), ("--n-max", args.n_max)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1 for a non-empty sweep, got {value}")
     p_values = [Fraction(x) for x in args.p_grid.split(",")]
     rows = [(str(p), r, n, int(ok)) for p, r, n, ok in
             iteration_bound_sweep(p_values, range(1, args.r_max + 1), args.n_max)]
@@ -334,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--entry-degree", type=int, default=1)
     p.add_argument("--blocks", type=int, default=4)
-    p.add_argument("--method", choices=["exhaustive", "greedy"],
-                   default="exhaustive")
     p.add_argument("--p-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     p.add_argument("--r-max", type=int, default=9)
     p.add_argument("--n-max", type=int, default=10000)

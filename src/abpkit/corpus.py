@@ -1,15 +1,16 @@
 """Seeded random instances: programs, polynomials, and read sequences.
 
-Generators are deterministic given their Random instance, and the program
-samplers keep the estimated expansion size under a term budget so that the
-brute-force oracle stays viable on every instance they emit.
+Generators are deterministic given their Random instance.  The program
+samplers share one widths-then-layers draw (the cancelling chain aside); the
+read-k sampler throttles degrees so that the estimated expansion stays under
+a term budget, keeping the brute-force oracle viable on every instance.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .abp import ObliviousAbp
 from .algebra import PrimeField, SparsePoly, UniMatrix
@@ -26,6 +27,15 @@ def _random_matrix(rng: random.Random, field: PrimeField, var: int,
     grid = tuple(tuple(_random_entry(rng, field, degree) for _ in range(cols))
                  for _ in range(rows))
     return UniMatrix(field, var, grid)
+
+
+def _random_layers(rng: random.Random, field: PrimeField, order: Sequence[int],
+                   width: int, degree: Callable[[int], int]) -> list:
+    """Layers reading ``order``: boundary widths drawn in 1..width first, then
+    per layer its degree ``degree(v)`` and its entries."""
+    dims = [1] + [rng.randint(1, width) for _ in range(len(order) - 1)] + [1]
+    return [_random_matrix(rng, field, v, dims[pos], dims[pos + 1], degree(v))
+            for pos, v in enumerate(order)]
 
 
 def _throttled_degree(rng: random.Random, ind: list, v: int,
@@ -55,12 +65,11 @@ def random_read_k_abp(rng: random.Random, field: PrimeField, n: int, k: int,
     counts[rng.randrange(n)] = k
     order = [v for v in range(n) for _ in range(counts[v])]
     rng.shuffle(order)
-    length = len(order)
+    ind = [0] * n
 
     if zero_kind == "cancel":
         # Two identical lanes subtracted at the sink: width 2, exactly zero.
         layers = []
-        ind = [0] * n
         for pos, v in enumerate(order):
             deg = _throttled_degree(rng, ind, v, max_entry_degree, term_budget)
             entry = _random_entry(rng, field, deg)
@@ -72,14 +81,10 @@ def random_read_k_abp(rng: random.Random, field: PrimeField, n: int, k: int,
         layers.append(UniMatrix(field, None, (((c,),), ((field.p - c,),))))
         return ObliviousAbp(field, n, tuple(layers))
 
-    dims = [1] + [rng.randint(1, width) for _ in range(length - 1)] + [1]
-    layers = []
-    ind = [0] * n
-    for pos, v in enumerate(order):
-        deg = _throttled_degree(rng, ind, v, max_entry_degree, term_budget)
-        layers.append(_random_matrix(rng, field, v, dims[pos], dims[pos + 1], deg))
+    layers = _random_layers(rng, field, order, width, lambda v: _throttled_degree(
+        rng, ind, v, max_entry_degree, term_budget))
     if zero_kind == "zero_layer":
-        idx = rng.randrange(length)
+        idx = rng.randrange(len(order))
         old = layers[idx]
         zero = tuple(tuple(() for _ in range(old.width_out))
                      for _ in range(old.width_in))
@@ -105,39 +110,27 @@ def random_k_pass_abp(rng: random.Random, field: PrimeField, n: int, k: int,
         else:
             orders.append(list(base))
     flat = [v for pi in orders for v in pi]
-    dims = [1] + [rng.randint(1, width) for _ in range(len(flat) - 1)] + [1]
-    layers = []
-    for pos, v in enumerate(flat):
-        deg = rng.randint(0, entry_degree)
-        layers.append(_random_matrix(rng, field, v, dims[pos], dims[pos + 1], deg))
+    layers = _random_layers(rng, field, flat, width, lambda v: rng.randint(0, entry_degree))
     return ObliviousAbp(field, n, tuple(layers))
 
 
 def random_roabp(rng: random.Random, field: PrimeField, n: int, width: int,
-                 entry_degree: int = 1, order: Sequence[int] | None = None) -> Roabp:
-    """Random read-once program in the given (or a random) order."""
-    if order is None:
-        order = list(range(n))
-        rng.shuffle(order)
-    order = tuple(order)
-    dims = [1] + [rng.randint(1, width) for _ in range(n - 1)] + [1]
-    if n == 1:
-        dims = [1, 1]
-    layers = []
-    for pos, v in enumerate(order):
-        deg = rng.randint(0, entry_degree)
-        layers.append(_random_matrix(rng, field, v, dims[pos], dims[pos + 1], deg))
+                 entry_degree: int = 1) -> Roabp:
+    """Random read-once program in a random order."""
+    order = list(range(n))
+    rng.shuffle(order)
+    layers = _random_layers(rng, field, order, width, lambda v: rng.randint(0, entry_degree))
     abp = ObliviousAbp(field, n, tuple(layers))
     return Roabp(abp, order, tuple(layer.width_out for layer in abp.layers[:-1]))
 
 
-def random_multilinear_poly(rng: random.Random, field: PrimeField, n: int,
-                            density: float = 0.4) -> SparsePoly:
-    """Random multilinear polynomial; resamples until nonzero."""
+def random_multilinear_poly(rng: random.Random, field: PrimeField, n: int) -> SparsePoly:
+    """Random multilinear polynomial, each monomial present with probability
+    0.4; resamples until nonzero."""
     while True:
         terms = {}
         for bits in range(2 ** n):
-            if rng.random() < density:
+            if rng.random() < 0.4:
                 exps = tuple((bits >> i) & 1 for i in range(n))
                 terms[exps] = rng.randrange(1, field.p)
         if terms:
@@ -151,18 +144,13 @@ def random_read_k_sequence(rng: random.Random, n: int, k: int) -> ReadSequence:
     return ReadSequence.from_order(order)
 
 
-def random_per_read_monotone_sequence(rng: random.Random, n: int, k: int,
-                                      directions: Sequence[str] | None = None) -> ReadSequence:
+def random_per_read_monotone_sequence(rng: random.Random, n: int, k: int) -> ReadSequence:
     """Random per-read-monotone read-k sequence built as a random linear
-    extension of k monotone reads (first read increasing by convention)."""
-    if directions is None:
-        directions = ["inc"] + [rng.choice(["inc", "dec"]) for _ in range(k - 1)]
-    if directions[0] == "dec":
-        raise ValueError("first read must be increasing")
-    tokens = []
-    for i, d in enumerate(directions, start=1):
-        elems = list(range(n)) if d == "inc" else list(range(n - 1, -1, -1))
-        tokens.append(elems)
+    extension of k monotone reads: the first increasing, each other
+    increasing or decreasing with probability 1/2."""
+    directions = ["inc"] + [rng.choice(["inc", "dec"]) for _ in range(k - 1)]
+    tokens = [list(range(n)) if d == "inc" else list(range(n - 1, -1, -1))
+              for d in directions]
     ptr = [0] * k
     placed = [0] * n
     order = []

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, validate, write_csv
+from .abp import ObliviousAbp, validate, write_csv
 from .algebra import (DEFAULT_FIELD, GuardExceeded, LinearSolver, PrimeField, SparsePoly,
                       UniMatrix)
 from .evaldim import Roabp, eval_dim, pd_rank
@@ -208,12 +208,11 @@ class BlockPartition:
     k: int
 
 
-def block_partition(abp: ObliviousAbp, r: int,
-                    method: str = "exhaustive") -> BlockPartition:
+def block_partition(abp: ObliviousAbp, r: int) -> BlockPartition:
     """Split the normalized program's layers into r near-equal contiguous
     blocks and pick the k of them jointly covering all reads of the largest
-    variable set.  The exhaustive scan over all C(r, k) block tuples is the
-    ground truth; the greedy method (by read mass) is a cheaper heuristic."""
+    variable set: an exhaustive scan over the C(r, k) tuples, first best wins.
+    By averaging, that set has at least n / C(r, k) variables."""
     cls = validate(abp)
     work = cls.normalized
     k = max(cls.k, 1)
@@ -238,21 +237,13 @@ def block_partition(abp: ObliviousAbp, r: int,
                 touched[b].add(v)
                 block_of.setdefault(v, set()).add(b)
     variables = sorted(block_of)
-    if method == "exhaustive":
-        best_combo = None
-        best_u: list = []
-        for combo in itertools.combinations(range(r), k):
-            cset = set(combo)
-            u = [v for v in variables if block_of[v] <= cset]
-            if best_combo is None or len(u) > len(best_u):
-                best_combo, best_u = combo, u
-    elif method == "greedy":
-        mass = sorted(range(r), key=lambda b: (-len(touched[b]), b))
-        best_combo = tuple(sorted(mass[:k]))
-        cset = set(best_combo)
-        best_u = [v for v in variables if block_of[v] <= cset]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    best_combo = None
+    best_u: list = []
+    for combo in itertools.combinations(range(r), k):
+        cset = set(combo)
+        u = [v for v in variables if block_of[v] <= cset]
+        if best_combo is None or len(u) > len(best_u):
+            best_combo, best_u = combo, u
     u = frozenset(best_u)
     w = frozenset(v for b in best_combo for v in touched[b]) - u
     v_rest = frozenset(range(work.num_vars)) - u - w
@@ -274,8 +265,7 @@ class EliminationResult:
     residuals: tuple
 
 
-def eliminate_summand(parts, t: int,
-                      guard: int = DEFAULT_EXPAND_GUARD) -> EliminationResult:
+def eliminate_summand(parts, t: int) -> EliminationResult:
     """Given read-once programs h_1..h_c of width <= w, pick the first w+1
     grid assignments to the first t variables of h_1's order; their h_1
     restrictions are forced linearly dependent, and the first dependency
@@ -308,7 +298,7 @@ def eliminate_summand(parts, t: int,
     for a in grid:
         if len(assignments) >= width + 1:
             break
-        restriction = part1.abp.restrict(dict(zip(subset, a))).expand(guard)
+        restriction = part1.abp.restrict(dict(zip(subset, a))).expand()
         assignments.append(a)
         if not solver.try_add(restriction.terms):
             alpha = solver.express(restriction.terms, len(assignments))

@@ -74,8 +74,6 @@ def _round_points(vars, width: int, degrees, field: PrimeField, generator: str,
     if generator == "grid":
         size = 1
         for d in degrees:
-            if d < 0:
-                raise ValueError("negative degree bound")
             if d >= field.p:
                 raise ValueError(f"degree bound {d} >= p = {field.p}: the grid "
                                  "{0..d} wraps mod p and no longer hits every "

@@ -324,17 +324,7 @@ def regularly_interleaving_subset(S: ReadSequence) -> frozenset:
     1/3 fraction per pair, so |X'| >= s/3^(k^2) overall."""
     if not S.is_per_read_monotone():
         raise SequenceError("input sequence is not per-read-monotone")
-    return _prune_pairs(S, frozenset(range(S.n)))
-
-
-def _prune_pairs(S: ReadSequence, alive: frozenset) -> frozenset:
-    """The pair pruning of ``regularly_interleaving_subset``, on the elements
-    ``alive`` of S, whose reads restricted to them are monotone."""
-    for i, j in combinations(range(1, S.k + 1), 2):
-        pairs = [(e, 1 if c == i else 2)
-                 for e, c in S.entries if c in (i, j) and e in alive]
-        alive = _prune_pair(pairs)
-    return frozenset(alive)
+    return prune(S)[1]
 
 
 def prune(S: ReadSequence) -> tuple:
@@ -342,8 +332,11 @@ def prune(S: ReadSequence) -> tuple:
     (X', X'') with X' the per-read-monotone subset and X'' the
     regularly-interleaving subset of S|X'.  S|X'' is checked for both
     properties on S's entries, and a failure raises RuntimeError."""
-    mono = per_read_monotone_subset(S)
-    regular = _prune_pairs(S, mono)
+    regular = mono = per_read_monotone_subset(S)
+    for i, j in combinations(range(1, S.k + 1), 2):
+        regular = _prune_pair([(e, 1 if c == i else 2)
+                               for e, c in S.entries if c in (i, j) and e in regular])
+    regular = frozenset(regular)
     kept = [(e, c) for e, c in S.entries if e in regular]
     if None in map(_direction, _reads_of(kept, S.k)) or not _check_interleaving(kept, S.k)[0]:
         raise RuntimeError("pruned subset failed its structural checks")

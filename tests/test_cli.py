@@ -258,11 +258,14 @@ class TestExperiments:
         assert len(lines) == 1 + 2 * 3 * 50
 
     @pytest.mark.parametrize("flag, value", [("--r-max", 0), ("--n-max", 0),
-                                             ("--n-max", -5)])
+                                             ("--n-max", -5), ("--max-size", -1),
+                                             ("--pairs", 0)])
     def test_iteration_bound_empty_sweep_refused(self, capsys, flag, value):
-        # an empty grid would pass vacuously: "0 grid points checked"
+        # an empty experiment would pass vacuously: "0 grid points checked",
+        # "0 subsets", "0 sampled splits"
+        kind = {"--max-size": "pn-evaldim", "--pairs": "qn-evaldim"}.get(flag, "iteration-bound")
         args = {"--r-max": 3, "--n-max": 50, flag: value}
-        code, out, err = run(capsys, "experiment", "iteration-bound",
+        code, out, err = run(capsys, "experiment", kind,
                              *(x for kv in args.items() for x in kv))
         assert code == 2
         assert out == ""

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from abpkit.abp import ClassificationError, ObliviousAbp
+from abpkit.abp import ClassificationError, ObliviousAbp, validate
 from abpkit.algebra import PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_k_pass_abp, random_multilinear_poly
 from abpkit.evaldim import (eval_dim, k_gap_check, k_gap_to_roabp,
@@ -204,15 +204,24 @@ class TestKGapCheck:
         assert k_gap_check(a, 1) == 2
 
 
+def assert_pass_gaps(a, k):
+    # k passes in order pi: exactly k gaps at every proper prefix of pi, and
+    # one at the full prefix, so k_pass_to_roabp needs no gap check
+    pi = validate(a).pass_orders[0]
+    assert max_gap(a, order=pi) == (k if a.num_vars >= 2 else 1)
+
+
 class TestCollapse:
     def test_one_pass_returned_unchanged(self, field):
         a = reading_chain(field, 3, [1, 0, 2])
+        assert_pass_gaps(a, 1)
         r = k_pass_to_roabp(a)
         assert r.abp is a
         assert r.order == (1, 0, 2)
 
     def test_two_pass_width_one_square(self, field):
         a = reading_chain(field, 1, [0, 0])
+        assert_pass_gaps(a, 2)
         r = k_pass_to_roabp(a)
         assert r.width <= 1
         x = SparsePoly.variable(field, 1, 0)
@@ -229,6 +238,7 @@ class TestCollapse:
         a = ObliviousAbp(field, 2, layers)
         x1, x2 = variables(field, 2)
         assert a.expand() == (x1 + x2) * (x1 + x2)
+        assert_pass_gaps(a, 2)
         r = k_pass_to_roabp(a)
         assert r.abp.expand() == (x1 + x2) * (x1 + x2)
         assert r.width <= 2 ** 4
@@ -245,6 +255,7 @@ class TestCollapse:
             k = rng.randint(1, 3)
             w = rng.randint(1, 3)
             a = random_k_pass_abp(rng, field, n, k, w, entry_degree=1)
+            assert_pass_gaps(a, k)
             r = k_pass_to_roabp(a)
             assert r.abp.expand() == a.expand()
             assert r.width <= max(w, 1) ** (2 * k)
@@ -255,6 +266,7 @@ class TestCollapse:
             n = rng.randint(2, 4)
             a = random_k_pass_abp(rng, field, n, 2, 2, entry_degree=1,
                                   varying=False)
+            assert_pass_gaps(a, 2)
             # identity-order gap need not be small for an arbitrary pass
             # order, so collapse in the program's own order via the pass path
             # and in identity order via the gap path when admissible.

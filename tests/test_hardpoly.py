@@ -193,12 +193,6 @@ class TestBlockPartition:
                            with_basis=False, seed=1)
             assert rep.dimension <= max(w, 1) ** 4
 
-    def test_greedy_available(self, field):
-        rng = random.Random(43)
-        a = random_read_k_abp(rng, field, 5, 2, 2, 1, term_budget=2000)
-        part = block_partition(a, 5, method="greedy")
-        assert part.U | part.V | part.W == frozenset(range(5))
-
 
 class TestEliminateSummand:
     def test_single_summand_combination_is_zero(self, field):
