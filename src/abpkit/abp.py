@@ -162,7 +162,10 @@ class ObliviousAbp:
         own cost scale, and whose read-once relaxation is zero.  Term maps key
         a monomial by one int, v's exponent in a field of d_v.bit_length() bits
         (d_v its individual degree), so x_v^e shifts a key by e << offset_v; no
-        exponent of v in a partial product exceeds d_v, so no add carries."""
+        exponent of v in a partial product exceeds d_v, so no add carries.  The
+        final keys are unpacked one bit field at a time, a column per variable
+        (an unread one's is all zeros), and zipped into exponent tuples in key
+        order; with no variables the one key becomes ``()``."""
         degs = self.individual_degrees()
         est = math.prod(d + 1 for d in degs)
         if not self.reaches_sink or (est > len(self.layers) * self.width ** 2
@@ -197,9 +200,13 @@ class ObliviousAbp:
             row = [{key: r for key, a in acc.items() if (r := a % p)} for acc in out]
             if budget is not None and max(map(len, row)) > budget:
                 return None
-        fields = [(lo, (1 << d.bit_length()) - 1) for lo, d in zip(offsets, degs)]
-        return SparsePoly._trusted(self.field, self.num_vars, {
-            tuple(key >> lo & mask for lo, mask in fields): a for key, a in row[0].items()})
+        # Unpack by column: one bit field for every key at a time.
+        terms = row[0]
+        zeros = [0] * len(terms)
+        cols = [[key >> lo & mask for key in terms] if (mask := (1 << d.bit_length()) - 1)
+                else zeros for lo, d in zip(offsets, degs)]
+        return SparsePoly._trusted(self.field, self.num_vars, dict(
+            zip(zip(*cols) if cols else [()] * len(terms), terms.values())))
 
     def restrict(self, assignment: Mapping[int, int]) -> "ObliviousAbp":
         """Fix some variables.  Each run of layers that read nothing or read a

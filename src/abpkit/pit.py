@@ -228,15 +228,27 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
 
 
 def _iroot(value: int, k: int) -> int:
-    """Floor of the integer k-th root.  The seed is the float root, shifted
-    into place; one Newton step lifts it to or above the floor, and Newton's
-    descent from there needs a few steps."""
+    """Floor of the integer k-th root.  The float root picks the start and
+    integer checks decide.  Below 2^52 the float root x is the floor if
+    x^k <= value < (x+1)^k, and a step of one either way covers its rounding.
+    A larger root, or a seed off by more (a poor libm), goes to Newton's
+    descent from the seed shifted into place: one step lifts it to or above
+    the floor, by AM-GM, and a few more come down to it."""
     if value < 0:
         raise ValueError("negative radicand")
     if value == 0:
         return 0
     shift = max(value.bit_length() // k - 52, 0)
-    x = int(math.exp(math.log(value) / k - shift * math.log(2))) + 2 << shift
+    x = max(int(math.exp(math.log(value) / k - shift * math.log(2))), 0)
+    if not shift:
+        if x ** k <= value:
+            if value < (x + 1) ** k:
+                return x
+            if value < (x + 2) ** k:
+                return x + 1
+        elif (x - 1) ** k <= value:
+            return x - 1
+    x = x + 2 << shift
     x = ((k - 1) * x + value // x ** (k - 1)) // k      # >= the floor, by AM-GM
     while (y := ((k - 1) * x + value // x ** (k - 1)) // k) < x:
         x = y
@@ -250,13 +262,20 @@ def _enclosures(n: int, a: int, b: int, r: int, bits: int) -> tuple:
     p = a/b and c = b - a, as numerators over 2^bits: floor b-th roots of the power
     times 2^(bits*b), and those + 1 (a zero base gives 0).  The inner term lies in
     [m - 1, m] / (r*2^bits), m = n*r*2^bits - (root for n^p), and its scaled power
-    is m^c * 2^(bits*a) / r^c, whose floor has the same floor root."""
+    is m^c * 2^(bits*a) / r^c, whose floor has the same floor root.  Its radicand
+    only moves from m - 1 to m, which seldom moves the root, so c_hi steps up
+    from c_lo by exact checks; only a move of two or more takes a fourth root."""
     c = b - a
     root_a = _iroot(n ** c << bits * b, b)
     m = (n * r << bits) - _iroot(n ** a << bits * b, b)     # >= 0: n^p <= n*r
     c_lo = _iroot((max(m - 1, 0) ** c << bits * a) // r ** c, b)
-    c_hi = _iroot((m ** c << bits * a) // r ** c, b) + 1 if m else 0
-    return root_a, root_a + 1, c_lo, c_hi
+    if not m:
+        return root_a, root_a + 1, c_lo, 0
+    hi = (m ** c << bits * a) // r ** c
+    c_hi = c_lo                 # hi's floor root: c_lo, one step up, or a root
+    if (c_hi + 1) ** b <= hi:
+        c_hi = c_hi + 1 if (c_hi + 2) ** b > hi else _iroot(hi, b)
+    return root_a, root_a + 1, c_lo, c_hi + 1
 
 
 def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
@@ -264,23 +283,25 @@ def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
 
         n^(1-p) - (n - n^p / r)^(1-p) >= (1-p) / r
 
-    for 0 < p < 1 (given as an exact rational, e.g. the string "0.1") and a
-    positive integer r.  With p = a/b, each side is enclosed by integer b-th
-    roots at a scale of 2^bits, and the comparisons are products of integers;
-    the precision doubles from ``bits`` until one of them resolves.  A b above
-    ``MAX_P_DENOMINATOR`` is refused: the radicands have bits*b bits.
+    for 0 < p < 1 (given as an exact rational, e.g. the string "0.1") and
+    positive integers n and r.  With p = a/b, each side is enclosed by integer
+    b-th roots at a scale of 2^bits, and the comparisons are products of
+    integers; the precision doubles from ``bits`` until one of them resolves.
+    A b above ``MAX_P_DENOMINATOR`` is refused: the radicands have bits*b bits.
     """
-    if isinstance(p, float):
-        p = Fraction(str(p))
-    else:
-        p = Fraction(p)
-    if not 0 < p < 1:
+    if not type(n) is type(r) is type(bits) is int:
+        name, value = next((name, value) for name, value in
+                           (("n", n), ("r", r), ("bits", bits)) if type(value) is not int)
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if type(p) is not Fraction:
+        p = Fraction(str(p)) if isinstance(p, float) else Fraction(p)
+    a, b = p.numerator, p.denominator
+    if not 0 < a < b:
         raise ValueError("p must lie strictly between 0 and 1")
     if r < 1 or n < 1:
         raise ValueError("r and n must be positive integers")
     if bits < 1:
         raise ValueError(f"bits must be a positive integer, got {bits}")
-    a, b = p.numerator, p.denominator
     if b > MAX_P_DENOMINATOR:
         raise ValueError(f"p = {p} has denominator {b} > {MAX_P_DENOMINATOR}")
     while True:

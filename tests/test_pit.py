@@ -631,6 +631,17 @@ class TestIterationBound:
         monkeypatch.undo()
         assert iteration_bound_check(1000, Fraction(1, pit.MAX_P_DENOMINATOR), 1)
 
+    @pytest.mark.parametrize("bad", [dict(n=100.0), dict(r=2.0), dict(bits=2.5),
+                                     dict(n=True, r=True), dict(r=True), dict(bits=True),
+                                     dict(n=Fraction(100)), dict(r="2")])
+    def test_rejects_non_integer_parameters(self, bad):
+        # a float died with a TypeError from a shift, and a bool was taken as 1
+        args = dict(n=100, p=Fraction(1, 2), r=2, bits=32)
+        assert iteration_bound_check(**args)
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            iteration_bound_check(**{**args, **bad})
+
     def test_rejects_nonpositive_bits(self):
         # a zero bits would double to 0 forever, a negative one fail on a shift
         for bits in (0, -3):
@@ -641,17 +652,17 @@ class TestIterationBound:
                                          (50, Fraction(9, 10), 9),
                                          (7, Fraction(1, 3), 4)])
     def test_coarse_start_doubles_to_the_same_decision(self, monkeypatch, n, p, r):
-        # four roots per precision: more than four calls means bits doubled
+        # one enclosure per precision: more than one call means bits doubled
         want = iteration_bound_check(n, p, r)
         calls = []
-        real = pit._iroot
+        real = pit._enclosures
 
-        def counted(value, k):
-            calls.append(k)
-            return real(value, k)
-        monkeypatch.setattr(pit, "_iroot", counted)
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(pit, "_enclosures", counted)
         assert iteration_bound_check(n, p, r, bits=1) is want
-        assert len(calls) > 4
+        assert len(calls) > 1
 
     def test_violated_inequality_detected(self):
         # with the bound's right side scaled up the comparison must fail;

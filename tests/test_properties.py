@@ -50,8 +50,9 @@ time; ``_pn_polynomial`` must give the same polynomial.
 ``reference_iroot`` is the integer root by Newton's method from a power of
 two, and ``reference_enclosures`` the ``Fraction`` enclosures of the
 iteration-count inequality, built by ``reference_pow_bounds``.  ``_iroot``
-must give the same roots, and ``iteration_bound_check``'s integer enclosures
-the same endpoints.
+must give the same roots, also where its float seed gives way to Newton's
+descent and from a seed that is off, and ``iteration_bound_check``'s integer
+enclosures the same endpoints.
 
 ``reference_choose_subset`` is a round's pruning as it was: the
 per-read-monotone subset, the sequence restricted to it (relabeled), the
@@ -69,6 +70,7 @@ the same verdict, witness and iteration records, or the same refusal.
 """
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -855,6 +857,24 @@ def wide_program(n: int) -> ObliviousAbp:
     return ObliviousAbp(field, n, tuple(layers))
 
 
+def no_variable_programs() -> tuple:
+    """Programs over zero variables: no layers (the constant 1), and two
+    constant layers whose product is 3*2 + 4*5 = 5 over F_7."""
+    field = PrimeField(7)
+    return tuple(ObliviousAbp(field, 0, layers) for layers in (
+        (), (UniMatrix.constant(field, ((3, 4),)), UniMatrix.constant(field, ((2,), (5,))))))
+
+
+def unread_variable_program() -> ObliviousAbp:
+    """x_1 is read by no layer and x_2 only at degree 0, so both get
+    zero-bit fields in ``expand``'s packed keys."""
+    field = PrimeField(101)
+    return ObliviousAbp(field, 4, (UniMatrix(field, 0, (((1, 2), (0, 0, 3)),)),
+                                   UniMatrix(field, None, (((4,), (5,)), ((6,), (7,)))),
+                                   UniMatrix(field, 2, (((9,), ()), ((), (8,)))),
+                                   UniMatrix(field, 3, (((0, 1),), ((1, 0, 0, 1),)))))
+
+
 class TestPackedExpandMatchesTupleLoop:
     """``expand`` keys its term maps by packed ints; the tuple-keyed loop
     must give the same terms in the same insertion order, and give up at
@@ -880,6 +900,8 @@ class TestPackedExpandMatchesTupleLoop:
 
         @PROPERTY_SETTINGS
         @given(packed_cases())
+        @example(no_variable_programs()[1])     # no bit fields to unpack
+        @example(unread_variable_program())     # zero-width bit fields
         def check(abp):
             seen.update(self.check(abp))
 
@@ -887,22 +909,14 @@ class TestPackedExpandMatchesTupleLoop:
         assert min(seen["undecided"], seen["zero"], seen["nonzero"]) > 0
 
     def test_no_variables(self):
-        field = PrimeField(7)
-        for layers in ((), (UniMatrix.constant(field, ((3, 4),)),
-                            UniMatrix.constant(field, ((2,), (5,))))):
-            abp = ObliviousAbp(field, 0, layers)
+        # no columns to zip: the one packed key must still become ()
+        for abp, c in zip(no_variable_programs(), (1, 5)):
             assert self.check(abp) == Counter(nonzero=len(EXPAND_BUDGETS))
-            assert list(abp.expand().terms) == [()]
+            assert abp.expand().terms == {(): c}
 
     def test_unread_and_degree_zero_variables(self):
-        # x_1 is read by no layer and x_2 only at degree 0, so both get
-        # zero-bit fields and every key holds x_0's and x_3's exponents alone
-        field = PrimeField(101)
-        layers = (UniMatrix(field, 0, (((1, 2), (0, 0, 3)),)),
-                  UniMatrix(field, None, (((4,), (5,)), ((6,), (7,)))),
-                  UniMatrix(field, 2, (((9,), ()), ((), (8,)))),
-                  UniMatrix(field, 3, (((0, 1),), ((1, 0, 0, 1),))))
-        abp = ObliviousAbp(field, 4, layers)
+        # every key holds x_0's and x_3's exponents alone
+        abp = unread_variable_program()
         assert abp.individual_degrees() == [2, 0, 0, 3]
         self.check(abp)
         f = abp.expand()
@@ -1191,6 +1205,31 @@ class TestIterationBoundMatchesReference:
         check()
         assert min(seen[0], seen[1], seen["past the float range"]) > 0
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_iroot_where_the_float_seed_meets_newton(self, k):
+        # roots near 2^50..2^54 and radicands either side of 2^(52k) and
+        # 2^(53k), where the float seed gives way to Newton's descent;
+        # hypothesis rarely draws these
+        rng = random.Random(k)
+        roots = [x + d for e in range(50, 55) for x in (1 << e, rng.getrandbits(e))
+                 for d in (-1, 0, 1)]
+        values = [x ** k + d for x in roots for d in (-1, 0, 1)]
+        values += [(1 << e * k) + d for e in (52, 53) for d in (-1, 0, 1)]
+        for value in values:
+            assert pit._iroot(value, k) == reference_iroot(value, k)
+
+    @pytest.mark.parametrize("offset", [-10 ** 6, -1, 1, 10 ** 6])
+    def test_iroot_from_a_seed_that_is_off(self, monkeypatch, offset):
+        # a poor libm costs steps, never exactness: a seed one off is settled
+        # by the exact checks, one far off (negative, too) by Newton's descent
+        # from it; 7^30 is past 2^52, where the seed is shifted into place
+        for k in (2, 3, 7, 12):
+            for x in (5, 10 ** 6, 3 ** 20, (1 << 51) + 3, 7 ** 30):
+                for value in (x ** k - 1, x ** k, x ** k + 1):
+                    want = reference_iroot(value, k)
+                    monkeypatch.setattr(math, "exp", lambda y: float(want + offset))
+                    assert pit._iroot(value, k) == want
+
     @PROPERTY_SETTINGS
     @given(st.integers(1, 10 ** 6), st.integers(1, 1000),
            st.sampled_from([Fraction(1, 1000), Fraction(999, 1000), Fraction(1, 3),
@@ -1198,6 +1237,9 @@ class TestIterationBoundMatchesReference:
                             *(Fraction(j, 10) for j in range(1, 10))]),
            st.sampled_from([32, 64, 128, 256, 512]))
     @example(1, 1, Fraction(1, 2), 32)      # n - n^p/r = 0: the zero base
+    @example(2, 1, Fraction(1, 2), 1)       # c_hi's root one step above c_lo's
+    @example(2, 1, Fraction(999, 1000), 4)  # m = 1: fifteen steps, so a root
+    @example(2, 1, Fraction(9999, 10000), 12)
     def test_enclosure_endpoints(self, n, r, p, bits):
         # every decision is True (mean value theorem), so compare endpoints
         assert (pit._enclosures(n, p.numerator, p.denominator, r, bits)
