@@ -17,15 +17,12 @@ import math
 import random
 from dataclasses import dataclass
 
-from .abp import ObliviousAbp, validate, write_csv
+from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, validate, write_csv
 from .algebra import (DEFAULT_FIELD, GuardExceeded, LinearSolver, PrimeField, SparsePoly,
                       UniMatrix)
 from .evaldim import Roabp, eval_dim, pd_rank
 
 EXPERIMENT_FIELD = PrimeField(10007)
-
-PN_SYMBOLIC_LIMIT = 4
-QN_SYMBOLIC_LIMIT = 6
 
 
 @dataclass
@@ -46,10 +43,23 @@ def pn_var_name(n: int, v: int) -> str:
     return f"x{v // n + 1}_{v % n + 1}"
 
 
+def _term_guard(name: str, terms: int) -> None:
+    """Refuse, before building it, a symbolic polynomial past the guard."""
+    if terms > DEFAULT_EXPAND_GUARD:
+        raise GuardExceeded(
+            f"symbolic {name} estimated at {terms} terms exceeds guard {DEFAULT_EXPAND_GUARD}")
+
+
+def _pn_terms(m: int) -> int:
+    """Term bound of P_m: a product of 2m linear forms of m terms each."""
+    return m ** (2 * m)
+
+
 def _pn_polynomial(field: PrimeField, n: int, block) -> SparsePoly:
     """Product of the row sums and the column sums of the submatrix on rows
     and columns ``block`` (1-based), over all n^2 variables.  The two products
     are built apart and multiplied once, which pairs fewer terms."""
+    _term_guard(f"P_{len(block)}", _pn_terms(len(block)))
     nv = n * n
     rows = cols = SparsePoly.const(field, nv, 1)
     for a in block:
@@ -62,8 +72,8 @@ def gen_pn(n: int, field: PrimeField = DEFAULT_FIELD,
            with_poly: bool | None = None) -> HardFamilyInstance:
     """The row-sum/column-sum product on n^2 variables with its width-2
     two-pass varying-order realization (row-major pass, then column-major).
-    The symbolic polynomial is included up to n = 4; beyond that only the
-    program is returned."""
+    By default the symbolic polynomial is included if its n^(2n) term bound
+    fits the expansion guard; beyond that only the program is returned."""
     if n < 1:
         raise ValueError("n must be at least 1")
     nv = n * n
@@ -84,14 +94,8 @@ def gen_pn(n: int, field: PrimeField = DEFAULT_FIELD,
         layers.append(UniMatrix(field, None, (((),), ((1,),))))
         layers = tuple(layers)
     if with_poly is None:
-        with_poly = n <= PN_SYMBOLIC_LIMIT
-    poly = None
-    if with_poly:
-        if n > PN_SYMBOLIC_LIMIT:
-            raise GuardExceeded(
-                f"symbolic P_n guarded at n <= {PN_SYMBOLIC_LIMIT}; program still available"
-            )
-        poly = _pn_polynomial(field, n, range(1, n + 1))
+        with_poly = _pn_terms(n) <= DEFAULT_EXPAND_GUARD
+    poly = _pn_polynomial(field, n, range(1, n + 1)) if with_poly else None
     return HardFamilyInstance("Pn", n, poly, ObliviousAbp(field, nv, layers))
 
 
@@ -124,7 +128,13 @@ def qn_var_name(n: int, v: int) -> str:
     return f"z{v - 2 * n + 1}"
 
 
+def _qn_terms(n: int) -> int:
+    """Term count of Q_n: n matchings, each 2^n terms under its own z."""
+    return n * 2 ** n
+
+
 def _qn_polynomial(field: PrimeField, n: int) -> SparsePoly:
+    _term_guard(f"Q_{n}", _qn_terms(n))
     nv = 3 * n
     total = SparsePoly.zero(field, nv)
     for i, matching in enumerate(qn_matchings(n), start=1):
@@ -141,7 +151,8 @@ def gen_qn(n: int, field: PrimeField = DEFAULT_FIELD,
     """The matching-sum polynomial on x, y, z with a width-4 oblivious
     program that runs the matchings branch by branch (so each x and y is read
     n times, each z once).  State lanes: constant, accumulated sum, current
-    factor product, product times partial factor."""
+    factor product, product times partial factor.  By default the symbolic
+    polynomial is included when its n 2^n terms fit the expansion guard."""
     if n < 2:
         raise ValueError("n must be at least 2")
     nv = 3 * n
@@ -178,14 +189,8 @@ def gen_qn(n: int, field: PrimeField = DEFAULT_FIELD,
             layers.append(UniMatrix(field, qn_z(n, i),
                                     (((),), ((1,),), ((),), ((0, 1),))))
     if with_poly is None:
-        with_poly = n <= QN_SYMBOLIC_LIMIT
-    poly = None
-    if with_poly:
-        if n > QN_SYMBOLIC_LIMIT:
-            raise GuardExceeded(
-                f"symbolic Q_n guarded at n <= {QN_SYMBOLIC_LIMIT}; program still available"
-            )
-        poly = _qn_polynomial(field, n)
+        with_poly = _qn_terms(n) <= DEFAULT_EXPAND_GUARD
+    poly = _qn_polynomial(field, n) if with_poly else None
     return HardFamilyInstance("Qn", n, poly, ObliviousAbp(field, nv, tuple(layers)),
                               matchings)
 
@@ -284,10 +289,10 @@ def eliminate_summand(parts, t: int) -> EliminationResult:
     field = part1.abp.field
     # Any w+1 restrictions are dependent (the prefix evaluation space has
     # dimension <= w), but the scanned grid must contain that many points:
-    # widen value ranges past d+1 round-robin until it does.
+    # widen value ranges past d+1 round-robin until it does or all reach p.
     ranges = [degs[v] + 1 for v in subset]
     i = 0
-    while ranges and math.prod(ranges) < width + 1:
+    while ranges and math.prod(ranges) < width + 1 and min(ranges) < field.p:
         if ranges[i] < field.p:
             ranges[i] += 1
         i = (i + 1) % len(ranges)
@@ -296,8 +301,6 @@ def eliminate_summand(parts, t: int) -> EliminationResult:
     assignments = []
     alpha = None
     for a in grid:
-        if len(assignments) >= width + 1:
-            break
         restriction = part1.abp.restrict(dict(zip(subset, a))).expand()
         assignments.append(a)
         if not solver.try_add(restriction.terms):
@@ -382,11 +385,12 @@ def experiment_pn_evaldim(n: int, max_size: int = 4,
     """Exact evaluation dimension of P_n for every variable subset S up to
     ``max_size``, against the floor 2^ceil(sqrt(|S|)).  The floor is the
     lemma's guarantee when |S| < n; larger subsets are reported with the
-    same floor for inspection."""
-    if n > PN_SYMBOLIC_LIMIT:
-        raise GuardExceeded(f"experiment guarded at n <= {PN_SYMBOLIC_LIMIT}")
+    same floor for inspection.  The rank is the evaluation dimension only if
+    p exceeds P_n's individual degree 2."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if field.p <= 2:
+        raise ValueError(f"field size {field.p} must exceed P_n's individual degree 2")
     nv = n * n
     poly = _pn_polynomial(field, n, range(1, n + 1))
     if subsets is None:
@@ -432,8 +436,6 @@ def pn_projection_step(n: int, t: int, field: PrimeField = DEFAULT_FIELD,
     a nonzero constant times P_(n-t-1) on the trailing block."""
     if not 0 <= t <= n - 2:
         raise ValueError("need 0 <= t <= n-2 so the trailing block is nonempty")
-    if n > PN_SYMBOLIC_LIMIT:
-        raise GuardExceeded(f"projection experiment guarded at n <= {PN_SYMBOLIC_LIMIT}")
     rng = random.Random(seed)
     poly = _pn_polynomial(field, n, range(1, n + 1))
     nv = n * n
@@ -543,8 +545,6 @@ def experiment_qn_evaldim(n: int, pairs: int = 50, trials: int = 3,
     evaluation dimension with the z variables moved into the field by random
     substitution, and compare against 2^m where m is the largest number of
     matched (x + y) pairs crossing between S and T."""
-    if n > QN_SYMBOLIC_LIMIT:
-        raise GuardExceeded(f"experiment guarded at n <= {QN_SYMBOLIC_LIMIT}")
     if n < 2:
         raise ValueError("n must be at least 2")
     poly = _qn_polynomial(field, n)

@@ -140,7 +140,7 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
     restriction or None if none was built), or None when the round exhausts
     its points."""
     poly = None
-    missed = restrict_first = False
+    restrict_first = False
     for tried, pt in enumerate(points, 1):
         assignment = dict(zip(subset, pt))
         sub = work.restrict(assignment) if restrict_first else None
@@ -152,17 +152,14 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
                 continue
             if (sub or work).evaluate(point) != 0:
                 return tried, pt, sub
-            if not missed:
-                missed = True
+            if not restrict_first:      # the round's first miss
                 if work.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
                     poly = work.expand()
                     if poly.is_zero:
                         return None
-                elif not set(work.read_order()) <= set(subset):
+                else:
                     restrict_first = True
                     sub = work.restrict(assignment)
-            if poly is None and sub is None:    # reads nothing else: the probe decides
-                continue
         if poly is not None:
             rest = poly.substitute(assignment)
         else:
@@ -184,8 +181,7 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     generator, each candidate gets one random probe up to the round's first
     miss.  There the round program's terms are estimated, once: one within
     ``DEFAULT_FASTPATH_TERMS`` is expanded (zero ends the round, else
-    substitution decides each point); a larger one that reads nothing outside
-    y_i leaves each candidate to its probe; in any other, that candidate and
+    substitution decides each point); in a larger one, that candidate and
     every later one are restricted first.  A restriction with no source-sink
     path is zero (its probe point is still drawn, so later draws stay put);
     any other gets the probe, then an expansion with a budget of

@@ -2,11 +2,15 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
 from abpkit import abp as abpio
+from abpkit.algebra import PrimeField, SparsePoly
 from abpkit.cli import main
+from abpkit.corpus import random_roabp
+from abpkit.hardpoly import eliminate_summand
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -296,8 +300,9 @@ class TestExperiments:
     @pytest.mark.parametrize("kind, n, message", [
         ("pn-evaldim", 0, "error: n must be at least 1"),
         ("qn-evaldim", 1, "error: n must be at least 2"),
-        ("pn-evaldim", 5, "error: experiment guarded at n <= 4"),
-        ("qn-evaldim", 7, "error: experiment guarded at n <= 6"),
+        ("pn-evaldim", 5, "error: symbolic P_5 estimated at 9765625 terms exceeds guard 1000000"),
+        ("qn-evaldim", 16,
+         "error: symbolic Q_16 estimated at 1048576 terms exceeds guard 1000000"),
     ])
     def test_family_size_refused(self, capsys, kind, n, message):
         code, out, err = run(capsys, "experiment", kind, "--n", n)
@@ -328,6 +333,42 @@ class TestExperiments:
                            "--width", "2", "--t", "1", "--seed", "2")
         assert code == 0
         assert "alpha:" in out
+
+    @pytest.mark.parametrize("prime, seed", [(2, 0), (3, 1)])
+    def test_eliminate_small_field_ends(self, capsys, prime, seed):
+        # every prefix range already holds the whole field and p^t < w + 1,
+        # so the grid cannot be widened any further
+        code, out, _ = run(capsys, "experiment", "eliminate", "--n", "3", "--width", "3",
+                           "--t", "1", "--field-prime", prime, "--seed", seed)
+        assert code == 0
+        field = PrimeField(prime)
+        rng = random.Random(seed)
+        parts = [random_roabp(rng, field, 3, 3, 1) for _ in range(2)]
+        result = eliminate_summand(parts, 1)
+        assert out.splitlines()[1] == "alpha: " + " ".join(map(str, result.alpha))
+        assert any(result.alpha)
+        f1 = parts[0].abp.expand()
+        combo = SparsePoly.zero(field, 3)
+        for a, al in zip(result.assignments, result.alpha):
+            combo = combo + f1.substitute(dict(zip(result.subset, a))).scale(al)
+        assert combo.is_zero
+
+    def test_pn_experiment_field_precondition(self, capsys):
+        # over F_2 the rank counts more restrictions than F_2^S has points
+        code, out, err = run(capsys, "experiment", "pn-evaldim", "--n", "3",
+                             "--field-prime", "2")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: field size 2 must exceed P_n's individual degree 2"]
+        code, out, _ = run(capsys, "experiment", "pn-evaldim", "--n", "3",
+                           "--max-size", "2", "--field-prime", "3")
+        assert code == 0
+        assert out == "46 subsets, 0 floor violations inside the guarantee range\n"
+
+    def test_qn_experiment_past_six(self, capsys):
+        code, out, _ = run(capsys, "experiment", "qn-evaldim", "--n", "7")
+        assert code == 0
+        assert out == "50 sampled splits, 0 floor violations\n"
 
     def test_blocks_experiment(self, capsys):
         code, out, _ = run(capsys, "experiment", "blocks",

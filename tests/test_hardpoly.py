@@ -6,10 +6,10 @@ import random
 import pytest
 
 from abpkit.abp import ObliviousAbp, validate
-from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
+from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
 from abpkit.evaldim import Roabp, eval_dim
-from abpkit.hardpoly import (block_partition, eliminate_summand,
+from abpkit.hardpoly import (_pn_terms, _qn_terms, block_partition, eliminate_summand,
                              experiment_pn_evaldim, experiment_qn_evaldim,
                              gen_pn, gen_qn, pn_projection_step, pn_var,
                              qn_matchings)
@@ -130,6 +130,41 @@ class TestGenQn:
 
     def test_width_four(self, field):
         assert gen_qn(3, field).realization.width <= 4
+
+
+class TestSymbolicTermGuard:
+    """P_n and Q_n are built only when the term bound the guard reads fits
+    the 10^6 expansion guard."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_qn_term_count_exact(self, field, n):
+        assert len(gen_qn(n, field).polynomial.terms) == _qn_terms(n) == n * 2 ** n
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_pn_term_count_bounded(self, field, n):
+        assert len(gen_pn(n, field).polynomial.terms) <= _pn_terms(n) == n ** (2 * n)
+
+    def test_qn7_meets_every_floor(self):
+        rep = experiment_qn_evaldim(7, pairs=5)
+        assert len(rep.rows) == 5
+        assert all(r.ok for r in rep.rows)
+
+    def test_refused_before_any_product(self, field, monkeypatch):
+        def no_product(self, other):
+            raise AssertionError("a polynomial was built")
+        monkeypatch.setattr(SparsePoly, "__mul__", no_product)
+        p5 = "symbolic P_5 estimated at 9765625 terms exceeds guard 1000000"
+        q16 = "symbolic Q_16 estimated at 1048576 terms exceeds guard 1000000"
+        for call, message in ((lambda: gen_pn(5, field, with_poly=True), p5),
+                              (lambda: experiment_pn_evaldim(5, max_size=1, field=field), p5),
+                              (lambda: pn_projection_step(5, 1, field), p5),
+                              (lambda: gen_qn(16, field, with_poly=True), q16),
+                              (lambda: experiment_qn_evaldim(16, pairs=1), q16)):
+            with pytest.raises(GuardExceeded, match=f"^{message}$"):
+                call()
+        # left to the default, the polynomial is simply omitted
+        assert gen_pn(5, field).polynomial is None
+        assert gen_qn(16, field).polynomial is None
 
 
 class TestBlockPartition:
@@ -261,6 +296,14 @@ class TestEliminateSummand:
                 assert len(residual.abp.layers) == 1
                 assert residual.abp.expand() == combo
 
+    def test_small_field_grid_too_small_refused(self):
+        # over F_2 one prefix variable gives 2 < w + 1 points, and the range
+        # cannot grow past p; here the two restrictions are independent
+        rng = random.Random(27)
+        parts = [random_roabp(rng, PrimeField(2), 3, 3, 1) for _ in range(2)]
+        with pytest.raises(ValueError, match="too small to force a linear dependency"):
+            eliminate_summand(parts, 1)
+
     def test_t_out_of_range(self, field):
         rng = random.Random(47)
         part = random_roabp(rng, field, 3, 2, 1)
@@ -310,10 +353,25 @@ class TestExperiments:
             experiment_qn_evaldim(n, pairs=1)
 
     def test_symbolic_limits_refused(self, field):
-        with pytest.raises(GuardExceeded, match="experiment guarded at n <= 4"):
+        with pytest.raises(GuardExceeded, match="^symbolic P_5 estimated at 9765625 terms"):
             experiment_pn_evaldim(5, max_size=0, field=field)
-        with pytest.raises(GuardExceeded, match="experiment guarded at n <= 6"):
-            experiment_qn_evaldim(7, pairs=1)
+        with pytest.raises(GuardExceeded, match="^symbolic Q_16 estimated at 1048576 terms"):
+            experiment_qn_evaldim(16, pairs=1)
+
+    def test_pn_field_precondition(self):
+        # over F_2 the rank of {x3_2, x3_3} in P_3 is 7, but F_2^S has only 4
+        # points, so there are at most 4 restrictions
+        subset = (pn_var(3, 3, 2), pn_var(3, 3, 3))
+        with pytest.raises(ValueError, match="must exceed P_n's individual degree 2"):
+            experiment_pn_evaldim(3, field=PrimeField(2), subsets=[subset])
+        # over F_3 the rank is the span of all 9 restrictions
+        f3 = PrimeField(3)
+        rep = experiment_pn_evaldim(3, field=f3, subsets=[subset])
+        poly = gen_pn(3, f3).polynomial
+        solver = LinearSolver(f3)
+        for a in itertools.product(range(3), repeat=2):
+            solver.try_add(poly.substitute(dict(zip(subset, a))).terms)
+        assert rep.rows[0].dimension == solver.rank
 
     def test_qn_no_trials_refused(self):
         with pytest.raises(ValueError, match="trials"):
