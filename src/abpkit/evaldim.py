@@ -5,8 +5,9 @@ For a partition S, T of the variables (large field), the dimension of the
 space spanned by all restrictions fixing S equals the rank of the coefficient
 matrix whose rows are indexed by S-monomials and columns by T-monomials.
 A polynomial has a read-once oblivious program of width w in a given order
-exactly when this dimension is at most w at every prefix cut, and the
-synthesis below realizes that width cut by cut.
+exactly when this dimension is at most w at every prefix cut (Nisan).  The
+synthesis below realizes that width in one pass over the order, each cut's
+basis of restrictions built from the previous cut's alone.
 
 Variables moved into the coefficient field (the R part) are handled by
 substituting independent uniformly random values over a few trials and taking
@@ -98,21 +99,19 @@ def pd_rank(f: SparsePoly, S, T) -> int:
     return solver.rank
 
 
-def _greedy_basis(f: SparsePoly, S: Sequence[int], target: int,
-                  solver: LinearSolver) -> list:
+def _greedy_basis(f: SparsePoly, S: Sequence[int], target: int) -> tuple:
     """First assignments to S, in lexicographic grid order over S as given,
-    whose restrictions are independent in ``solver``; stops as soon as the
-    solver's rank reaches the known dimension.  Returns (assignment,
-    restriction) pairs."""
+    whose restrictions are independent; stops as soon as there are ``target``
+    of them, the known dimension."""
     degs = f.individual_degrees()
+    solver = LinearSolver(f.field)
     chosen = []
     for a in itertools.product(*(range(degs[v] + 1) for v in S)):
-        g = f.substitute(dict(zip(S, a)))
-        if solver.try_add(g.terms):
-            chosen.append((a, g))
+        if solver.try_add(f.substitute(dict(zip(S, a))).terms):
+            chosen.append(a)
             if solver.rank >= target:
                 break
-    return chosen
+    return tuple(chosen)
 
 
 def eval_dim(f: SparsePoly, S, T, R=(), *, trials: int = 3, seed: int = 0,
@@ -145,8 +144,7 @@ def eval_dim(f: SparsePoly, S, T, R=(), *, trials: int = 3, seed: int = 0,
             trial_dims.append(d)
             if d > dim:
                 dim, best_sub = d, g
-    basis = (tuple(a for a, _ in _greedy_basis(best_sub, S, dim, LinearSolver(f.field)))
-             if with_basis else ())
+    basis = _greedy_basis(best_sub, S, dim) if with_basis else ()
     return EvalDimReport(S, T, R, dim, basis, tuple(trial_dims))
 
 
@@ -173,12 +171,15 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
     """Construct a read-once oblivious program for f in the given order whose
     realized widths meet the evaluation-dimension profile exactly.
 
-    At every prefix cut a basis of restrictions is chosen greedily in
-    lexicographic order over the (d+1)-grid of prefix assignments.  Each
-    previous basis polynomial g splits as g = sum_e v^e * g_e by the exponent
-    of the layer's variable v; every g_e is a combination of restrictions
-    g|_{v=c}, so it lies in the next basis's span, and its coordinates there
-    are the degree-e coefficients of the layer's entries.
+    Cut i's basis is the previous basis's g in turn, each with v = 0..d_v, kept
+    when independent of those kept before.  That is the lexicographically
+    first basis over the (d+1)-grid of prefix assignments: if a prefix a was
+    not kept, f|a is a combination of earlier kept f|a', so f|(a, c) is a
+    combination of the earlier f|(a', c), and no full grid scan keeps it.
+    Each previous basis polynomial g splits as g = sum_e v^e * g_e by the
+    exponent of the layer's variable v; every g_e is a combination of
+    restrictions g|_{v=c}, so it lies in the next basis's span, and its
+    coordinates there are the degree-e coefficients of the layer's entries.
     """
     n = f.num_vars
     order = _check_order(n, order if order is not None else range(n))
@@ -199,13 +200,12 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
     degs = f.individual_degrees()
     cur_basis = [f]
     layers = []
-    profile = []
     for i in range(1, n + 1):
         v = order[i - 1]
         solver = LinearSolver(field, track_coords=True)
         if i < n:
-            target = pd_rank(f, order[:i], order[i:])
-            basis_polys = [g for _, g in _greedy_basis(f, order[:i], target, solver)]
+            basis_polys = [h for g in cur_basis for c in range(degs[v] + 1)
+                           if solver.try_add((h := g.substitute({v: c})).terms)]
         else:
             one = SparsePoly.const(field, n, 1)
             solver.try_add(one.terms)
@@ -220,11 +220,9 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
                 raise RuntimeError("synthesis basis does not span an extension")
             rows.append(tuple(zip(*coords)))
         layers.append(UniMatrix(field, v, tuple(rows)))
-        if i < n:
-            profile.append(len(basis_polys))
         cur_basis = basis_polys
     abp = ObliviousAbp(field, n, tuple(layers))
-    return Roabp(abp, order, tuple(profile))
+    return Roabp(abp, order, tuple(layer.width_out for layer in layers[:-1]))
 
 
 def k_gap_check(abp: ObliviousAbp, prefix_len: int, order=None) -> int:

@@ -223,6 +223,16 @@ class TestPipelines:
         assert code == 0
         assert out.startswith("dimension ")
 
+    @pytest.mark.parametrize("name, want", [
+        ("zero.json", "dimension 0\n"),
+        ("pn_2.json", "dimension 1\nbasis assignment: \n"),
+    ])
+    def test_evaldim_empty_prefix(self, capsys, name, want):
+        # the empty assignment is the one grid point: kept unless f is zero
+        code, out, _ = run(capsys, "evaldim", FIXTURES / name, "--prefix", "0")
+        assert code == 0
+        assert out == want
+
     def test_evaldim_negative_prefix_exit_two(self, capsys):
         # order[:-1] would silently split after all but the last variable
         code, out, err = run(capsys, "evaldim", FIXTURES / "pn_2.json",

@@ -32,9 +32,12 @@ layer; ``evaluate`` must give the same value at any integer point.
 ``reference_restrict`` multiplies the ``eval_at`` grids of each run of fixed
 layers matrix by matrix and builds every layer and the program through the
 validating constructors, and ``reference_synthesize`` is the read-once
-synthesis that interpolates each layer's entries from d_v + 1 substituted
-points.  ``restrict`` and ``roabp_synthesize`` must give the same canonical
-text as these; ``restrict``, which skips validation, must also equal its
+synthesis that scans the whole prefix grid at every cut until it holds the
+cut's partial-derivative rank of restrictions, and interpolates each layer's
+entries from d_v + 1 substituted points.  ``restrict`` and
+``roabp_synthesize``, which builds each cut's basis from the previous cut's,
+must give the same canonical text as these, also on P_2, P_3 and Q_2-Q_5 in
+both directions; ``restrict``, which skips validation, must also equal its
 result rebuilt through ``ObliviousAbp`` and ``UniMatrix``, with the same
 support and degree in every layer.
 
@@ -69,6 +72,7 @@ and decides later candidates of a large one on their restriction, must give
 the same verdict, witness and iteration records, or the same refusal.
 """
 
+import itertools
 import json
 import math
 import random
@@ -84,8 +88,8 @@ from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, parse_text, read_seq
                         to_canonical_text, to_json_obj, validate)
 from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_per_read_monotone_sequence, random_read_k_abp
-from abpkit.evaldim import Roabp, _greedy_basis, _pd_rows, pd_rank, roabp_synthesize
-from abpkit.hardpoly import _pn_polynomial, gen_pn, pn_var
+from abpkit.evaldim import Roabp, _pd_rows, pd_rank, roabp_synthesize
+from abpkit.hardpoly import _pn_polynomial, gen_pn, gen_qn, pn_var
 from abpkit.pit import IterationRecord, PitVerdict, read_k_pit
 from abpkit.sequences import (ReadSequence, is_regularly_interleaving,
                               per_read_monotone_subset, regularly_interleaving_subset)
@@ -287,8 +291,14 @@ def reference_synthesize(f: SparsePoly, order) -> Roabp:
         dv = degs[v]
         solver = LinearSolver(field, track_coords=True)
         if i < n:
-            target = pd_rank(f, order[:i], order[i:])
-            basis_polys = [g for _, g in _greedy_basis(f, order[:i], target, solver)]
+            target = reference_pd_rank(f, order[:i], order[i:])
+            basis_polys = []
+            for a in itertools.product(*(range(degs[u] + 1) for u in order[:i])):
+                g = f.substitute(dict(zip(order[:i], a)))
+                if solver.try_add(g.terms):
+                    basis_polys.append(g)
+                    if len(basis_polys) == target:
+                        break
         else:
             basis_polys = [SparsePoly.const(field, n, 1)]
             solver.try_add(basis_polys[0].terms)
@@ -1046,6 +1056,14 @@ class TestSynthesisMatchesReference:
         field = PrimeField(p)
         self.check(SparsePoly.zero(field, n), tuple(range(n)))
         self.check(SparsePoly.const(field, n, 3), tuple(reversed(range(n))))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("gen, n", [(gen_pn, 2), (gen_pn, 3), (gen_qn, 2),
+                                        (gen_qn, 3), (gen_qn, 4), (gen_qn, 5)])
+    def test_hard_families(self, gen, n, reverse):
+        f = gen(n).polynomial
+        order = tuple(range(f.num_vars))
+        self.check(f, order[::-1] if reverse else order)
 
 
 class TestPdRankMatchesReference:
