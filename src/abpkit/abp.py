@@ -8,11 +8,10 @@ relaxation is, the program with each layer reading a fresh variable, which is
 decided by forward span in time polynomial in layers, width and degree
 (Raz–Shpilka 2005); cancelling lanes have a path but a zero relaxation.
 ``expand`` is the brute-force oracle that turns a program into an explicit
-SparsePoly; it is guarded so it refuses (never truncates) when the estimated
-term count is too large, or, given a term budget, gives up as undecided once a
-partial product outgrows it.  It keys monomials by packed ints, one bit field
-per variable as wide as its individual degree, which no exponent of a partial
-product exceeds: shifting a term is one add, no carry.
+SparsePoly; it is guarded so it refuses (never truncates) once a partial
+product outgrows a term limit.  It keys monomials by packed ints, one bit
+field per variable as wide as its individual degree, which no exponent of a
+partial product exceeds: shifting a term is one add, no carry.
 
 ``restrict``, ``UniMatrix.constant`` and ``ReadSequence.from_order``/``restrict``
 skip re-validation: they keep validated layers and, folding, the widths at a run's
@@ -149,18 +148,17 @@ class ObliviousAbp:
             vec = _times_layer(vec, layer, 0 if layer.var is None else point[layer.var] % p, p)
         return vec[0]
 
-    def expand(self, guard: int = DEFAULT_EXPAND_GUARD,
-               budget: int | None = None) -> SparsePoly | None:
-        """Exact polynomial computed by the program.  Refuses explicitly when
-        the estimated term count exceeds the guard.  With a ``budget`` the
-        estimate is not checked; instead the expansion gives up and returns
-        None (undecided, never a truncated result) as soon as a column's term
-        map holds more than ``budget`` terms.  A program with no source-sink
-        path of nonzero entries decides the result at once: the zero
-        polynomial, before the guard or the budget is looked at.  So does one
-        whose degree-box estimate passes layers * width^2, the span check's
-        own cost scale, and whose read-once relaxation is zero.  Term maps key
-        a monomial by one int, v's exponent in a field of d_v.bit_length() bits
+    def expand(self, guard: int = DEFAULT_EXPAND_GUARD) -> SparsePoly:
+        """Exact polynomial computed by the program.  Refuses explicitly, with
+        GuardExceeded and never a truncated result, as soon as a column's
+        reduced term map holds more than ``guard`` terms.  Each map holds
+        distinct monomials of the degree box, so a program whose
+        ``estimated_terms()`` is within the guard always expands.  A program
+        with no source-sink path of nonzero entries decides the result at
+        once: the zero polynomial, before any term map.  So does one whose
+        degree-box estimate passes layers * width^2, the span check's own cost
+        scale, and whose read-once relaxation is zero.  Term maps key a
+        monomial by one int, v's exponent in a field of d_v.bit_length() bits
         (d_v its individual degree), so x_v^e shifts a key by e << offset_v; no
         exponent of v in a partial product exceeds d_v, so no add carries.  The
         final keys are unpacked one bit field at a time, a column per variable
@@ -171,15 +169,11 @@ class ObliviousAbp:
         if not self.reaches_sink or (est > len(self.layers) * self.width ** 2
                                      and self.relaxation_zero):
             return SparsePoly.zero(self.field, self.num_vars)
-        if budget is None and est > guard:
-            raise GuardExceeded(
-                f"expansion estimated at {est} terms exceeds guard {guard}"
-            )
         # One term map per column; sums are reduced mod p once per layer.
         offsets = list(accumulate((d.bit_length() for d in degs), initial=0))
         p = self.field.p
         row = [{0: 1}]
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers, 1):
             offset = 0 if layer.var is None else offsets[layer.var]
             out = [{} for _ in range(layer.width_out)]
             for terms, entries in zip(row, layer.entries):
@@ -198,8 +192,9 @@ class ObliviousAbp:
                             k = key + shift
                             acc[k] = get(k, 0) + a * c
             row = [{key: r for key, a in acc.items() if (r := a % p)} for acc in out]
-            if budget is not None and max(map(len, row)) > budget:
-                return None
+            if (size := max(map(len, row))) > guard:
+                raise GuardExceeded(f"expansion after layer {i} holds {size} terms, "
+                                    f"more than guard {guard}")
         # Unpack by column: one bit field for every key at a time.
         terms = row[0]
         zeros = [0] * len(terms)

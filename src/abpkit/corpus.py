@@ -95,22 +95,13 @@ def random_read_k_abp(rng: random.Random, field: PrimeField, n: int, k: int,
 
 
 def random_k_pass_abp(rng: random.Random, field: PrimeField, n: int, k: int,
-                      width: int, entry_degree: int = 1,
-                      varying: bool = False) -> ObliviousAbp:
-    """Random k-pass program: one layer per variable per pass, same order each
-    pass unless ``varying``."""
-    base = list(range(n))
-    rng.shuffle(base)
-    orders = []
-    for _ in range(k):
-        if varying:
-            pi = list(range(n))
-            rng.shuffle(pi)
-            orders.append(pi)
-        else:
-            orders.append(list(base))
-    flat = [v for pi in orders for v in pi]
-    layers = _random_layers(rng, field, flat, width, lambda v: rng.randint(0, entry_degree))
+                      width: int, entry_degree: int = 1) -> ObliviousAbp:
+    """Random k-pass program: one layer per variable per pass, the same
+    random order each pass."""
+    order = list(range(n))
+    rng.shuffle(order)
+    layers = _random_layers(rng, field, order * k, width,
+                            lambda v: rng.randint(0, entry_degree))
     return ObliviousAbp(field, n, tuple(layers))
 
 

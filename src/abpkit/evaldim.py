@@ -246,11 +246,6 @@ def k_gap_check(abp: ObliviousAbp, prefix_len: int, order=None) -> int:
     return max(t, 1)
 
 
-def max_gap(abp: ObliviousAbp, order=None) -> int:
-    n = abp.num_vars
-    return max((k_gap_check(abp, i, order) for i in range(1, n + 1)), default=1)
-
-
 def k_gap_to_roabp(abp: ObliviousAbp, guard: int = DEFAULT_EXPAND_GUARD) -> Roabp:
     """Collapse a width-w program with the k-gap property (identity prefix
     order, k its tight read multiplicity) to a read-once program of width at

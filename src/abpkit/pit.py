@@ -8,7 +8,7 @@ restricted program nonzero.  Candidates get one probe each until the round's
 first miss; then a cheap round is expanded once, and in a large one every
 later candidate is restricted first: no source-sink path means zero, else a
 probe of the restriction, a capped expansion (zero at once if the read-once
-relaxation is), and a recursion only where it gives up.  The accepted
+relaxation is), and a recursion only where it refuses.  The accepted
 candidate's restriction is the next round's program.
 ``_round_points`` makes a round's points (grid, random or a user file), and
 the test walks them as they are made: the paper's hitting set, the product
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, read_sequence, validate
+from .abp import ObliviousAbp, read_sequence, validate
 from .algebra import GuardExceeded, PrimeField
 from .sequences import ReadSequence, prune
 
@@ -63,21 +63,21 @@ def _round_points(vars, width: int, degrees, field: PrimeField, generator: str,
                   seed: int, count: int | None, path) -> tuple:
     """One round's point source over ``vars``, one degree bound each: (size,
     points).  Every refusal comes before the first point; grid and random
-    points are made only when the caller reaches them.  The grid {0..d_v} per
-    variable hits every nonzero polynomial with those individual degree
-    bounds, unconditionally (and ignores the width); over F_p it needs d_v + 1
-    distinct values, so a degree bound >= p is refused.  Random draws
+    points are made only when the caller reaches them.  A degree bound >= p
+    is refused whatever the generator: x^p - x vanishes at every point of
+    F_p^n, so no point set tells it from 0.  The grid {0..d_v} per variable
+    hits every nonzero polynomial with those individual degree bounds,
+    unconditionally (and ignores the width).  Random draws
     ``count`` points, by default (|vars| * width * max(d, 1))^2.  External
     loads a user file, one assignment per line, decimal field elements in
     declared variable order; its validity as a generator is trusted."""
     guard = DEFAULT_POINT_GUARD
+    if (d := max(degrees, default=0)) >= field.p:
+        raise ValueError(f"degree bound {d} >= p = {field.p}: no {generator} points "
+                         "hit every nonzero polynomial, since x^p - x vanishes on all of F_p")
     if generator == "grid":
         size = 1
         for d in degrees:
-            if d >= field.p:
-                raise ValueError(f"degree bound {d} >= p = {field.p}: the grid "
-                                 "{0..d} wraps mod p and no longer hits every "
-                                 "nonzero polynomial")
             size *= d + 1
             if size > guard:
                 raise GuardExceeded(f"grid of {size}+ points exceeds guard {guard}")
@@ -163,8 +163,9 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
         if poly is not None:
             rest = poly.substitute(assignment)
         else:
-            rest = sub.expand(DEFAULT_EXPAND_GUARD, DEFAULT_FASTPATH_TERMS)
-            if rest is None:
+            try:
+                rest = sub.expand(DEFAULT_FASTPATH_TERMS)
+            except GuardExceeded:
                 rest = read_k_pit(sub, generator, rng.getrandbits(32), count, path)
         if not rest.is_zero:
             return tried, pt, sub
@@ -184,14 +185,18 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     substitution decides each point); in a larger one, that candidate and
     every later one are restricted first.  A restriction with no source-sink
     path is zero (its probe point is still drawn, so later draws stay put);
-    any other gets the probe, then an expansion with a budget of
-    ``DEFAULT_FASTPATH_TERMS`` terms, and a recursive test only if a partial
-    product outgrows it.  That expansion is zero before any term map when the
-    restriction's degree box is large and its read-once relaxation is zero
-    (``ObliviousAbp.expand``), as for cancelling lanes.  The accepted
-    candidate's restriction, if built, is the next round's program.  An
-    exhausted round means zero; else the accepted points make a witness,
-    re-checked by evaluation.  With the grid generator the verdict is exact.
+    any other gets the probe, then an expansion guarded at
+    ``DEFAULT_FASTPATH_TERMS`` terms, and a recursive test only if it refuses
+    because a partial product outgrows that.  That expansion is zero before
+    any term map when the restriction's degree box is large and its read-once
+    relaxation is zero (``ObliviousAbp.expand``), as for cancelling lanes.
+    The accepted candidate's restriction, if built, is the next round's
+    program.  An exhausted round means zero; else the accepted points make a
+    witness, re-checked by evaluation.  With the grid generator the verdict is
+    exact.  With random points a nonzero verdict is certain but a zero one is
+    one-sided: a nonzero polynomial with individual degrees d_v < p vanishes
+    at a uniform point with probability at most 1 - prod(1 - d_v/p)
+    (Schwartz-Zippel).  A degree bound >= p is refused under every generator.
     """
     cls = validate(abp)
     work = cls.normalized
@@ -228,8 +233,12 @@ def _iroot(value: int, k: int) -> int:
     integer checks decide.  Below 2^52 the float root x is the floor if
     x^k <= value < (x+1)^k, and a step of one either way covers its rounding.
     A larger root, or a seed off by more (a poor libm), goes to Newton's
-    descent from the seed shifted into place: one step lifts it to or above
-    the floor, by AM-GM, and a few more come down to it."""
+    descent y = ((k-1)x + value // x^(k-1)) // k from the seed shifted into
+    place, which stops at the floor r.  Since (k-1)x is an integer, y is the
+    floor of ((k-1)x + value/x^(k-1))/k, at least value^(1/k) by AM-GM; so
+    every step, the first included, gives y >= r.  While x > r, x^k > value,
+    so value/x^(k-1) < x and y < x: the descent goes on.  It stops at the
+    first y >= x, where x <= r, and so x = r."""
     if value < 0:
         raise ValueError("negative radicand")
     if value == 0:
@@ -248,8 +257,6 @@ def _iroot(value: int, k: int) -> int:
     x = ((k - 1) * x + value // x ** (k - 1)) // k      # >= the floor, by AM-GM
     while (y := ((k - 1) * x + value // x ** (k - 1)) // k) < x:
         x = y
-    while x ** k > value:
-        x -= 1
     return x
 
 
@@ -284,6 +291,10 @@ def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
     b-th roots at a scale of 2^bits, and the comparisons are products of
     integers; the precision doubles from ``bits`` until one of them resolves.
     A b above ``MAX_P_DENOMINATOR`` is refused: the radicands have bits*b bits.
+    On valid input the answer is always True, so ``False`` flags a fault in
+    the enclosures: with delta = n^p/r <= n, the mean value theorem gives
+    n^(1-p) - (n-delta)^(1-p) = (1-p) * delta * xi^(-p) for some xi < n, and
+    delta * xi^(-p) > delta * n^(-p) = 1/r.
     """
     if not type(n) is type(r) is type(bits) is int:
         name, value = next((name, value) for name, value in

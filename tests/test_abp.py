@@ -49,17 +49,18 @@ class TestExpand:
                   UniMatrix(field, 1, (((),),)))
         assert ObliviousAbp(field, 2, layers).expand().is_zero
 
-    def test_zero_layer_decides_before_guard_and_budget(self, field):
+    def test_zero_layer_decides_before_the_guard(self, field):
         # P_3 with its last layer emptied: zero, though its estimate is over
-        # the guard and its partial products outgrow a budget of one term
+        # a guard of 100 and its partial products outgrow a guard of one term
         p3 = gen_pn(3, field, with_poly=False).realization
         last = p3.layers[-1]
         empty = UniMatrix(field, last.var, tuple(((),) * len(row) for row in last.entries))
         zeroed = ObliviousAbp(field, p3.num_vars, p3.layers[:-1] + (empty,))
         assert p3.estimated_terms() > 100
-        assert p3.expand(budget=1) is None
+        with pytest.raises(GuardExceeded):
+            p3.expand(guard=1)
         assert zeroed.expand(guard=100) == SparsePoly.zero(field, p3.num_vars)
-        assert zeroed.expand(budget=1) == SparsePoly.zero(field, p3.num_vars)
+        assert zeroed.expand(guard=1) == SparsePoly.zero(field, p3.num_vars)
 
     def test_no_path_without_a_zero_layer(self, field):
         # [[x_1, 0]] then [[0], [x_2]]: every layer has a nonzero entry, but
@@ -70,7 +71,6 @@ class TestExpand:
         assert not a.reaches_sink
         assert a.estimated_terms() == 0
         assert a.expand(guard=0) == SparsePoly.zero(field, 2)
-        assert a.expand(budget=0) == SparsePoly.zero(field, 2)
         assert a.evaluate([3, 4]) == 0
 
     def test_p2_matches_independent_formula(self, field):
@@ -79,9 +79,23 @@ class TestExpand:
         assert gen_pn(2, field).realization.expand() == direct
 
     def test_guard_refuses_never_truncates(self, field):
-        a = chain(field, list(range(4)) * 5)  # degree 5 each variable
-        with pytest.raises(GuardExceeded):
+        # (1 + x_v)^5 over four variables read in turn: the partial product
+        # after layer i has prod(e_v + 1) terms, 108 after layer 9
+        a = ObliviousAbp(field, 4, tuple(UniMatrix(field, v, (((1, 1),),))
+                                         for v in list(range(4)) * 5))
+        with pytest.raises(GuardExceeded, match="^expansion after layer 9 holds 108 "
+                                                "terms, more than guard 100$"):
             a.expand(guard=100)
+        with pytest.raises(GuardExceeded, match="after layer 20 holds 1296 terms"):
+            a.expand(guard=1295)
+        assert len(a.expand(guard=1296).terms) == 6 ** 4
+
+    def test_guard_counts_terms_not_the_degree_box(self, field):
+        # x_1^5 ... x_4^5 is one term at every layer, though its degree box
+        # holds 6^4 monomials
+        a = chain(field, list(range(4)) * 5)
+        assert a.estimated_terms() == 6 ** 4
+        assert a.expand(guard=1) == SparsePoly(field, 4, {(5, 5, 5, 5): 1})
 
     def test_oracle_consistency_random(self, field):
         rng = random.Random(10)

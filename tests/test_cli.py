@@ -134,7 +134,26 @@ class TestPit:
         code, out, err = run(capsys, "pit", path)
         assert code == 2
         assert out == ""
-        assert "wraps mod p" in err
+        assert "no grid points hit every nonzero polynomial" in err
+
+    @pytest.mark.parametrize("layers", [
+        [{"var": 1, "matrix": [[[0, 6, 0, 0, 0, 0, 0, 1]]]}],
+        [{"var": 1, "matrix": [[[0, 0, 0, 0, 1], [0, 1]]]},
+         {"var": 1, "matrix": [[[0, 0, 0, 1]], [[6]]]}]])
+    @pytest.mark.parametrize("generator", ["random", "external"])
+    def test_degree_reaching_p_exit_two_for_every_generator(self, capsys, tmp_path,
+                                                            layers, generator):
+        # x^7 - x over F_7, read once or twice (layer degrees 4 and 3): every
+        # point of F_7 is a zero, so no generator may report "zero polynomial"
+        path = tmp_path / "x7.json"
+        path.write_text(json.dumps({"field_prime": 7, "num_vars": 1, "layers": layers}))
+        points = tmp_path / "points.txt"
+        points.write_text("0\n1\n2\n3\n4\n5\n6\n")
+        code, out, err = run(capsys, "pit", path, "--generator", generator,
+                             "--points-file", points)
+        assert code == 2
+        assert out == ""
+        assert f"no {generator} points hit every nonzero polynomial" in err
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_empty_random_round_exit_two(self, capsys, count):

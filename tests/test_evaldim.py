@@ -8,8 +8,7 @@ from abpkit.abp import ClassificationError, ObliviousAbp, validate
 from abpkit.algebra import PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_k_pass_abp, random_multilinear_poly
 from abpkit.evaldim import (eval_dim, k_gap_check, k_gap_to_roabp,
-                            k_pass_to_roabp, max_gap, roabp_synthesize,
-                            roabp_width_profile)
+                            k_pass_to_roabp, roabp_synthesize, roabp_width_profile)
 from abpkit.hardpoly import gen_pn
 
 
@@ -204,6 +203,12 @@ class TestKGapCheck:
         assert k_gap_check(a, 1) == 2
 
 
+def max_gap(abp, order=None):
+    """The largest ``k_gap_check`` over every nonempty prefix of the order."""
+    n = abp.num_vars
+    return max((k_gap_check(abp, i, order) for i in range(1, n + 1)), default=1)
+
+
 def assert_pass_gaps(a, k):
     # k passes in order pi: exactly k gaps at every proper prefix of pi, and
     # one at the full prefix, so k_pass_to_roabp needs no gap check
@@ -264,8 +269,7 @@ class TestCollapse:
         rng = random.Random(25)
         for _ in range(15):
             n = rng.randint(2, 4)
-            a = random_k_pass_abp(rng, field, n, 2, 2, entry_degree=1,
-                                  varying=False)
+            a = random_k_pass_abp(rng, field, n, 2, 2, entry_degree=1)
             assert_pass_gaps(a, 2)
             # identity-order gap need not be small for an arbitrary pass
             # order, so collapse in the program's own order via the pass path

@@ -80,7 +80,7 @@ class TestGridPoints:
     def test_degree_reaching_p_refused(self, f7):
         v = read_k_pit(chain(f7, (0, 0, 0, 0, 0, 0, 1)))      # x^6: d = 6 < 7
         assert records(v) == [((0,), 7, 2, (1,))]
-        with pytest.raises(ValueError, match="wraps mod p"):
+        with pytest.raises(ValueError, match="no grid points hit every nonzero polynomial"):
             read_k_pit(chain(f7, (0, 1), (0, 0, 0, 0, 0, 0, 0, 1)))      # x1*x2^7
 
 
@@ -90,11 +90,31 @@ def x7_minus_x(f7):
     return ObliviousAbp(f7, 1, (UniMatrix(f7, 0, (((0, 6, 0, 0, 0, 0, 0, 1),),)),))
 
 
+def read_two_x7_minus_x(f7):
+    """x^7 - x over F_7 as x^4 * x^3 + x * 6, x read twice: each layer's
+    degree is below 7, but x's degree bound, their sum, is 7."""
+    return ObliviousAbp(f7, 1, (UniMatrix(f7, 0, (((0, 0, 0, 0, 1), (0, 1)),)),
+                                UniMatrix(f7, 0, (((0, 0, 0, 1),), ((6,),)))))
+
+
 class TestSmallFieldRefusal:
+    @pytest.mark.parametrize("program", [x7_minus_x, read_two_x7_minus_x])
+    @pytest.mark.parametrize("generator", ["random", "external"])
+    def test_every_generator_refuses_degree_p(self, f7, tmp_path, program, generator):
+        # every point of F_7 is a zero of x^7 - x, so these points would read
+        # the nonzero program as zero
+        a = program(f7)
+        assert str(a.expand()) == "x1^7 + 6*x1"
+        path = tmp_path / "points.txt"
+        path.write_text("".join(f"{x}\n" for x in range(7)))
+        with pytest.raises(ValueError, match=f"^degree bound 7 >= p = 7: no {generator} "
+                                             "points hit every nonzero polynomial"):
+            read_k_pit(a, generator, count=50, path=path)
+
     def test_read_k_pit_refuses_degree_p(self, f7):
         a = x7_minus_x(f7)
         assert str(a.expand()) == "x1^7 + 6*x1"
-        with pytest.raises(ValueError, match="wraps mod p"):
+        with pytest.raises(ValueError, match="no grid points hit every nonzero polynomial"):
             read_k_pit(a)
 
     def test_degree_below_p_still_decided(self, f7):
@@ -275,6 +295,19 @@ class TestReadKPit:
             slow = read_k_pit(a, seed=i)
             assert fast.is_zero == slow.is_zero
         assert recursions.get(10 ** 6, 0) < recursions.get(1, 0)
+
+    def test_recursion_refusal_propagates(self, field, monkeypatch):
+        """Only the capped expansion's refusal is caught: a refusal of the
+        recursive test it leads to (its point guard) reaches the caller."""
+        def refused(*args, **kwargs):
+            raise GuardExceeded("recursion refused")
+        real = pit.read_k_pit
+        monkeypatch.setattr(pit, "read_k_pit", refused)
+        monkeypatch.setattr(pit, "DEFAULT_FASTPATH_TERMS", 1)
+        zero = random_read_k_abp(random.Random(2), field, 4, 2, 2, 1, term_budget=3000,
+                                 zero_kind="cancel")
+        with pytest.raises(GuardExceeded, match="^recursion refused$"):
+            real(zero)
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 1)])
     def test_one_expansion_per_round(self, field, monkeypatch, n, k):
@@ -665,9 +698,16 @@ class TestIterationBound:
         assert len(calls) > 1
 
     def test_violated_inequality_detected(self):
-        # with the bound's right side scaled up the comparison must fail;
-        # emulate by checking the complement via a tiny n and huge r is true
-        # while an impossible variant (p -> 1 with r=1 at n=1) stays true,
-        # so instead check the decision is exact on a known tight case:
-        # f(n) decreases toward (1-p)/r, so f(10^6) - rhs is tiny but positive.
+        # the inequality holds on every valid input, so check the decision is
+        # exact on a tight case: f(n) decreases toward (1-p)/r, so
+        # f(10^6) - rhs is tiny but positive
         assert iteration_bound_check(10 ** 6, Fraction(1, 2), 2)
+
+    @pytest.mark.parametrize("n, p, r", [(4, Fraction(1, 2), 1), (10 ** 6, Fraction(1, 2), 2),
+                                         (50, Fraction(9, 10), 9)])
+    def test_false_claim_decided_false(self, monkeypatch, n, p, r):
+        # only a false claim reaches False: enclose the second term as n^(1-p)
+        # itself, which leaves 0 on the left, below (1-p)/r
+        real = pit._enclosures
+        monkeypatch.setattr(pit, "_enclosures", lambda *args: real(*args)[:2] * 2)
+        assert iteration_bound_check(n, p, r) is False

@@ -11,17 +11,16 @@ refused with a ValueError.
 
 ``reference_tuple_expand`` is ``expand``'s loop as it was before term maps
 were keyed by packed ints: each key is an exponent tuple, rebuilt on every
-shift.  ``expand`` must give the same terms in the same order, and give up
-(None) at exactly the same budgets.  Like ``expand``, it decides a program
-as zero before the guard or the budget when it has no source-sink path, or
-when its degree box passes layers * width^2 and its read-once relaxation is
-zero.
+shift.  ``expand`` must give the same terms in the same order, and refuse
+(``GuardExceeded``) at exactly the same guards.  Like ``expand``, it decides
+a program as zero before the guard when it has no source-sink path, or when
+its degree box passes layers * width^2 and its read-once relaxation is zero.
 
 ``relaxed`` is that relaxation, layer i reading fresh variable i;
 ``relaxation_zero`` must equal its ``reference_expand`` being zero, and a
 program whose relaxation is zero must expand to zero.  ``crossed_lanes``
 builds zero read-k programs the relaxation misses, so capped expansions that
-give up on a zero, and recursive tests, keep their inputs.
+refuse a zero, and recursive tests, keep their inputs.
 
 ``reference_reaches_sink`` enumerates source-to-sink paths of nonzero
 entries depth first.  ``reaches_sink`` must agree with it, and a program
@@ -65,8 +64,8 @@ the same subset and floor.
 
 ``reference_read_k_pit`` is the identity test that scans each round candidate
 by candidate: every candidate is restricted, gets one random probe, and is
-then expanded with a budget of ``DEFAULT_FASTPATH_TERMS`` terms, or tested
-recursively if the expansion gives up.  It picks each round's subset with
+then expanded with a guard of ``DEFAULT_FASTPATH_TERMS`` terms, or tested
+recursively if the expansion refuses.  It picks each round's subset with
 ``reference_choose_subset``.  ``read_k_pit``, which expands a cheap round once
 and decides later candidates of a large one on their restriction, must give
 the same verdict, witness and iteration records, or the same refusal.
@@ -119,17 +118,15 @@ def reference_expand(abp: ObliviousAbp) -> SparsePoly:
     return row[0]
 
 
-def reference_tuple_expand(abp: ObliviousAbp, guard: int = DEFAULT_EXPAND_GUARD,
-                           budget: int | None = None) -> SparsePoly | None:
+def reference_tuple_expand(abp: ObliviousAbp,
+                           guard: int = DEFAULT_EXPAND_GUARD) -> SparsePoly:
     est = abp.estimated_terms()
     if not abp.reaches_sink or (est > len(abp.layers) * abp.width ** 2
                                 and abp.relaxation_zero):
         return SparsePoly.zero(abp.field, abp.num_vars)
-    if budget is None and est > guard:
-        raise GuardExceeded(f"expansion estimated at {est} terms exceeds guard {guard}")
     p = abp.field.p
     row = [{(0,) * abp.num_vars: 1}]
-    for layer in abp.layers:
+    for i, layer in enumerate(abp.layers, 1):
         v = layer.var
         out = [{} for _ in range(layer.width_out)]
         for terms, entries in zip(row, layer.entries):
@@ -143,9 +140,18 @@ def reference_tuple_expand(abp: ObliviousAbp, guard: int = DEFAULT_EXPAND_GUARD,
                         key = exps[:v] + (exps[v] + e,) + exps[v + 1:] if e else exps
                         acc[key] = get(key, 0) + a * c
         row = [{exps: r for exps, a in acc.items() if (r := a % p)} for acc in out]
-        if budget is not None and max(map(len, row)) > budget:
-            return None
+        if (size := max(map(len, row))) > guard:
+            raise GuardExceeded(f"expansion after layer {i} holds {size} terms, "
+                                f"more than guard {guard}")
     return SparsePoly._trusted(abp.field, abp.num_vars, row[0])
+
+
+def refusal_or_result(expand, abp: ObliviousAbp, guard: int):
+    """``expand(abp, guard)``, or the text of its ``GuardExceeded``."""
+    try:
+        return expand(abp, guard)
+    except GuardExceeded as exc:
+        return str(exc)
 
 
 def reference_reaches_sink(abp: ObliviousAbp) -> bool:
@@ -414,8 +420,9 @@ def _reference_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
         return abp.evaluate([0] * abp.num_vars) != 0
     if abp.evaluate([abp.field.random(rng) for _ in range(abp.num_vars)]) != 0:
         return True
-    rest = abp.expand(DEFAULT_EXPAND_GUARD, pit.DEFAULT_FASTPATH_TERMS)
-    if rest is None:
+    try:
+        rest = abp.expand(pit.DEFAULT_FASTPATH_TERMS)
+    except GuardExceeded:
         rest = reference_read_k_pit(abp, generator, rng.getrandbits(32), count, path)
     return not rest.is_zero
 
@@ -678,7 +685,7 @@ class TestExpandMatchesReference:
 @st.composite
 def capped_cases(draw):
     """A program from ``programs()`` or a read-k corpus program (zero by
-    cancelling or crossed lanes one time in three each), with a term budget
+    cancelling or crossed lanes one time in three each), with a term guard
     of 1 to 256."""
     if draw(st.booleans()):
         abp = draw(programs(primes=(2, 7, 101)))
@@ -807,25 +814,26 @@ class TestEvaluateMatchesReference:
 
 
 class TestCappedExpand:
-    """A capped expansion is exact or undecided: it returns None or exactly
-    ``expand()``, and never None when the budget covers the estimate, since
-    every reduced term map holds distinct monomials of the degree box.
-    Crossed lanes keep an undecided zero whose relaxation was checked."""
+    """A capped expansion is exact or refused: it returns exactly
+    ``expand()`` or raises ``GuardExceeded``, and never raises when the guard
+    covers the estimate, since every reduced term map holds distinct
+    monomials of the degree box.  Crossed lanes keep a refused zero whose
+    relaxation was checked."""
 
-    def test_exact_or_undecided(self):
+    def test_exact_or_refused(self):
         seen = Counter()
 
         @PROPERTY_SETTINGS
         @given(capped_cases())
         def check(case):
-            abp, budget = case
-            capped = abp.expand(DEFAULT_EXPAND_GUARD, budget)
-            if budget >= abp.estimated_terms():
-                assert capped is not None
-            if capped is None:
-                seen["undecided zero" if abp.expand().is_zero else "undecided"] += 1
+            abp, guard = case
+            try:
+                capped = abp.expand(guard)
+            except GuardExceeded:
+                assert guard < abp.estimated_terms()
+                seen["refused zero" if abp.expand().is_zero else "refused"] += 1
                 # the relaxation was looked at and missed the zero
-                seen["undecided zero past the relaxation"] += (
+                seen["refused zero past the relaxation"] += (
                     abp.expand().is_zero
                     and abp.estimated_terms() > len(abp.layers) * abp.width ** 2)
             else:
@@ -833,11 +841,11 @@ class TestCappedExpand:
                 seen["decided"] += 1
 
         check()
-        assert min(seen["undecided zero"], seen["undecided zero past the relaxation"],
-                   seen["undecided"], seen["decided"]) > 0
+        assert min(seen["refused zero"], seen["refused zero past the relaxation"],
+                   seen["refused"], seen["decided"]) > 0
 
 
-EXPAND_BUDGETS = (None, 1, 2, 3, 5, 8, 16, 50, 256, 4096)
+EXPAND_GUARDS = (DEFAULT_EXPAND_GUARD, 1, 2, 3, 5, 8, 16, 50, 256, 4096)
 
 
 @st.composite
@@ -887,18 +895,18 @@ def unread_variable_program() -> ObliviousAbp:
 
 class TestPackedExpandMatchesTupleLoop:
     """``expand`` keys its term maps by packed ints; the tuple-keyed loop
-    must give the same terms in the same insertion order, and give up at
-    the same budgets."""
+    must give the same terms in the same insertion order, and refuse at
+    the same guards with the same text."""
 
     @staticmethod
-    def check(abp: ObliviousAbp, budgets=EXPAND_BUDGETS) -> Counter:
+    def check(abp: ObliviousAbp, guards=EXPAND_GUARDS) -> Counter:
         seen = Counter()
-        for budget in budgets:
-            fast = abp.expand(DEFAULT_EXPAND_GUARD, budget)
-            ref = reference_tuple_expand(abp, DEFAULT_EXPAND_GUARD, budget)
-            assert (fast is None) == (ref is None)
-            if fast is None:
-                seen["undecided"] += 1
+        for guard in guards:
+            fast, ref = (refusal_or_result(expand, abp, guard)
+                         for expand in (ObliviousAbp.expand, reference_tuple_expand))
+            if type(fast) is str:
+                assert fast == ref
+                seen["refused"] += 1
             else:
                 assert list(fast.terms.items()) == list(ref.terms.items())
                 assert_canonical(fast)
@@ -916,12 +924,12 @@ class TestPackedExpandMatchesTupleLoop:
             seen.update(self.check(abp))
 
         check()
-        assert min(seen["undecided"], seen["zero"], seen["nonzero"]) > 0
+        assert min(seen["refused"], seen["zero"], seen["nonzero"]) > 0
 
     def test_no_variables(self):
         # no columns to zip: the one packed key must still become ()
         for abp, c in zip(no_variable_programs(), (1, 5)):
-            assert self.check(abp) == Counter(nonzero=len(EXPAND_BUDGETS))
+            assert self.check(abp) == Counter(nonzero=len(EXPAND_GUARDS))
             assert abp.expand().terms == {(): c}
 
     def test_unread_and_degree_zero_variables(self):
@@ -934,23 +942,25 @@ class TestPackedExpandMatchesTupleLoop:
         assert {e[1] for e in f.terms} == {e[2] for e in f.terms} == {0}
 
     def test_pn_realization(self):
-        # P_5 outgrows these budgets; fixed at its first two rounds' accepted
+        # P_5 outgrows these guards; fixed at its first two rounds' accepted
         # points it has 642 terms
         p5 = gen_pn(5, with_poly=False).realization
-        assert self.check(p5, (1, 50, 4096)) == Counter(undecided=3)
+        assert self.check(p5, (1, 50, 4096)) == Counter(refused=3)
         assignment = {}
         for rec in read_k_pit(p5).iterations[:2]:
             assignment.update(zip(rec.subset, rec.chosen))
         fixed = p5.restrict(assignment)
-        assert self.check(fixed, (None, 50, 4096)) == Counter(undecided=1, nonzero=2)
+        assert self.check(fixed, (DEFAULT_EXPAND_GUARD, 50, 4096)) == Counter(
+            refused=1, nonzero=2)
         assert len(fixed.expand().terms) == 642
 
     def test_keys_wider_than_64_bits(self):
-        # the estimate 4^40 is over the guard, so only budgets apply
+        # the estimate 4^40 is over the guard, but no partial product is
         abp = wide_program(40)
+        assert abp.estimated_terms() == 4 ** 40
         assert sum(d.bit_length() for d in abp.individual_degrees()) == 80
-        assert self.check(abp, EXPAND_BUDGETS[1:]) == Counter(undecided=5, nonzero=4)
-        f = abp.expand(DEFAULT_EXPAND_GUARD, 9)
+        assert self.check(abp) == Counter(refused=5, nonzero=5)
+        f = abp.expand()
         assert len(f.terms) == 9
         assert f.terms[(3,) * 40] == pow(2, 40, 101)
         assert f == reference_expand(abp)
@@ -1272,7 +1282,7 @@ class TestGridPitAgainstOracle:
         try:
             verdict = read_k_pit(abp, generator="grid")
         except ValueError as exc:
-            assert "wraps mod p" in str(exc)
+            assert "vanishes on all of F_p" in str(exc)
             assert max(abp.individual_degrees()) >= abp.field.p
             return
         assert verdict.is_zero == oracle.is_zero
