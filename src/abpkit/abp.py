@@ -13,9 +13,11 @@ product outgrows a term limit.  It keys monomials by packed ints, one bit
 field per variable as wide as its individual degree, which no exponent of a
 partial product exceeds: shifting a term is one add, no carry.
 
-``restrict``, ``UniMatrix.constant`` and ``ReadSequence.from_order``/``restrict``
-skip re-validation: they keep validated layers and, folding, the widths at a run's
-borders; ``constant`` reduces its own entries; a relabeled order is valid as built.
+``restrict``, ``normalize``, ``UniMatrix.constant`` and
+``ReadSequence.from_order``/``restrict`` skip re-validation: they keep validated
+layers and, folding, the widths at a run's borders; ``normalize`` appends 1x1
+identities after a one-column sink; ``constant`` reduces its own entries; a
+relabeled order is valid as built.
 """
 
 from __future__ import annotations
@@ -271,16 +273,23 @@ def normalize(abp: ObliviousAbp) -> ObliviousAbp:
     """Pad with identity layers so every variable is read exactly k times, k
     the tight read multiplicity (at least 1 when there are variables).
     Padding layers are 1x1 identities appended after the sink, which keeps the
-    width and the computed polynomial unchanged."""
+    width and the computed polynomial unchanged; the padded program is not
+    validated again (module notes)."""
     counts = abp.read_counts()
     k = max(counts.values(), default=min(abp.num_vars, 1))
     pad = []
     for v in range(abp.num_vars):
-        for _ in range(k - counts.get(v, 0)):
-            pad.append(UniMatrix.identity(abp.field, 1, var=v, padding=True))
+        if missing := k - counts.get(v, 0):     # UniMatrix.identity(field, 1, v, True)
+            layer = object.__new__(UniMatrix)
+            layer.field, layer.var, layer.padding = abp.field, v, True
+            layer.entries, layer.degree, layer.support = (((1,),),), 0, (1,)
+            pad += [layer] * missing
     if not pad:
         return abp
-    return ObliviousAbp(abp.field, abp.num_vars, abp.layers + tuple(pad))
+    padded = object.__new__(ObliviousAbp)
+    padded.field, padded.num_vars = abp.field, abp.num_vars
+    padded.layers = abp.layers + tuple(pad)
+    return padded
 
 
 def validate(abp: ObliviousAbp) -> AbpClass:

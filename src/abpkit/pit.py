@@ -5,11 +5,13 @@ per-read-monotone, regularly-interleaving subset of the remaining variables
 (pruning the read sequence in place), and walks the round's points over it
 (sized by the width and degrees of the program left) until a point keeps the
 restricted program nonzero.  Candidates get one probe each until the round's
-first miss; then a cheap round is expanded once, and in a large one every
-later candidate is restricted first: no source-sink path means zero, else a
-probe of the restriction, a capped expansion (zero at once if the read-once
-relaxation is), and a recursion only where it refuses.  The accepted
-candidate's restriction is the next round's program.
+first miss.  A round with no source-sink path then ends; a cheap one probes
+the missed candidate once more and is expanded once only if that misses too;
+in a large one every later candidate is restricted first: no source-sink
+path means zero, else a probe of the restriction, a capped expansion (zero at
+once if the read-once relaxation is), and a recursion only where it refuses.
+The accepted candidate's restriction is the next round's program, nonzero
+and so with a nonzero read-once relaxation.
 ``_round_points`` makes a round's points (grid, random or a user file), and
 the test walks them as they are made: the paper's hitting set, the product
 of the rounds' sets, is never stored.  Grid points make the verdict exact;
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abp import ObliviousAbp, read_sequence, validate
-from .algebra import GuardExceeded, PrimeField
+from .algebra import GuardExceeded
 from .sequences import ReadSequence, prune
 
 DEFAULT_POINT_GUARD = 10 ** 6
@@ -59,19 +61,23 @@ class PitVerdict:
         self.iterations = tuple(self.iterations)
 
 
-def _round_points(vars, width: int, degrees, field: PrimeField, generator: str,
-                  seed: int, count: int | None, path) -> tuple:
-    """One round's point source over ``vars``, one degree bound each: (size,
-    points).  Every refusal comes before the first point; grid and random
-    points are made only when the caller reaches them.  A degree bound >= p
-    is refused whatever the generator: x^p - x vanishes at every point of
+def _round_points(work: ObliviousAbp, vars, k: int, generator: str, seed: int,
+                  count: int | None, path) -> tuple:
+    """One round's point source over ``vars`` of the read-k program ``work``:
+    (size, points).  Every refusal comes before the first point; grid and
+    random points are made only when the caller reaches them.  A degree bound
+    >= p is refused whatever the generator: x^p - x vanishes at every point of
     F_p^n, so no point set tells it from 0.  The grid {0..d_v} per variable
     hits every nonzero polynomial with those individual degree bounds,
-    unconditionally (and ignores the width).  Random draws
-    ``count`` points, by default (|vars| * width * max(d, 1))^2.  External
-    loads a user file, one assignment per line, decimal field elements in
-    declared variable order; its validity as a generator is trusted."""
+    unconditionally (and ignores the width).  Random draws ``count`` points,
+    by default (|vars| * w^(2k) * max(d, 1))^2 for the program's width w, the
+    only use of the width.  External loads a user file, one assignment per
+    line, decimal field elements in declared variable order; its validity as
+    a generator is trusted."""
     guard = DEFAULT_POINT_GUARD
+    field = work.field
+    all_degrees = work.individual_degrees()
+    degrees = [all_degrees[v] for v in vars]
     if (d := max(degrees, default=0)) >= field.p:
         raise ValueError(f"degree bound {d} >= p = {field.p}: no {generator} points "
                          "hit every nonzero polynomial, since x^p - x vanishes on all of F_p")
@@ -84,7 +90,7 @@ def _round_points(vars, width: int, degrees, field: PrimeField, generator: str,
         return size, itertools.product(*(range(d + 1) for d in degrees))
     if generator == "random":
         if count is None:
-            count = max(1, (len(vars) * width * max(max(degrees, default=0), 1)) ** 2)
+            count = max(1, (len(vars) * work.width ** (2 * k) * max(d, 1)) ** 2)
         if count < 1:
             raise ValueError(f"random generator needs count >= 1, got {count}")
         if count > guard:
@@ -134,6 +140,14 @@ def iteration_bound(n: int, k: int) -> float:
     return 2 * 3 ** (k * k) * n ** (1 - 1.0 / 2 ** (k - 1))
 
 
+def _probe_point(work: ObliviousAbp, assignment: dict, rng) -> list:
+    """A random point of the whole program, the candidate's values in place."""
+    point = [work.field.random(rng) for _ in range(work.num_vars)]
+    for v, value in assignment.items():
+        point[v] = value
+    return point
+
+
 def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
                 path) -> tuple | None:
     """One round of ``read_k_pit``: (points tried, accepted point, its
@@ -145,21 +159,22 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
         assignment = dict(zip(subset, pt))
         sub = work.restrict(assignment) if restrict_first else None
         if poly is None:
-            point = [work.field.random(rng) for _ in range(work.num_vars)]
-            for v, value in assignment.items():
-                point[v] = value
+            point = _probe_point(work, assignment, rng)
             if sub is not None and not sub.reaches_sink:
                 continue
             if (sub or work).evaluate(point) != 0:
                 return tried, pt, sub
             if not restrict_first:      # the round's first miss
-                if work.estimated_terms() <= DEFAULT_FASTPATH_TERMS:
+                est = work.estimated_terms()
+                if est > DEFAULT_FASTPATH_TERMS:
+                    restrict_first = True
+                    sub = work.restrict(assignment)
+                elif est and work.evaluate(_probe_point(work, assignment, rng)) != 0:
+                    return tried, pt, None      # a second probe hits before any expansion
+                else:
                     poly = work.expand()
                     if poly.is_zero:
                         return None
-                else:
-                    restrict_first = True
-                    sub = work.restrict(assignment)
         if poly is not None:
             rest = poly.substitute(assignment)
         else:
@@ -180,20 +195,24 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     regularly-interleaving subset y_i and scans the generator's points over
     y_i in order for the first whose restriction stays nonzero.  Whatever the
     generator, each candidate gets one random probe up to the round's first
-    miss.  There the round program's terms are estimated, once: one within
-    ``DEFAULT_FASTPATH_TERMS`` is expanded (zero ends the round, else
-    substitution decides each point); in a larger one, that candidate and
-    every later one are restricted first.  A restriction with no source-sink
-    path is zero (its probe point is still drawn, so later draws stay put);
-    any other gets the probe, then an expansion guarded at
-    ``DEFAULT_FASTPATH_TERMS`` terms, and a recursive test only if it refuses
-    because a partial product outgrows that.  That expansion is zero before
-    any term map when the restriction's degree box is large and its read-once
-    relaxation is zero (``ObliviousAbp.expand``), as for cancelling lanes.
-    The accepted candidate's restriction, if built, is the next round's
-    program.  An exhausted round means zero; else the accepted points make a
-    witness, re-checked by evaluation.  With the grid generator the verdict is
-    exact.  With random points a nonzero verdict is certain but a zero one is
+    miss.  There the round program's terms are estimated, once.  One with no
+    source-sink path (estimate 0) ends the round.  One within
+    ``DEFAULT_FASTPATH_TERMS`` probes the missed candidate again at a fresh
+    random point, accepting it on a nonzero value, and is expanded only at a
+    second miss (zero ends the round, else substitution decides each point).
+    In a larger one, that candidate and every later one are restricted first,
+    with no second probe.  A restriction with no source-sink path is zero
+    (its probe point is still drawn, so later draws stay put); any other gets
+    the probe, then an expansion guarded at ``DEFAULT_FASTPATH_TERMS`` terms,
+    and a recursive test only if it refuses because a partial product
+    outgrows that.  That expansion is zero before any term map when the
+    restriction's degree box is large and its read-once relaxation is zero
+    (``ObliviousAbp.expand``), as for cancelling lanes.  The accepted
+    candidate's restriction is the next round's program; being nonzero, it is
+    marked as having a nonzero relaxation, so its expansion skips that check.
+    An exhausted round means zero; else the accepted points make a witness,
+    re-checked by evaluation.  With the grid generator the verdict is exact.
+    With random points a nonzero verdict is certain but a zero one is
     one-sided: a nonzero polynomial with individual degrees d_v < p vanishes
     at a uniform point with probability at most 1 - prod(1 - d_v/p)
     (Schwartz-Zippel).  A degree bound >= p is refused under every generator.
@@ -206,10 +225,8 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     iterations: list = []
     while work.read_order():
         subset, floor = _choose_subset(read_sequence(work))
-        degs = work.individual_degrees()
-        size, points = _round_points(subset, work.width ** (2 * k),
-                                     [degs[v] for v in subset], work.field, generator,
-                                     seed + len(iterations), count, path)
+        size, points = _round_points(work, subset, k, generator, seed + len(iterations),
+                                     count, path)
         tried, chosen, sub = (_scan_round(work, subset, points, rng, generator, count,
                                           path) or (size, None, None))
         iterations.append(IterationRecord(subset, floor, size, tried, chosen))
@@ -217,6 +234,7 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
             return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
         assigned.update(zip(subset, chosen))
         work = sub or work.restrict(dict(zip(subset, chosen)))
+        work.relaxation_zero = False    # nonzero, so its read-once relaxation is too
     if work.evaluate([0] * work.num_vars) == 0:
         return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
     witness = tuple(assigned.get(v, 0) for v in range(abp.num_vars))

@@ -35,7 +35,7 @@ class TestEvaluate:
         assert gen_pn(2, field).realization.evaluate([1, 1, 1, 1]) == 16
 
     def test_wrong_point_length(self, field):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^point length 1 != num_vars 2$"):
             chain(field, [0, 1]).evaluate([1])
 
 
@@ -125,6 +125,11 @@ class TestRestrict:
             pt = [rng.randrange(field.p) for _ in range(n)]
             r = a.restrict(dict(enumerate(pt)))
             assert r.expand() == SparsePoly.const(field, n, a.evaluate(pt))
+
+    @pytest.mark.parametrize("var", [-1, 2])
+    def test_out_of_range_variable_refused(self, field, var):
+        with pytest.raises(ValueError, match=rf"^assigned variable {var} out of range$"):
+            chain(field, [0, 1]).restrict({0: 3, var: 1})
 
     def test_q2_restriction_single_matching(self, field):
         q2 = gen_qn(2, field)

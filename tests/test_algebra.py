@@ -157,6 +157,11 @@ class TestSparsePoly:
             full = f.substitute(dict(enumerate(pt)))
             assert full.coefficient((0,) * n) == f.evaluate(pt)
 
+    def test_evaluate_wrong_point_length(self, field):
+        f = SparsePoly.variable(field, 3, 0)
+        with pytest.raises(ValueError, match=r"^point length 2 != num_vars 3$"):
+            f.evaluate([1, 2])
+
 
 class TestUniMatrix:
     def test_eval_horner(self, field):

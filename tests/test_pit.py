@@ -6,6 +6,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -30,6 +31,28 @@ def chain(field, *coeffs):
 
 def records(verdict):
     return [(r.subset, r.h_size, r.points_tried, r.chosen) for r in verdict.iterations]
+
+
+def criterion_1_k3(field, index):
+    """Criterion 1's program k3#index, the (index+1)-th draw from Random(1003),
+    with its zero kind; its ``read_k_pit`` seed is ``index``."""
+    rng = random.Random(1003)
+    for _ in range(index + 1):
+        n, w, roll = rng.randint(1, 8), rng.randint(1, 3), rng.random()
+        zero_kind = "cancel" if roll < 0.12 else ("zero_layer" if roll < 0.22 else None)
+        program = random_read_k_abp(rng, field, n, 3, w, max_entry_degree=2,
+                                    term_budget=20000, zero_kind=zero_kind)
+    return program, zero_kind
+
+
+def count_calls(monkeypatch, calls):
+    """Count calls of the ``ObliviousAbp`` methods named by ``calls``' keys."""
+    for name in calls:
+        def counted(self, *args, _name=name, _real=getattr(ObliviousAbp, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(ObliviousAbp, name, counted)
+    return calls
 
 
 class TestGridPoints:
@@ -311,28 +334,18 @@ class TestReadKPit:
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 1)])
     def test_one_expansion_per_round(self, field, monkeypatch, n, k):
-        """A zero round costs one probe and one expansion of the round's
-        program, however many points it has and whether or not its candidates
-        read anything (with k = 1 they read nothing); a nonzero program whose
-        first candidates hit expands nothing."""
-        calls = {"expand": 0, "evaluate": 0}
-        expand, evaluate = ObliviousAbp.expand, ObliviousAbp.evaluate
-
-        def counted_expand(self, *args):
-            calls["expand"] += 1
-            return expand(self, *args)
-
-        def counted_evaluate(self, *args):
-            calls["evaluate"] += 1
-            return evaluate(self, *args)
-        monkeypatch.setattr(ObliviousAbp, "expand", counted_expand)
-        monkeypatch.setattr(ObliviousAbp, "evaluate", counted_evaluate)
+        """A zero round costs two probes of its first candidate and one
+        expansion of the round's program, however many points it has and
+        whether or not its candidates read anything (with k = 1 they read
+        nothing); a nonzero program whose first candidates hit expands
+        nothing."""
+        calls = count_calls(monkeypatch, {"expand": 0, "evaluate": 0})
         zero = random_read_k_abp(random.Random(2), field, n, k, 2, 1, term_budget=3000,
                                  zero_kind="cancel")
         v = read_k_pit(zero)
         assert v.is_zero and len(v.iterations) == 1
         assert v.iterations[0].points_tried == v.iterations[0].h_size >= 8
-        assert calls == {"expand": 1, "evaluate": 1}
+        assert calls == {"expand": 1, "evaluate": 2}
         calls.update(expand=0)
         nonzero = random_read_k_abp(random.Random(1), field, n, k, 2, 1, term_budget=3000)
         v = read_k_pit(nonzero)
@@ -345,25 +358,48 @@ class TestReadKPit:
         decided by the round's one expansion, which the zero layer answers at
         once.  Criterion 1's program k3#25 has one; estimated at 6,480 terms,
         it restricted, probed and expanded each of its 54 points."""
-        rng = random.Random(1003)
-        for _ in range(26):
-            n, w, roll = rng.randint(1, 8), rng.randint(1, 3), rng.random()
-            zero_kind = "cancel" if roll < 0.12 else ("zero_layer" if roll < 0.22 else None)
-            program = random_read_k_abp(rng, field, n, 3, w, max_entry_degree=2,
-                                        term_budget=20000, zero_kind=zero_kind)
+        program, zero_kind = criterion_1_k3(field, 25)
         assert zero_kind == "zero_layer"
-        calls = {"restrict": 0, "evaluate": 0, "expand": 0}
-        for name in calls:
-            def counted(self, *args, _name=name, _real=getattr(ObliviousAbp, name)):
-                calls[_name] += 1
-                return _real(self, *args)
-            monkeypatch.setattr(ObliviousAbp, name, counted)
+        calls = count_calls(monkeypatch, {"restrict": 0, "evaluate": 0, "expand": 0})
         v = read_k_pit(program, seed=25)
         assert v.is_zero
         assert [(r.h_size, r.points_tried, r.chosen) for r in v.iterations] == [
             (54, 54, None)]
         assert calls == {"restrict": 0, "evaluate": 1, "expand": 1}
         assert program.estimated_terms() == 0
+
+    @pytest.mark.parametrize("index, want", [
+        (90, [((0, 5), 15, 1, (0, 0)), ((3, 6), 4, 1, (0, 0)), ((2, 4), 5, 1, (0, 0)),
+              ((1,), 4, 1, (0,))]),
+        (64, [((4, 5, 7), 18, 1, (0, 0, 0)), ((2, 3), 28, 1, (0, 0)), ((1, 6), 18, 1, (0, 0)),
+              ((0,), 2, 1, (0,))])])
+    def test_second_probe_spares_the_expansion(self, field, monkeypatch, index, want):
+        """Criterion 1's nonzero k3#90 and k3#64 each have a round whose first
+        probe misses on a program with a path and a small degree box.  A
+        second probe of that candidate hits, so neither expands anything;
+        each used to expand that round's whole program (1,120 and 840 terms)."""
+        program, zero_kind = criterion_1_k3(field, index)
+        assert zero_kind is None
+        calls = count_calls(monkeypatch, {"expand": 0})
+        v = read_k_pit(program, seed=index)
+        assert (v.is_zero, v.witness) == (False, (0,) * program.num_vars)
+        assert records(v) == want
+        assert calls == {"expand": 0}
+
+    def test_accepted_rounds_skip_the_relaxation(self, field, monkeypatch):
+        """Every round program after the first is an accepted candidate's
+        restriction, so nonzero, and is marked as having a nonzero read-once
+        relaxation: no expansion of it runs the span check.  Over grid
+        verdicts of P_3, Q_3, Q_4 and P_4 the check ran 3 times, each time on
+        such a program."""
+        computed = []
+        relaxation_zero = ObliviousAbp.relaxation_zero
+        spy = cached_property(lambda self: computed.append(self) or relaxation_zero.func(self))
+        spy.__set_name__(ObliviousAbp, "relaxation_zero")
+        monkeypatch.setattr(ObliviousAbp, "relaxation_zero", spy)
+        for gen, n in [(gen_pn, 3), (gen_qn, 3), (gen_qn, 4), (gen_pn, 4)]:
+            assert not read_k_pit(gen(n, field, with_poly=False).realization).is_zero
+        assert computed == []
 
     def test_cancelling_lanes_decided_by_relaxation(self, field, monkeypatch):
         """Two equal lanes over 18 variables read twice (the fixture
@@ -515,7 +551,8 @@ class TestHardFamilies:
         whole program and estimating its terms for every candidate took 368
         ``evaluate`` and 362 ``estimated_terms`` calls in all.  Each candidate
         still draws its probe point (36 values), except after the first miss
-        of the last two rounds, which are expanded once."""
+        of the last two rounds, which draw one more for the second probe and
+        are then expanded once."""
         per_round, draws = [], []
         random_element = PrimeField.random
         monkeypatch.setattr(PrimeField, "random",
@@ -538,13 +575,14 @@ class TestHardFamilies:
         for calls, record in zip(per_round, v.iterations):
             assert calls["evaluate"] <= 2 and calls["estimated_terms"] <= 1
             assert calls["restrict"] <= record.points_tried
-        assert len(draws) == 36 * (244 + 82 + 28 + 10 + 1 + 1)
+        assert len(draws) == 36 * (244 + 82 + 28 + 10 + 2 + 2)
 
     def test_q4_builds_without_revalidating(self, field, monkeypatch):
-        """Restricted programs, their folded layers and read sequences are
-        valid by construction and skip ``__post_init__``: what is left is
-        ``normalize``'s padding layers and padded program.  Rebuilding every
-        restriction and sequence through it took 60, 9 and 25 calls."""
+        """Restricted programs, their folded layers, read sequences and
+        ``normalize``'s padding layers and padded program are valid by
+        construction and skip ``__post_init__``.  Rebuilding every
+        restriction and sequence through it took 60, 9 and 25 calls, and
+        validating the padding 12 and 1 more."""
         program = gen_qn(4, field, with_poly=False).realization
         calls = Counter()
         for cls in (UniMatrix, ObliviousAbp, ReadSequence):
@@ -553,8 +591,8 @@ class TestHardFamilies:
                 post_init(self)
             monkeypatch.setattr(cls, "__post_init__", counted)
         assert not read_k_pit(program).is_zero
-        assert calls["UniMatrix"] <= 12
-        assert calls["ObliviousAbp"] <= 1
+        assert calls["UniMatrix"] == 0
+        assert calls["ObliviousAbp"] == 0
         assert calls["ReadSequence"] == 0
 
     @pytest.mark.parametrize("gen, n", [(gen_pn, 4), (gen_qn, 5), (gen_pn, 5)])

@@ -38,7 +38,9 @@ entries from d_v + 1 substituted points.  ``restrict`` and
 must give the same canonical text as these, also on P_2, P_3 and Q_2-Q_5 in
 both directions; ``restrict``, which skips validation, must also equal its
 result rebuilt through ``ObliviousAbp`` and ``UniMatrix``, with the same
-support and degree in every layer.
+support and degree in every layer.  So must ``normalize``, which also skips
+validation: its padded program rebuilt through ``ObliviousAbp``, and each
+padding layer built by ``UniMatrix.identity``.
 
 ``reference_pd_rows`` is the partial derivative matrix as it was built
 before its keys were taken with ``itemgetter``: every exponent of every term
@@ -66,9 +68,10 @@ the same subset and floor.
 by candidate: every candidate is restricted, gets one random probe, and is
 then expanded with a guard of ``DEFAULT_FASTPATH_TERMS`` terms, or tested
 recursively if the expansion refuses.  It picks each round's subset with
-``reference_choose_subset``.  ``read_k_pit``, which expands a cheap round once
-and decides later candidates of a large one on their restriction, must give
-the same verdict, witness and iteration records, or the same refusal.
+``reference_choose_subset``.  ``read_k_pit``, which probes a cheap round's
+first missed candidate twice before it expands the round once and decides
+later candidates of a large one on their restriction, must give the same
+verdict, witness and iteration records, or the same refusal.
 """
 
 import itertools
@@ -83,8 +86,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abpkit import pit
-from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, parse_text, read_sequence,
-                        to_canonical_text, to_json_obj, validate)
+from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, normalize, parse_text,
+                        read_sequence, to_canonical_text, to_json_obj, validate)
 from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_per_read_monotone_sequence, random_read_k_abp
 from abpkit.evaldim import Roabp, _pd_rows, pd_rank, roabp_synthesize
@@ -437,10 +440,8 @@ def reference_read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int =
     iterations = []
     while work.read_order():
         subset, floor = reference_choose_subset(read_sequence(work))
-        degs = work.individual_degrees()
-        _, points = pit._round_points(subset, work.width ** (2 * k), [degs[v] for v in subset],
-                                      work.field, generator, seed + len(iterations), count,
-                                      path)
+        _, points = pit._round_points(work, subset, k, generator, seed + len(iterations),
+                                      count, path)
         points = list(points)
         chosen = None
         tried = 0
@@ -680,6 +681,19 @@ class TestExpandMatchesReference:
         for n in (0, 2):
             one = ObliviousAbp(field, n, ()).expand()
             assert one == SparsePoly.const(field, n, 1)
+
+
+class TestNormalizeMatchesValidatedBuild:
+    @PROPERTY_SETTINGS
+    @given(programs(primes=(2, 7, 101)))
+    def test_padding_equals_validated_build(self, abp):
+        padded = normalize(abp)
+        assert ObliviousAbp(abp.field, abp.num_vars, padded.layers) == padded
+        assert padded.layers[:len(abp.layers)] == abp.layers
+        for layer in padded.layers[len(abp.layers):]:
+            want = UniMatrix.identity(abp.field, 1, var=layer.var, padding=True)
+            assert layer == want
+            assert (layer.degree, layer.support) == (want.degree, want.support)
 
 
 @st.composite
