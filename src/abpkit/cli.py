@@ -240,14 +240,22 @@ def _cmd_experiment(args) -> int:
                              for name, group in (("U", part.U), ("V", part.V),
                                                  ("W", part.W))))
         return 0
-    # iteration-bound
-    p_values = [Fraction(x) for x in args.p_grid.split(",")]
-    rows = [(str(p), r, n, int(ok)) for p, r, n, ok in
-            iteration_bound_sweep(p_values, range(1, args.r_max + 1), args.n_max)]
-    failures = sum(not ok for *_, ok in rows)
-    print(f"{len(rows)} grid points checked, {failures} failures")
+    # iteration-bound: the sweep refuses a bad p before the report is opened,
+    # and its rows stream to the report, one byte kept per check
+    sweep = iteration_bound_sweep([Fraction(x) for x in args.p_grid.split(",")],
+                                  range(1, args.r_max + 1), args.n_max)
+    oks = bytearray()
+
+    def rows():
+        for p, r, n, ok in sweep:
+            oks.append(ok)
+            yield str(p), r, n, int(ok)
     if args.report:
-        abpio.write_csv(args.report, ["p", "r", "n", "ok"], rows)
+        abpio.write_csv(args.report, ["p", "r", "n", "ok"], rows())
+    else:
+        oks.extend(ok for *_, ok in sweep)
+    failures = oks.count(False)
+    print(f"{len(oks)} grid points checked, {failures} failures")
     return 0 if failures == 0 else 2
 
 

@@ -20,6 +20,7 @@ random ones trade completeness for size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -278,6 +279,17 @@ def _iroot(value: int, k: int) -> int:
     return x
 
 
+@functools.lru_cache(maxsize=1 << 15)
+def _scaled_root(n: int, e: int, b: int, bits: int) -> int:
+    """Floor b-th root of n^e * 2^(bits*b): n^(e/b) as a numerator over 2^bits.
+    A sweep over p, then r, then n asks for each again for every r.  That order
+    is cyclic in n, an LRU's worst case: once a p's 2*n_max keys (n^p and
+    n^(1-p) for each n) pass the 2^15 entries, every call misses, so the memo
+    helps up to n_max = 16,384.  The default n_max = 10^4 needs 20,000 keys;
+    2^15 entries hold about 8 MB."""
+    return _iroot(n ** e << bits * b, b)
+
+
 def _enclosures(n: int, a: int, b: int, r: int, bits: int) -> tuple:
     """Enclosures [a_lo, a_hi] of n^(1-p) and [c_lo, c_hi] of (n - n^p/r)^(1-p) for
     p = a/b and c = b - a, as numerators over 2^bits: floor b-th roots of the power
@@ -285,10 +297,13 @@ def _enclosures(n: int, a: int, b: int, r: int, bits: int) -> tuple:
     [m - 1, m] / (r*2^bits), m = n*r*2^bits - (root for n^p), and its scaled power
     is m^c * 2^(bits*a) / r^c, whose floor has the same floor root.  Its radicand
     only moves from m - 1 to m, which seldom moves the root, so c_hi steps up
-    from c_lo by exact checks; only a move of two or more takes a fourth root."""
+    from c_lo by exact checks; only a move of two or more takes a fourth root.
+    The roots for n^(1-p) and n^p are shared through ``_scaled_root``: r only
+    divides n^p after its root is taken, so neither radicand holds r, and the
+    checks of one (n, p, bits) for every r take them once."""
     c = b - a
-    root_a = _iroot(n ** c << bits * b, b)
-    m = (n * r << bits) - _iroot(n ** a << bits * b, b)     # >= 0: n^p <= n*r
+    root_a = _scaled_root(n, c, b, bits)
+    m = (n * r << bits) - _scaled_root(n, a, b, bits)     # >= 0: n^p <= n*r
     c_lo = _iroot((max(m - 1, 0) ** c << bits * a) // r ** c, b)
     if not m:
         return root_a, root_a + 1, c_lo, 0
@@ -297,6 +312,18 @@ def _enclosures(n: int, a: int, b: int, r: int, bits: int) -> tuple:
     if (c_hi + 1) ** b <= hi:
         c_hi = c_hi + 1 if (c_hi + 2) ** b > hi else _iroot(hi, b)
     return root_a, root_a + 1, c_lo, c_hi + 1
+
+
+def _p_ratio(p) -> tuple:
+    """p = a/b as (a, b); refused unless 0 < p < 1 and b <= ``MAX_P_DENOMINATOR``."""
+    if type(p) is not Fraction:
+        p = Fraction(str(p)) if isinstance(p, float) else Fraction(p)
+    a, b = p.numerator, p.denominator
+    if not 0 < a < b:
+        raise ValueError("p must lie strictly between 0 and 1")
+    if b > MAX_P_DENOMINATOR:
+        raise ValueError(f"p = {p} has denominator {b} > {MAX_P_DENOMINATOR}")
+    return a, b
 
 
 def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
@@ -318,17 +345,11 @@ def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
         name, value = next((name, value) for name, value in
                            (("n", n), ("r", r), ("bits", bits)) if type(value) is not int)
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if type(p) is not Fraction:
-        p = Fraction(str(p)) if isinstance(p, float) else Fraction(p)
-    a, b = p.numerator, p.denominator
-    if not 0 < a < b:
-        raise ValueError("p must lie strictly between 0 and 1")
+    a, b = _p_ratio(p)
     if r < 1 or n < 1:
         raise ValueError("r and n must be positive integers")
     if bits < 1:
         raise ValueError(f"bits must be a positive integer, got {bits}")
-    if b > MAX_P_DENOMINATOR:
-        raise ValueError(f"p = {p} has denominator {b} > {MAX_P_DENOMINATOR}")
     while True:
         a_lo, a_hi, c_lo, c_hi = _enclosures(n, a, b, r, bits)
         rhs = (b - a) << bits       # (1-p)/r, times b * r * 2^bits
@@ -342,8 +363,10 @@ def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
 
 
 def iteration_bound_sweep(p_values, r_values, n_max: int):
-    """Yield (p, r, n, ok) over the full parameter grid."""
+    """(p, r, n, ok) over the full parameter grid, p, then r, then n, as an
+    iterator.  Every p is checked here, so a bad one is refused before a row."""
+    p_values = list(p_values)
     for p in p_values:
-        for r in r_values:
-            for n in range(1, n_max + 1):
-                yield p, r, n, iteration_bound_check(n, p, r)
+        _p_ratio(p)
+    return ((p, r, n, iteration_bound_check(n, p, r))
+            for p in p_values for r in r_values for n in range(1, n_max + 1))

@@ -201,6 +201,17 @@ class TestValidate:
         with pytest.raises(ValueError):
             ObliviousAbp(field, 2, layers)
 
+    def test_structural_refusals(self, field, f7):
+        def layer(f, var):
+            return UniMatrix(f, var, (((0, 1),),))
+        with pytest.raises(ValueError, match=r"^layer 1 uses a different field$"):
+            ObliviousAbp(field, 2, (layer(field, 0), layer(f7, 1)))
+        for var in (2, -1):
+            with pytest.raises(ValueError, match=rf"^layer 1 reads variable {var} out of range$"):
+                ObliviousAbp(field, 2, (layer(field, 0), layer(field, var)))
+        with pytest.raises(ValueError, match=r"^last layer must have a single column \(sink\)$"):
+            ObliviousAbp(field, 1, (UniMatrix(field, 0, (((1,), (0, 1)),)),))
+
 
 class TestFileFormat:
     def test_round_trip(self, field, tmp_path):

@@ -117,6 +117,23 @@ class TestSparsePoly:
         with pytest.raises(ValueError):
             f + g
 
+    def test_malformed_exponents_refused(self, field):
+        with pytest.raises(ValueError, match=r"^exponent vector \(1,\) has length 1, expected 2$"):
+            SparsePoly(field, 2, {(1,): 1})
+        with pytest.raises(ValueError, match=r"^negative exponent in \(0, -1\)$"):
+            SparsePoly(field, 2, {(0, -1): 1})
+
+    def test_variable_index_out_of_range(self, field):
+        for i in (-1, 3):
+            with pytest.raises(ValueError, match=rf"^variable index {i} out of range$"):
+                SparsePoly.variable(field, 3, i)
+
+    def test_substitute_index_out_of_range(self, field):
+        f = SparsePoly.variable(field, 2, 0)
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=rf"^assigned variable {i} out of range$"):
+                f.substitute({i: 1})
+
     def test_no_zero_coefficients_stored(self, field):
         f = SparsePoly(field, 1, {(1,): 101, (0,): 5})
         assert (1,) not in f.terms
@@ -177,6 +194,10 @@ class TestUniMatrix:
     def test_constant_layer_rejects_degree(self, field):
         with pytest.raises(ValueError):
             UniMatrix(field, None, (((1, 2),),))
+
+    def test_ragged_matrix_refused(self, field):
+        with pytest.raises(ValueError, match=r"^ragged matrix$"):
+            UniMatrix(field, 0, (((1,), (2,)), ((3,),)))
 
     def test_constant_matches_validating_constructor(self, field):
         grid = ((0, 5, -1), (field.p, 2 * field.p + 3, 0))

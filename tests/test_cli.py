@@ -311,6 +311,18 @@ class TestExperiments:
         assert out == ""
         assert "denominator 100000" in err
 
+    @pytest.mark.parametrize("bad, message", [("0.00001", "denominator 100000"),
+                                              ("1.5", "strictly between 0 and 1")])
+    def test_iteration_bound_bad_p_writes_no_report(self, capsys, tmp_path, bad, message):
+        # the rows stream to the report, so every p is checked before it opens
+        report = tmp_path / "bad.csv"
+        code, out, err = run(capsys, "experiment", "iteration-bound", "--p-grid", f"0.5,{bad}",
+                             "--r-max", "3", "--n-max", "50", "--report", report)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not report.exists()
+
     def test_pn_experiment(self, capsys, tmp_path):
         report = tmp_path / "pn.csv"
         code, out, _ = run(capsys, "experiment", "pn-evaldim", "--n", "2",

@@ -694,11 +694,14 @@ class TestIterationBound:
         # the radicands have bits * b bits: at b = 10^5 one call took 5.2 s,
         # and 0.123456789 would ask for a shift by 32 * 10^9 bits
         roots = []
+        memo = pit._scaled_root.cache_info()
         monkeypatch.setattr(pit, "_iroot", lambda value, k: roots.append(k))
         for p in (Fraction(1, 10 ** 5), "0.123456789", 1e-5, Fraction(10 ** 4, 10 ** 4 + 1)):
             with pytest.raises(ValueError, match="denominator"):
                 iteration_bound_check(1000, p, 1)
         assert roots == []
+        # the patched root never ran, so it left no entry in the roots' memo
+        assert pit._scaled_root.cache_info() == memo
         monkeypatch.undo()
         assert iteration_bound_check(1000, Fraction(1, pit.MAX_P_DENOMINATOR), 1)
 

@@ -1287,6 +1287,24 @@ class TestIterationBoundMatchesReference:
         assert (pit._enclosures(n, p.numerator, p.denominator, r, bits)
                 == reference_enclosures(n, p, r, bits))
 
+    @pytest.mark.parametrize("n, p", [(2, Fraction(999, 1000)), (7, Fraction(1, 3)),
+                                      (50, Fraction(9, 10)), (9973, Fraction(3, 10)),
+                                      (10 ** 6, Fraction(1, 2))])
+    def test_enclosures_across_r_share_their_roots(self, n, p):
+        # the sweep's order, r = 1..9 for one (n, p), each check doubling from
+        # bits = 1; the first pass fills the memo and the second reads it
+        a, b = p.numerator, p.denominator
+        precisions = (1, 2, 4, 8, 16, 32)
+        want = {(r, bits): reference_enclosures(n, p, r, bits)
+                for r in range(1, 10) for bits in precisions}
+        pit._scaled_root.cache_clear()
+        for _ in range(2):
+            for r in range(1, 10):
+                for bits in precisions:
+                    assert pit._enclosures(n, a, b, r, bits) == want[r, bits]
+        # one miss per root and precision: the roots of n^p and n^(1-p)
+        assert pit._scaled_root.cache_info().misses == len(precisions) * len({a, b - a})
+
 
 class TestGridPitAgainstOracle:
     @PROPERTY_SETTINGS
