@@ -13,9 +13,12 @@ product outgrows a term limit.  It keys monomials by packed ints, one bit
 field per variable as wide as its individual degree, which no exponent of a
 partial product exceeds: shifting a term is one add, no carry.
 
+``normalize`` (an exact-k copy) serves ``validate``, and through it the
+``sequence`` and ``collapse`` verbs and ``block_partition``; the identity test
+pads its read sequences, and a program only for a recursion (``_pad``).
 ``restrict``, ``normalize``, ``UniMatrix.constant`` and
 ``ReadSequence.from_order``/``restrict`` skip re-validation: they keep validated
-layers and, folding, the widths at a run's borders; ``normalize`` appends 1x1
+layers and, folding, the widths at a run's borders; ``_pad`` appends 1x1
 identities after a one-column sink; ``constant`` reduces its own entries; a
 relabeled order is valid as built.
 """
@@ -269,27 +272,34 @@ class AbpClass:
     normalized: ObliviousAbp
 
 
-def normalize(abp: ObliviousAbp) -> ObliviousAbp:
-    """Pad with identity layers so every variable is read exactly k times, k
-    the tight read multiplicity (at least 1 when there are variables).
-    Padding layers are 1x1 identities appended after the sink, which keeps the
-    width and the computed polynomial unchanged; the padded program is not
-    validated again (module notes)."""
+def _missing_reads(abp: ObliviousAbp) -> tuple:
+    """(k, reads): the tight read multiplicity (1 if nothing is read) and, in
+    variable order, each variable once for every read it lacks of k."""
     counts = abp.read_counts()
-    k = max(counts.values(), default=min(abp.num_vars, 1))
-    pad = []
-    for v in range(abp.num_vars):
-        if missing := k - counts.get(v, 0):     # UniMatrix.identity(field, 1, v, True)
-            layer = object.__new__(UniMatrix)
-            layer.field, layer.var, layer.padding = abp.field, v, True
-            layer.entries, layer.degree, layer.support = (((1,),),), 0, (1,)
-            pad += [layer] * missing
-    if not pad:
+    k = max(counts.values(), default=1)
+    return k, [v for v in range(abp.num_vars) for _ in range(k - counts.get(v, 0))]
+
+
+def _pad(abp: ObliviousAbp, reads) -> ObliviousAbp:
+    """``abp`` and then a 1x1 identity padding layer reading each of ``reads``
+    in turn, which keeps width and polynomial; not validated (module notes)."""
+    if not reads:
         return abp
+    layers = dict.fromkeys(reads)
+    for v in layers:                # UniMatrix.identity(field, 1, v, True)
+        layer = layers[v] = object.__new__(UniMatrix)
+        layer.field, layer.var, layer.padding = abp.field, v, True
+        layer.entries, layer.degree, layer.support = (((1,),),), 0, (1,)
     padded = object.__new__(ObliviousAbp)
     padded.field, padded.num_vars = abp.field, abp.num_vars
-    padded.layers = abp.layers + tuple(pad)
+    padded.layers = abp.layers + tuple(map(layers.__getitem__, reads))
     return padded
+
+
+def normalize(abp: ObliviousAbp) -> ObliviousAbp:
+    """Pad with identity layers so every variable is read exactly k times, k
+    the tight read multiplicity (``_missing_reads``, ``_pad``)."""
+    return _pad(abp, _missing_reads(abp)[1])
 
 
 def validate(abp: ObliviousAbp) -> AbpClass:

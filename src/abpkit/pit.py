@@ -1,8 +1,10 @@
 """Hitting sets and identity testing for read-k oblivious programs.
 
-Each round of the white-box test picks, from the read order alone, a large
-per-read-monotone, regularly-interleaving subset of the remaining variables
-(pruning the read sequence in place), and walks the round's points over it
+The test needs the program only to evaluate and restrict it, and its read
+order; k and the padding, of the read sequence only, come from the read
+counts.  Each round picks, from the padded read sequence, a large
+per-read-monotone, regularly-interleaving subset of the free variables
+(pruning the sequence in place), and walks the round's points over it
 (sized by the width and degrees of the program left) until a point keeps the
 restricted program nonzero.  Candidates get one probe each until the round's
 first miss.  A round with no source-sink path then ends; a cheap one probes
@@ -27,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abp import ObliviousAbp, read_sequence, validate
+from .abp import ObliviousAbp, _missing_reads, _pad
 from .algebra import GuardExceeded
 from .sequences import ReadSequence, prune
 
@@ -150,10 +152,10 @@ def _probe_point(work: ObliviousAbp, assignment: dict, rng) -> list:
 
 
 def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
-                path) -> tuple | None:
+                path, padding) -> tuple | None:
     """One round of ``read_k_pit``: (points tried, accepted point, its
     restriction or None if none was built), or None when the round exhausts
-    its points."""
+    its points.  ``padding``, the round's missing reads, pads a recursion's input."""
     poly = None
     restrict_first = False
     for tried, pt in enumerate(points, 1):
@@ -182,7 +184,8 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
             try:
                 rest = sub.expand(DEFAULT_FASTPATH_TERMS)
             except GuardExceeded:
-                rest = read_k_pit(sub, generator, rng.getrandbits(32), count, path)
+                rest = read_k_pit(_pad(sub, [v for v in padding if v not in assignment]),
+                                  generator, rng.getrandbits(32), count, path)
         if not rest.is_zero:
             return tried, pt, sub
     return None
@@ -192,9 +195,13 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
                count: int | None = None, path=None) -> PitVerdict:
     """White-box identity test for a read-k oblivious program.
 
-    Each round prunes the read sequence to a per-read-monotone,
-    regularly-interleaving subset y_i and scans the generator's points over
-    y_i in order for the first whose restriction stays nonzero.  Whatever the
+    k is the tight read multiplicity, and a round's read sequence is its
+    program's read order and then the reads up to k that the free variables
+    lack: padding never enters a program, save a restriction handed to a
+    recursive test, which must prune with this k.  Each round prunes the read
+    sequence to a per-read-monotone, regularly-interleaving subset y_i and
+    scans the generator's points over y_i in order for the first whose
+    restriction stays nonzero.  Whatever the
     generator, each candidate gets one random probe up to the round's first
     miss.  There the round program's terms are estimated, once.  One with no
     source-sink path (estimate 0) ends the round.  One within
@@ -218,18 +225,17 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     at a uniform point with probability at most 1 - prod(1 - d_v/p)
     (Schwartz-Zippel).  A degree bound >= p is refused under every generator.
     """
-    cls = validate(abp)
-    work = cls.normalized
-    k = max(cls.k, 1)
+    k, missing = _missing_reads(abp)
+    work = abp
     rng = random.Random(seed)
     assigned: dict = {}
     iterations: list = []
-    while work.read_order():
-        subset, floor = _choose_subset(read_sequence(work))
+    while order := work.read_order() + (padding := [v for v in missing if v not in assigned]):
+        subset, floor = _choose_subset(ReadSequence.from_order(order))
         size, points = _round_points(work, subset, k, generator, seed + len(iterations),
                                      count, path)
         tried, chosen, sub = (_scan_round(work, subset, points, rng, generator, count,
-                                          path) or (size, None, None))
+                                          path, padding) or (size, None, None))
         iterations.append(IterationRecord(subset, floor, size, tried, chosen))
         if chosen is None:
             return PitVerdict(True, None, iterations, generator, abp.num_vars, k)

@@ -155,12 +155,6 @@ def _lis_end_lengths(vals: Sequence) -> list:
     return out
 
 
-def _lis_start_lengths(vals: Sequence) -> list:
-    """lengths[i] = length of the longest increasing subsequence starting at i."""
-    rev = [-v for v in reversed(vals)]
-    return list(reversed(_lis_end_lengths(rev)))
-
-
 def _reconstruct(vals: Sequence, starts: list, length: int, increasing: bool) -> list:
     out = []
     prev = None
@@ -189,10 +183,16 @@ def longest_monotone(seq: Sequence) -> tuple:
     vals = list(seq)
     if len(set(vals)) != len(vals):
         raise ValueError("longest_monotone requires distinct values")
+    return _longest_monotone(vals)
+
+
+def _longest_monotone(vals: list) -> tuple:
+    """``longest_monotone`` on a list of values known to be distinct."""
     if not vals:
         return [], "increasing"
-    inc_starts = _lis_start_lengths(vals)
-    dec_starts = _lis_start_lengths([-v for v in vals])
+    rev = vals[::-1]
+    inc_starts = _lis_end_lengths([-v for v in rev])[::-1]
+    dec_starts = _lis_end_lengths(rev)[::-1]
     inc_len = max(inc_starts)
     dec_len = max(dec_starts)
     if inc_len >= dec_len:
@@ -207,11 +207,10 @@ def per_read_monotone_subset(S: ReadSequence) -> frozenset:
     """Subset X' of elements with S|X' per-read-monotone, found by chaining a
     longest-monotone extraction through occurrences 2..k.  Guarantees
     |X'| >= n^(1/2^(k-1))."""
-    alive = set(range(S.n))
-    for i in range(2, S.k + 1):
-        order_i = [e for e in S._reads[i - 1] if e in alive]
-        picked, _ = longest_monotone(order_i)
-        alive = set(picked)
+    alive = range(S.n)
+    for read in S._reads[1:]:
+        vals = [e for e in read if e in alive]
+        alive = set(vals if _direction(vals) else _longest_monotone(vals)[0])
     return frozenset(alive)
 
 
@@ -265,55 +264,51 @@ def _check_interleaving(entries: Sequence, k: int):
     return True, witnesses
 
 
-def _prune_pair(pairs: list) -> set:
-    """Pruning step on a read-2 pair sequence whose two reads are monotone.
-    Returns the subset of elements to keep so that the restriction becomes
-    2-regularly interleaving, keeping at least a third of the elements.
+def _positions(order: Sequence) -> tuple:
+    """Each element's position at its first and at its second appearance."""
+    first, second = {}, {}
+    for t, e in enumerate(order):
+        (second if e in first else first)[e] = t
+    return first, second
 
-    When the two reads run in opposite directions the whole sequence is
-    already a single block.  Otherwise the element x with the widest gap
-    between its occurrences anchors a block: the majority occurrence kind
-    strictly between x's occurrences selects the block members A, everything
-    else inside the spanned interval is erased, and the disjoint left and
-    right remainders are pruned recursively.
+
+def _prune_pair(order: list) -> set:
+    """Pruning step on a read-2 sequence with monotone reads, given as its
+    elements in order.  Returns the elements to keep so that the restriction
+    is 2-regularly interleaving, at least a third of them.
+
+    Reads in opposite directions make one block.  Otherwise both list the
+    elements in one order, as does every remainder.  The element x with the
+    widest gap anchors a block: the majority occurrence kind strictly inside
+    the gap (firsts of the elements after x, seconds of those before it, as
+    none has both there) selects the members, the rest of the spanned
+    interval is erased, and the left and right remainders are pruned alike.
     """
-    elems = {e for e, _ in pairs}
-    if len(elems) <= 1:
-        return elems
-    read1 = [e for e, c in pairs if c == 1]
-    read2 = [e for e, c in pairs if c == 2]
-    d1 = _direction(read1)
-    d2 = _direction(read2)
+    first, second = _positions(order)
+    d1, d2 = _direction(list(first)), _direction(list(second))
     if d1 is None or d2 is None:
         raise SequenceError("pair pruning requires monotone reads")
-    if {d1, d2} == {"inc", "dec"}:
-        return elems
-    occ1 = {}
-    occ2 = {}
-    for idx, (e, c) in enumerate(pairs):
-        (occ1 if c == 1 else occ2)[e] = idx
-    x = max(elems, key=lambda e: (occ2[e] - occ1[e], -e))
-    r = occ2[x] - occ1[x]
-    inside_first = [e for e in elems
-                    if e != x and occ1[x] < occ1[e] < occ2[x]]
-    inside_second = [e for e in elems
-                     if e != x and occ1[x] < occ2[e] < occ2[x]]
-    if len(inside_first) >= len(inside_second):
-        block = {x, *inside_first}
-        y = max(block, key=lambda e: occ2[e])
-        lo, hi = occ1[x], occ2[y]
-    else:
-        block = {x, *inside_second}
-        y = min(block, key=lambda e: occ1[e])
-        lo, hi = occ1[y], occ2[x]
-    assert hi - lo <= 2 * r
-    before = {e for e in elems if occ1[e] < lo and occ2[e] < lo}
-    after = {e for e in elems if occ1[e] > hi and occ2[e] > hi}
-    kept = set(block)
-    if before:
-        kept |= _prune_pair([(e, c) for e, c in pairs[:lo] if e in before])
-    if after:
-        kept |= _prune_pair([(e, c) for e, c in pairs[hi + 1:] if e in after])
+    if d1 != d2 or d1 == "flat":
+        return set(first)
+    kept: set = set()
+    todo = [(order, first, second)]
+    while todo:
+        order, first, second = todo.pop()
+        x = max(first, key=lambda e: (second[e] - first[e], -e))
+        lo, hi = first[x], second[x]
+        inside = order[lo + 1:hi]
+        block = [e for e in inside if first[e] > lo]
+        if 2 * len(block) >= len(inside):
+            start, end = lo, second[block[-1]] if block else hi
+        else:
+            block = [e for e in inside if first[e] < lo]
+            start, end = first[block[0]], hi
+        assert end - start <= 2 * (hi - lo)
+        kept |= {x, *block}
+        for side in ([e for e in order[:start] if second[e] < start],
+                     [e for e in order[end + 1:] if first[e] > end]):
+            if side:
+                todo.append((side, *_positions(side)))
     return kept
 
 
@@ -334,8 +329,7 @@ def prune(S: ReadSequence) -> tuple:
     properties on S's entries, and a failure raises RuntimeError."""
     regular = mono = per_read_monotone_subset(S)
     for i, j in combinations(range(1, S.k + 1), 2):
-        regular = _prune_pair([(e, 1 if c == i else 2)
-                               for e, c in S.entries if c in (i, j) and e in regular])
+        regular = _prune_pair([e for e, c in S.entries if c in (i, j) and e in regular])
     regular = frozenset(regular)
     kept = [(e, c) for e, c in S.entries if e in regular]
     if None in map(_direction, _reads_of(kept, S.k)) or not _check_interleaving(kept, S.k)[0]:

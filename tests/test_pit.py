@@ -332,6 +332,32 @@ class TestReadKPit:
         with pytest.raises(GuardExceeded, match="^recursion refused$"):
             real(zero)
 
+    def test_recursion_prunes_with_the_callers_k(self, f7, monkeypatch, tmp_path):
+        """A recursive test gets the candidate's restriction padded for the
+        variables still free, so it prunes with its caller's k.  Here k = 2
+        and the first round walks the file's points over x2, x3, x4; with a
+        fast-path limit of 1 its first candidate recurses on a program that
+        reads x1 and x5 once each.  That test pads both to two reads and the
+        fixed x2, x3, x4 with two each, so its one round takes all five
+        variables and the three-column file is refused there.  Padding every
+        variable up to k in variable order took four; no padding, k = 1."""
+        spec = [(0, (((5, 6), (5, 6)),)), (3, (((1,), ()), ((), (1,)))),
+                (1, (((1, 6, 4), ()), ((), (1, 6, 4)))), (2, (((5,), ()), ((), (5,)))),
+                (3, (((6, 0, 1), ()), ((), (6, 0, 1)))), (1, (((0, 2, 6), ()), ((), (0, 2, 6)))),
+                (4, (((6,), ()), ((), (6,)))), (2, (((3, 4), ()), ((), (3, 4)))),
+                (None, (((6,),), ((1,),)))]
+        program = ObliviousAbp(f7, 5, tuple(UniMatrix(f7, v, e) for v, e in spec))
+        path = tmp_path / "points.txt"
+        path.write_text("5 6 3\n3 5 6\n4 3 1\n2 0 0\n1 3 1\n2 5 3\n6 5 6\n")
+        rounds = []
+        round_points = pit._round_points
+        monkeypatch.setattr(pit, "_round_points", lambda work, subset, k, *args: (
+            rounds.append((subset, k)) or round_points(work, subset, k, *args)))
+        monkeypatch.setattr(pit, "DEFAULT_FASTPATH_TERMS", 1)
+        with pytest.raises(ValueError, match=r":1: expected 5 values, got 3$"):
+            read_k_pit(program, "external", 7, path=path)
+        assert rounds == [((1, 2, 3), 2), ((0, 1, 2, 3, 4), 2)]
+
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 1)])
     def test_one_expansion_per_round(self, field, monkeypatch, n, k):
         """A zero round costs two probes of its first candidate and one

@@ -58,11 +58,18 @@ must give the same roots, also where its float seed gives way to Newton's
 descent and from a seed that is off, and ``iteration_bound_check``'s integer
 enclosures the same endpoints.
 
+``reference_prune`` is ``sequences.prune`` as it was: the chain of
+longest monotone subsequences through ``longest_monotone``, then the pair
+pruning on (element, occurrence) lists, re-deriving each sublist's reads,
+directions and occurrence maps.  ``prune``, which keeps a read that is
+already monotone whole, builds the occurrence maps once per sublist and never
+re-checks the reads of a remainder, must give the same two subsets, or raise
+the same type of exception.
 ``reference_choose_subset`` is a round's pruning as it was: the
 per-read-monotone subset, the sequence restricted to it (relabeled), the
-regularly-interleaving subset of that, read back through the restricted
-labels.  ``pit._choose_subset``, which prunes the sequence in place, must give
-the same subset and floor.
+regularly-interleaving subset of that by ``reference_prune``, read back
+through the restricted labels.  ``pit._choose_subset``, which prunes the
+sequence in place, must give the same subset and floor.
 
 ``reference_read_k_pit`` is the identity test that scans each round candidate
 by candidate: every candidate is restricted, gets one random probe, and is
@@ -93,8 +100,8 @@ from abpkit.corpus import random_per_read_monotone_sequence, random_read_k_abp
 from abpkit.evaldim import Roabp, _pd_rows, pd_rank, roabp_synthesize
 from abpkit.hardpoly import _pn_polynomial, gen_pn, gen_qn, pn_var
 from abpkit.pit import IterationRecord, PitVerdict, read_k_pit
-from abpkit.sequences import (ReadSequence, is_regularly_interleaving,
-                              per_read_monotone_subset, regularly_interleaving_subset)
+from abpkit.sequences import (ReadSequence, SequenceError, _check_interleaving, _direction,
+                              _reads_of, is_regularly_interleaving, longest_monotone, prune)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -404,10 +411,74 @@ def reference_enclosures(n: int, p: Fraction, r: int, bits: int) -> tuple:
     return tuple(int(x * (1 << bits)) for x in (a_lo, a_hi, c_lo, c_hi))
 
 
+def reference_per_read_monotone(S: ReadSequence) -> frozenset:
+    alive = set(range(S.n))
+    for i in range(2, S.k + 1):
+        order_i = [e for e in S._reads[i - 1] if e in alive]
+        picked, _ = longest_monotone(order_i)
+        alive = set(picked)
+    return frozenset(alive)
+
+
+def reference_prune_pair(pairs: list) -> set:
+    elems = {e for e, _ in pairs}
+    if len(elems) <= 1:
+        return elems
+    read1 = [e for e, c in pairs if c == 1]
+    read2 = [e for e, c in pairs if c == 2]
+    d1 = _direction(read1)
+    d2 = _direction(read2)
+    if d1 is None or d2 is None:
+        raise SequenceError("pair pruning requires monotone reads")
+    if {d1, d2} == {"inc", "dec"}:
+        return elems
+    occ1 = {}
+    occ2 = {}
+    for idx, (e, c) in enumerate(pairs):
+        (occ1 if c == 1 else occ2)[e] = idx
+    x = max(elems, key=lambda e: (occ2[e] - occ1[e], -e))
+    r = occ2[x] - occ1[x]
+    inside_first = [e for e in elems
+                    if e != x and occ1[x] < occ1[e] < occ2[x]]
+    inside_second = [e for e in elems
+                     if e != x and occ1[x] < occ2[e] < occ2[x]]
+    if len(inside_first) >= len(inside_second):
+        block = {x, *inside_first}
+        y = max(block, key=lambda e: occ2[e])
+        lo, hi = occ1[x], occ2[y]
+    else:
+        block = {x, *inside_second}
+        y = min(block, key=lambda e: occ1[e])
+        lo, hi = occ1[y], occ2[x]
+    assert hi - lo <= 2 * r
+    before = {e for e in elems if occ1[e] < lo and occ2[e] < lo}
+    after = {e for e in elems if occ1[e] > hi and occ2[e] > hi}
+    kept = set(block)
+    if before:
+        kept |= reference_prune_pair([(e, c) for e, c in pairs[:lo] if e in before])
+    if after:
+        kept |= reference_prune_pair([(e, c) for e, c in pairs[hi + 1:] if e in after])
+    return kept
+
+
+def reference_prune(S: ReadSequence) -> tuple:
+    regular = mono = reference_per_read_monotone(S)
+    for i, j in itertools.combinations(range(1, S.k + 1), 2):
+        regular = reference_prune_pair([(e, 1 if c == i else 2)
+                                        for e, c in S.entries if c in (i, j) and e in regular])
+    regular = frozenset(regular)
+    kept = [(e, c) for e, c in S.entries if e in regular]
+    if None in map(_direction, _reads_of(kept, S.k)) or not _check_interleaving(kept, S.k)[0]:
+        raise RuntimeError("pruned subset failed its structural checks")
+    return mono, regular
+
+
 def reference_choose_subset(seq: ReadSequence) -> tuple:
-    mono = per_read_monotone_subset(seq)
+    mono = reference_per_read_monotone(seq)
     s1 = seq.restrict(mono)
-    regular = regularly_interleaving_subset(s1)
+    if not s1.is_per_read_monotone():
+        raise SequenceError("input sequence is not per-read-monotone")
+    regular = reference_prune(s1)[1]
     s2 = s1.restrict(regular)
     ok, _ = is_regularly_interleaving(s2)
     if not ok or not s2.is_per_read_monotone():
@@ -1053,6 +1124,39 @@ class TestChooseSubsetMatchesReference:
 
         check()
         assert seen["padded"] > 0
+
+
+class TestPruneMatchesReference:
+    """The one-pass ``prune`` keeps the subsets of the old one, and refuses
+    where it refused.  Relabeling a sequence's elements through the validating
+    constructor breaks the canonical first read, so the pair pruning meets
+    non-monotone reads and remainders of every shape."""
+
+    @staticmethod
+    def outcome(fn, seq):
+        try:
+            return fn(seq)
+        except (SequenceError, RuntimeError) as exc:
+            return type(exc)
+
+    def test_same_subsets_or_refusal(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(read_orders(), st.randoms(use_true_random=False), st.booleans())
+        def check(seq, rng, relabel):
+            if relabel:
+                perm = rng.sample(range(seq.n), seq.n)
+                seq = ReadSequence(seq.n, seq.k, [(perm[e], c) for e, c in seq.entries],
+                                   seq.labels)
+            got = self.outcome(prune, seq)
+            assert got == self.outcome(reference_prune, seq)
+            seen[got if type(got) is type else "pruned"] += 1
+            seen["kept below mono"] += type(got) is tuple and got[1] < got[0]
+
+        check()
+        assert min(seen["pruned"], seen["kept below mono"], seen[SequenceError],
+                   seen[RuntimeError]) > 0
 
 
 class TestSynthesisMatchesReference:

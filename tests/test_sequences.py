@@ -168,6 +168,30 @@ class TestBuiltOnce:
         assert s.read_order(2) == [1, 0, 2]
 
 
+class TestRefusals:
+    """Each structural refusal of a sequence, reached from the public API."""
+
+    @pytest.mark.parametrize("n, k, entries, labels, message", [
+        (2, 1, [(0, 1), (1, 1)], (0,), "^labels length must equal n$"),
+        (2, 1, [(0, 1), (2, 1)], (0, 1), "^element 2 out of range$"),
+        (1, 1, [(0, 1), (0, 1)], (0,), "^occurrence counter 1 for element 0 out of order$"),
+        (2, 2, [(0, 1), (1, 1), (0, 2)], (0, 1), "^every element must occur exactly k times$"),
+    ])
+    def test_constructor(self, n, k, entries, labels, message):
+        with pytest.raises(ValueError, match=message):
+            ReadSequence(n, k, entries, labels)
+
+    @pytest.mark.parametrize("order", [[0, 1, 0], [5, 5, 7, 7, 7]])
+    def test_order_not_read_k(self, order):
+        with pytest.raises(ValueError, match="^order is not read-k: unequal occurrence counts$"):
+            ReadSequence.from_order(order)
+
+    def test_restrict_unknown_element(self):
+        s = ReadSequence.from_order([4, 9, 9, 4])      # elements 0 and 1, labels 4 and 9
+        with pytest.raises(ValueError, match="^restriction set contains unknown elements$"):
+            s.restrict({0, 4})
+
+
 # -- longest monotone -------------------------------------------------------------
 
 
