@@ -9,9 +9,10 @@ decided by forward span in time polynomial in layers, width and degree
 (Raz–Shpilka 2005); cancelling lanes have a path but a zero relaxation.
 ``expand`` is the brute-force oracle that turns a program into an explicit
 SparsePoly; it is guarded so it refuses (never truncates) once a partial
-product outgrows a term limit.  It keys monomials by packed ints, one bit
-field per variable as wide as its individual degree, which no exponent of a
-partial product exceeds: shifting a term is one add, no carry.
+product outgrows a term limit.  It keys monomials as SparsePoly does, by
+packed ints with one bit field per variable as wide as its individual
+degree, which no exponent of a partial product exceeds: shifting a term is
+one add, no carry, and the last layer's map is the result as it stands.
 
 ``normalize`` (an exact-k copy) serves ``validate``, and through it the
 ``sequence`` and ``collapse`` verbs and ``block_partition``; the identity test
@@ -31,10 +32,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
+from .algebra import GuardExceeded, Layout, LinearSolver, PrimeField, SparsePoly, UniMatrix
 from .sequences import ReadSequence
 
 DEFAULT_EXPAND_GUARD = 10 ** 6
@@ -163,23 +163,21 @@ class ObliviousAbp:
         once: the zero polynomial, before any term map.  So does one whose
         degree-box estimate passes layers * width^2, the span check's own cost
         scale, and whose read-once relaxation is zero.  Term maps key a
-        monomial by one int, v's exponent in a field of d_v.bit_length() bits
-        (d_v its individual degree), so x_v^e shifts a key by e << offset_v; no
-        exponent of v in a partial product exceeds d_v, so no add carries.  The
-        final keys are unpacked one bit field at a time, a column per variable
-        (an unread one's is all zeros), and zipped into exponent tuples in key
-        order; with no variables the one key becomes ``()``."""
+        monomial as ``SparsePoly`` does, in the ``Layout`` of the individual
+        degrees, so x_v^e shifts a key by e << offset_v; no exponent of v in a
+        partial product exceeds d_v, so no add carries, and the final map is
+        the result's own."""
         degs = self.individual_degrees()
         est = math.prod(d + 1 for d in degs)
         if not self.reaches_sink or (est > len(self.layers) * self.width ** 2
                                      and self.relaxation_zero):
             return SparsePoly.zero(self.field, self.num_vars)
         # One term map per column; sums are reduced mod p once per layer.
-        offsets = list(accumulate((d.bit_length() for d in degs), initial=0))
+        layout = Layout(degs)
         p = self.field.p
         row = [{0: 1}]
         for i, layer in enumerate(self.layers, 1):
-            offset = 0 if layer.var is None else offsets[layer.var]
+            offset = 0 if layer.var is None else layout.offsets[layer.var]
             out = [{} for _ in range(layer.width_out)]
             for terms, entries in zip(row, layer.entries):
                 if not terms:
@@ -200,13 +198,7 @@ class ObliviousAbp:
             if (size := max(map(len, row))) > guard:
                 raise GuardExceeded(f"expansion after layer {i} holds {size} terms, "
                                     f"more than guard {guard}")
-        # Unpack by column: one bit field for every key at a time.
-        terms = row[0]
-        zeros = [0] * len(terms)
-        cols = [[key >> lo & mask for key in terms] if (mask := (1 << d.bit_length()) - 1)
-                else zeros for lo, d in zip(offsets, degs)]
-        return SparsePoly._trusted(self.field, self.num_vars, dict(
-            zip(zip(*cols) if cols else [()] * len(terms), terms.values())))
+        return SparsePoly._trusted(self.field, self.num_vars, row[0], layout)
 
     def restrict(self, assignment: Mapping[int, int]) -> "ObliviousAbp":
         """Fix some variables.  Each run of layers that read nothing or read a

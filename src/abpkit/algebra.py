@@ -5,13 +5,19 @@ over F_p.
 Field elements are plain ints kept as canonical residues in [0, p).  All
 values are immutable after construction and every operation is pure, so
 objects can be shared freely between workers.
+
+A polynomial keys each monomial by one packed int, its exponents side by side
+in bit fields as wide as per-variable degree bounds (packed exponent vectors,
+Monagan and Pearce 2007): multiplying monomials adds keys, fixing a variable
+masks its field, and the keys of one layout sort like exponent tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from itertools import accumulate, compress, repeat
+from operator import add, lshift
 from typing import Iterable, Mapping, Sequence
 
 
@@ -67,190 +73,312 @@ class PrimeField:
 DEFAULT_FIELD = PrimeField(101)
 
 
-@dataclass
+class Layout:
+    """Where each variable's exponent sits in a packed monomial key: variable
+    v gets a bit field of ``bounds[v].bit_length()`` bits, bounds[v] an upper
+    bound on its exponent, so the field never overflows.  Variable 0 has the
+    highest field, so the keys of one layout sort like exponent tuples."""
+
+    __slots__ = ("bounds", "widths", "offsets")
+
+    def __init__(self, bounds: Iterable[int]):
+        self.bounds = tuple(bounds)
+        self.widths = tuple(map(int.bit_length, self.bounds))
+        self.offsets = tuple([*accumulate(reversed(self.widths), initial=0)][-2::-1])
+
+    def field(self, v: int) -> tuple:
+        """(offset, mask) of variable v: its exponent in key is key >> offset & mask."""
+        return self.offsets[v], (1 << self.widths[v]) - 1
+
+    def fields(self, variables: Iterable[int]) -> int:
+        """The bits of the given variables' fields, as one mask."""
+        return sum(((1 << self.widths[v]) - 1) << self.offsets[v] for v in variables)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        return sum(map(lshift, exps, self.offsets))
+
+    def unpack(self, key: int) -> tuple:
+        return tuple((key >> off) & ((1 << w) - 1) for off, w in zip(self.offsets, self.widths))
+
+    def join(self, other: "Layout") -> "Layout":
+        """The narrowest layout holding the monomials of both."""
+        if self.bounds == other.bounds:
+            return self
+        return Layout(map(max, self.bounds, other.bounds))
+
+    def repack(self, terms: dict, other: "Layout") -> dict:
+        """``terms`` with its keys moved into ``other``, which must hold every
+        exponent.  Adjacent fields that move by the same shift move as one
+        block, so a key takes one mask and shift per block; the map itself
+        comes back when no field moves."""
+        if self.widths == other.widths:
+            return terms
+        moves = []          # [bits, shift] per block, low block first
+        for v in compress(range(len(self.widths) - 1, -1, -1), reversed(self.widths)):
+            bits = ((1 << self.widths[v]) - 1) << self.offsets[v]
+            shift = other.offsets[v] - self.offsets[v]
+            if moves and moves[-1][1] == shift:
+                moves[-1][0] |= bits
+            else:
+                moves.append([bits, shift])
+        if len(moves) == 1:
+            (block, shift), = moves
+            return terms if not shift else {(k & block) << shift: c for k, c in terms.items()}
+        return {sum([(k & block) << shift for block, shift in moves]): c
+                for k, c in terms.items()}
+
+
+def _check_int(value, what) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 class SparsePoly:
-    """Multivariate polynomial as a map from dense exponent tuples to nonzero
-    coefficients.  This is the brute-force ground-truth representation that
-    every symbolic check in the package reduces to.
+    """Multivariate polynomial as a map from packed monomial keys to nonzero
+    coefficients, with the ``Layout`` that reads the keys.  This is the
+    brute-force ground-truth representation that every symbolic check in the
+    package reduces to.  Exponent tuples appear only at the boundary: the
+    constructor takes them, and ``terms`` and ``str`` give them out.
     """
 
-    field: PrimeField
-    num_vars: int
-    terms: dict
+    __slots__ = ("field", "num_vars", "packed", "layout")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        p = self.field.p
+    def __init__(self, field: PrimeField, num_vars: int, terms: Mapping) -> None:
+        """From a map of exponent tuples (or sequences) to int coefficients;
+        coefficients are reduced mod p and zeros dropped."""
+        p = field.p
         clean = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in terms.items():
             exps = tuple(exps)
-            if len(exps) != self.num_vars:
+            if len(exps) != num_vars:
                 raise ValueError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {self.num_vars}"
+                    f"exponent vector {exps} has length {len(exps)}, expected {num_vars}"
                 )
+            for e in exps:
+                _check_int(e, f"exponent in {exps}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            _check_int(coeff, f"coefficient of {exps}")
             c = coeff % p
             if c:
                 clean[exps] = c
-        self.terms = clean
+        # each variable's bound is its largest exponent (0 if it has none)
+        layout = Layout(map(max, zip(*clean, [0] * num_vars)))
+        self.field, self.num_vars, self.layout = field, num_vars, layout
+        self.packed = {layout.pack(exps): c for exps, c in clean.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, field: PrimeField, num_vars: int, terms: dict) -> "SparsePoly":
-        """Wrap a map that is already canonical (tuple keys of length
-        num_vars, coefficients in [1, p)) without re-checking it.  Only for
-        maps built inside the library; the map is owned by the result."""
+    def _trusted(cls, field: PrimeField, num_vars: int, packed: dict,
+                 layout: Layout) -> "SparsePoly":
+        """Wrap a map that is already canonical (keys packed in ``layout``,
+        coefficients in [1, p)) without re-checking it.  Only for maps built
+        inside the library; the map is owned by the result."""
         poly = object.__new__(cls)
-        poly.field = field
-        poly.num_vars = num_vars
-        poly.terms = terms
+        poly.field, poly.num_vars, poly.packed, poly.layout = field, num_vars, packed, layout
         return poly
 
     @classmethod
     def zero(cls, field: PrimeField, num_vars: int) -> "SparsePoly":
-        return cls(field, num_vars, {})
+        return cls._trusted(field, num_vars, {}, Layout((0,) * num_vars))
 
     @classmethod
     def const(cls, field: PrimeField, num_vars: int, c: int) -> "SparsePoly":
-        return cls(field, num_vars, {(0,) * num_vars: c})
+        return cls.linear(field, num_vars, {}, c)
 
     @classmethod
     def variable(cls, field: PrimeField, num_vars: int, i: int) -> "SparsePoly":
-        if not 0 <= i < num_vars:
-            raise ValueError(f"variable index {i} out of range")
-        exps = tuple(1 if j == i else 0 for j in range(num_vars))
-        return cls(field, num_vars, {exps: 1})
+        return cls.linear(field, num_vars, {i: 1})
 
     @classmethod
     def linear(cls, field: PrimeField, num_vars: int,
                coeffs: Mapping[int, int], const: int = 0) -> "SparsePoly":
         """Linear form sum(coeffs[i] * x_i) + const."""
-        terms = {(0,) * num_vars: const}
+        p = field.p
+        _check_int(const, "constant term")
+        bounds = [0] * num_vars
         for i, c in coeffs.items():
-            exps = tuple(1 if j == i else 0 for j in range(num_vars))
-            terms[exps] = terms.get(exps, 0) + c
-        return cls(field, num_vars, terms)
+            if not 0 <= i < num_vars:
+                raise ValueError(f"variable index {i} out of range")
+            _check_int(c, f"coefficient of x{i + 1}")
+            bounds[i] = int(c % p != 0)
+        layout = Layout(bounds)
+        packed = {0: r} if (r := const % p) else {}
+        for i, c in coeffs.items():
+            if r := c % p:
+                packed[1 << layout.offsets[i]] = r
+        return cls._trusted(field, num_vars, packed, layout)
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """The map from exponent tuples to coefficients, built on each access."""
+        unpack = self.layout.unpack
+        return {unpack(key): c for key, c in self.packed.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        """The largest sum of a key's fields, taken bit plane by bit plane:
+        bit j of every field, counted and weighted by 2^j."""
+        lay = self.layout
+        degrees = repeat(0, len(self.packed))
+        for j in range(max(lay.widths, default=0)):
+            plane = sum(1 << (off + j) for off, w in zip(lay.offsets, lay.widths) if w > j)
+            degrees = map(add, degrees, map((1 << j).__mul__,
+                                            map(int.bit_count, map(plane.__and__, self.packed))))
+        return max(degrees, default=0)
 
     def individual_degrees(self) -> tuple:
-        degs = [0] * self.num_vars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > degs[i]:
-                    degs[i] = e
-        return tuple(degs)
+        lay = self.layout
+        return tuple(max(map(lay.fields((v,)).__and__, self.packed), default=0) >> off
+                     if w else 0 for v, (off, w) in enumerate(zip(lay.offsets, lay.widths)))
 
     def coefficient(self, exps: Sequence[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
+        exps = tuple(exps)
+        if len(exps) != self.num_vars or any(
+                e < 0 or e >> w for e, w in zip(exps, self.layout.widths)):
+            return 0
+        return self.packed.get(self.layout.pack(exps), 0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
+        if self.field != other.field or self.num_vars != other.num_vars \
+                or len(self.packed) != len(other.packed):
+            return False
+        common = self.layout.join(other.layout)
+        return (self.layout.repack(self.packed, common)
+                == other.layout.repack(other.packed, common))
+
+    def __repr__(self) -> str:
+        return f"SparsePoly(field={self.field!r}, num_vars={self.num_vars}, terms={self.terms!r})"
 
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: "SparsePoly") -> None:
-        if self.field != other.field or self.num_vars != other.num_vars:
+        if self.num_vars != other.num_vars or (self.field is not other.field
+                                                and self.field != other.field):
             raise ValueError("polynomial field/arity mismatch")
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
         p = self.field.p
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            v = (out.get(exps, 0) + c) % p
+        layout = self.layout.join(other.layout)
+        out = dict(self.layout.repack(self.packed, layout))
+        get = out.get
+        for key, c in other.layout.repack(other.packed, layout).items():
+            v = (get(key, 0) + c) % p
             if v:
-                out[exps] = v
+                out[key] = v
             else:
-                out.pop(exps, None)
-        return SparsePoly._trusted(self.field, self.num_vars, out)
+                del out[key]
+        return SparsePoly._trusted(self.field, self.num_vars, out, layout)
 
     def __neg__(self) -> "SparsePoly":
         p = self.field.p
         return SparsePoly._trusted(self.field, self.num_vars,
-                                   {e: p - c for e, c in self.terms.items()})
+                                   {k: p - c for k, c in self.packed.items()}, self.layout)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        """Exponents add, so their bounds do: in the layout of the summed
+        bounds, no field of a key sum carries into the next."""
         self._check_compatible(other)
         p = self.field.p
+        layout = Layout(map(add, self.layout.bounds, other.layout.bounds))
+        right = other.layout.repack(other.packed, layout).items()
         out: dict = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
+        for k1, c1 in self.layout.repack(self.packed, layout).items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
         return SparsePoly._trusted(self.field, self.num_vars,
-                                   {e: r for e, c in out.items() if (r := c % p)})
+                                   {k: r for k, c in out.items() if (r := c % p)}, layout)
 
     def scale(self, c: int) -> "SparsePoly":
         p = self.field.p
         c %= p
         if c == 0:
-            return SparsePoly._trusted(self.field, self.num_vars, {})
+            return SparsePoly._trusted(self.field, self.num_vars, {}, self.layout)
         return SparsePoly._trusted(self.field, self.num_vars,
-                                   {e: (c * v) % p for e, v in self.terms.items()})
+                                   {k: (c * v) % p for k, v in self.packed.items()},
+                                   self.layout)
 
     # -- substitution / evaluation -----------------------------------------
 
+    def _read_fields(self, values: Mapping[int, int]) -> list:
+        """(offset, mask, value mod p) of each variable in ``values`` whose
+        field has any bits."""
+        p = self.field.p
+        lay = self.layout
+        return [(*lay.field(i), x % p) for i, x in values.items() if lay.widths[i]]
+
     def substitute(self, assignment: Mapping[int, int]) -> "SparsePoly":
         """Fix a subset of the variables to field values.  The result keeps the
-        same arity but no longer mentions the assigned variables."""
+        same arity and layout but no longer mentions the assigned variables.
+        The factor a term picks up depends only on its assigned fields, so it
+        is computed once for each of their distinct values."""
         if not assignment:
             return self
-        p = self.field.p
         for i in assignment:
             if not 0 <= i < self.num_vars:
                 raise ValueError(f"assigned variable {i} out of range")
-        vals = {i: v % p for i, v in assignment.items()}
+        fields = self._read_fields(assignment)
+        if not fields:
+            return self
+        p = self.field.p
+        assigned = sum(m << off for off, m, _ in fields)
+        factors: dict = {}
         out: dict = {}
-        for exps, c in self.terms.items():
-            factor = c
-            new = list(exps)
-            for i, v in vals.items():
-                e = exps[i]
-                if e:
-                    factor = (factor * pow(v, e, p)) % p
-                    new[i] = 0
-            if factor == 0:
+        get = out.get
+        for key, c in self.packed.items():
+            part = key & assigned
+            f = factors.get(part)
+            if f is None:
+                f = 1
+                for off, m, x in fields:
+                    f = f * pow(x, (part >> off) & m, p) % p
+                factors[part] = f
+            if not f:
                 continue
-            key = tuple(new)
-            t = (out.get(key, 0) + factor) % p
+            key ^= part
+            t = (get(key, 0) + c * f) % p
             if t:
                 out[key] = t
             else:
-                out.pop(key, None)
-        return SparsePoly._trusted(self.field, self.num_vars, out)
+                del out[key]
+        return SparsePoly._trusted(self.field, self.num_vars, out, self.layout)
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.num_vars:
             raise ValueError(f"point length {len(point)} != num_vars {self.num_vars}")
         p = self.field.p
+        fields = self._read_fields(dict(enumerate(point)))
         total = 0
-        for exps, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exps):
-                if e:
-                    v = (v * pow(point[i] % p, e, p)) % p
-            total = (total + v) % p
-        return total
+        for key, c in self.packed.items():
+            for off, m, x in fields:
+                if e := (key >> off) & m:
+                    c = c * pow(x, e, p) % p
+            total += c
+        return total % p
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
-        for exps, c in sorted(self.terms.items(), reverse=True):
+        for key, c in sorted(self.packed.items(), reverse=True):
+            exps = self.layout.unpack(key)
             factors = []
             if c != 1 or not any(exps):
                 factors.append(str(c))
@@ -388,7 +516,7 @@ class LinearSolver:
 
     def _reduce(self, vec: Mapping) -> tuple:
         p = self.field.p
-        residual = {k: v % p for k, v in vec.items() if v % p}
+        residual = {k: r for k, v in vec.items() if (r := v % p)}
         combo: dict = {}
         while residual:
             k = min(residual)

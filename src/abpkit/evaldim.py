@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from .abp import DEFAULT_EXPAND_GUARD, ClassificationError, ObliviousAbp, validate
@@ -74,20 +74,20 @@ def _check_partition(num_vars: int, *parts) -> None:
 
 def _pd_rows(f: SparsePoly, S: Sequence[int], T: Sequence[int]) -> list:
     """Rows of the partial derivative matrix: one sparse vector per S-monomial
-    of f over T-monomials numbered as first met; f must live on S union T."""
-    S = sorted(S)
-    T = sorted(T)
+    of f over T-monomials, each keyed by its bits of f's packed keys; f must
+    live on S union T."""
+    lay = f.layout
     outside = sorted(set(range(f.num_vars)).difference(S, T))
-    if outside:
-        for exps in f.terms:
-            for i in outside:
-                if exps[i]:
-                    raise ValueError(f"polynomial mentions variable {i} outside S and T")
-    skey = itemgetter(*S) if S else (lambda exps: ())
-    tkey = itemgetter(*T) if T else (lambda exps: ())
-    rows, cols = {}, {}
-    for s, t, c in zip(map(skey, f.terms), map(tkey, f.terms), f.terms.values()):
-        rows.setdefault(s, {})[cols.setdefault(t, len(cols))] = c
+    if stray := lay.fields(outside):
+        for key in f.packed:
+            if key & stray:
+                i = next(i for i in outside if key & lay.fields((i,)))
+                raise ValueError(f"polynomial mentions variable {i} outside S and T")
+    smask = lay.fields(S)
+    rows = defaultdict(dict)
+    for key, c in f.packed.items():
+        s = key & smask
+        rows[s][key ^ s] = c
     return list(rows.values())
 
 
@@ -107,7 +107,7 @@ def _greedy_basis(f: SparsePoly, S: Sequence[int], target: int) -> tuple:
     solver = LinearSolver(f.field)
     chosen = []
     for a in itertools.product(*(range(degs[v] + 1) for v in S)):
-        if solver.try_add(f.substitute(dict(zip(S, a))).terms):
+        if solver.try_add(f.substitute(dict(zip(S, a))).packed):
             chosen.append(a)
             if solver.rank >= target:
                 break
@@ -198,6 +198,7 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
         return Roabp(ObliviousAbp(field, n, tuple(layers)),
                      order, (1,) * (n - 1))
     degs = f.individual_degrees()
+    lay = f.layout          # every basis polynomial is a restriction of f, in its layout
     cur_basis = [f]
     layers = []
     for i in range(1, n + 1):
@@ -205,16 +206,18 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
         solver = LinearSolver(field, track_coords=True)
         if i < n:
             basis_polys = [h for g in cur_basis for c in range(degs[v] + 1)
-                           if solver.try_add((h := g.substitute({v: c})).terms)]
+                           if solver.try_add((h := g.substitute({v: c})).packed)]
         else:
-            one = SparsePoly.const(field, n, 1)
-            solver.try_add(one.terms)
+            one = SparsePoly._trusted(field, n, {0: 1}, lay)
+            solver.try_add(one.packed)
             basis_polys = [one]
+        offset, mask = lay.field(v)
         rows = []
         for g in cur_basis:
             slices = [{} for _ in range(degs[v] + 1)]
-            for exps, c in g.terms.items():
-                slices[exps[v]][exps[:v] + (0,) + exps[v + 1:]] = c
+            for key, c in g.packed.items():
+                e = (key >> offset) & mask
+                slices[e][key ^ (e << offset)] = c
             coords = [solver.express(g_e, size=len(basis_polys)) for g_e in slices]
             if None in coords:
                 raise RuntimeError("synthesis basis does not span an extension")

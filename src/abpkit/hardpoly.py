@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, validate, write_csv
-from .algebra import (DEFAULT_FIELD, GuardExceeded, LinearSolver, PrimeField, SparsePoly,
-                      UniMatrix)
+from .algebra import (DEFAULT_FIELD, GuardExceeded, Layout, LinearSolver, PrimeField,
+                      SparsePoly, UniMatrix)
 from .evaldim import Roabp, eval_dim, pd_rank
 
 EXPERIMENT_FIELD = PrimeField(10007)
@@ -297,14 +297,18 @@ def eliminate_summand(parts, t: int) -> EliminationResult:
             ranges[i] += 1
         i = (i + 1) % len(ranges)
     grid = itertools.product(*(range(m) for m in ranges))
+    # restrict keeps every layer that reads a free variable and drops the
+    # fixed ones' reads, so each restriction expands in this one layout
+    layout = Layout(0 if v in subset else d for v, d in enumerate(degs))
     solver = LinearSolver(field, track_coords=True)
     assignments = []
     alpha = None
     for a in grid:
         restriction = part1.abp.restrict(dict(zip(subset, a))).expand()
+        vec = restriction.layout.repack(restriction.packed, layout)
         assignments.append(a)
-        if not solver.try_add(restriction.terms):
-            alpha = solver.express(restriction.terms, len(assignments))
+        if not solver.try_add(vec):
+            alpha = solver.express(vec, len(assignments))
             alpha[-1] = field.p - 1
             break
     if alpha is None:
@@ -487,9 +491,10 @@ def pn_projection_step(n: int, t: int, field: PrimeField = DEFAULT_FIELD,
     if final is None:
         raise RuntimeError("no corner value keeps the projection nonzero")
     lifted = _pn_polynomial(field, n, range(t + 1, n))
-    key = next(iter(final.terms))
-    scale = field.mul(final.terms[key], field.inv(lifted.terms.get(key, 0))) \
-        if lifted.terms.get(key, 0) else 0
+    layout = final.layout.join(lifted.layout)
+    want, have = (q.layout.repack(q.packed, layout) for q in (final, lifted))
+    key = next(iter(want))
+    scale = field.mul(want[key], field.inv(have[key])) if key in have else 0
     verified = scale != 0 and lifted.scale(scale) == final
     return PnProjectionStep(n, t, subset, combination, {**fixed, **border},
                             corner_value, scale, verified)

@@ -123,10 +123,39 @@ class TestSparsePoly:
         with pytest.raises(ValueError, match=r"^negative exponent in \(0, -1\)$"):
             SparsePoly(field, 2, {(0, -1): 1})
 
+    @pytest.mark.parametrize("exps, bad", [((1.5,), "1.5"), ((2.0,), "2.0"), ((True,), "True")])
+    def test_non_integer_exponents_refused(self, f7, exps, bad):
+        # 1.5 used to be kept and printed as x1^1.5, and evaluate then raised TypeError
+        with pytest.raises(ValueError, match=rf"^exponent in \({bad},\) must be an integer, "
+                                             rf"got {bad}$"):
+            SparsePoly(f7, 1, {exps: 1})
+
+    @pytest.mark.parametrize("coeff", [1.5, 3.0, True, False, "2"])
+    def test_non_integer_coefficients_refused(self, f7, coeff):
+        # 1.5 used to be stored as the float 1.5
+        with pytest.raises(ValueError, match=rf"^coefficient of \(1,\) must be an integer, "
+                                             rf"got {coeff!r}$"):
+            SparsePoly(f7, 1, {(1,): coeff})
+        with pytest.raises(ValueError, match=rf"^coefficient of x1 must be an integer, "
+                                             rf"got {coeff!r}$"):
+            SparsePoly.linear(f7, 1, {0: coeff})
+        with pytest.raises(ValueError, match=rf"^constant term must be an integer, "
+                                             rf"got {coeff!r}$"):
+            SparsePoly.const(f7, 1, coeff)
+
+    def test_integer_exponents_and_coefficients_kept(self, f7):
+        f = SparsePoly(f7, 2, {(1, 0): 9, (0, 2): -1})
+        assert f.terms == {(1, 0): 2, (0, 2): 6}
+        assert str(f) == "2*x1 + 6*x2^2"
+        assert f.evaluate([1, 1]) == 1
+
     def test_variable_index_out_of_range(self, field):
         for i in (-1, 3):
             with pytest.raises(ValueError, match=rf"^variable index {i} out of range$"):
                 SparsePoly.variable(field, 3, i)
+            # a linear form used to fold such an index into its constant term
+            with pytest.raises(ValueError, match=rf"^variable index {i} out of range$"):
+                SparsePoly.linear(field, 3, {0: 1, i: 2})
 
     def test_substitute_index_out_of_range(self, field):
         f = SparsePoly.variable(field, 2, 0)

@@ -7,7 +7,7 @@ import pytest
 from abpkit.abp import ClassificationError, ObliviousAbp, validate
 from abpkit.algebra import PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_k_pass_abp, random_multilinear_poly
-from abpkit.evaldim import (eval_dim, k_gap_check, k_gap_to_roabp,
+from abpkit.evaldim import (Roabp, eval_dim, k_gap_check, k_gap_to_roabp,
                             k_pass_to_roabp, roabp_synthesize, roabp_width_profile)
 from abpkit.hardpoly import gen_pn
 
@@ -308,3 +308,51 @@ class TestCollapse:
         r = k_gap_to_roabp(a)
         assert r.abp.expand() == a.expand()
         assert r.width <= a.width ** 4
+
+
+class TestRefusals:
+    """Each refusal of the public entry points, with its message."""
+
+    def test_roabp_order_must_match_the_reads(self, field):
+        a = reading_chain(field, 2, [0, 1])
+        assert Roabp(a, (0, 1), (1,)).width == 1
+        for order in ((1, 0), (0,), (0, 1, 1)):
+            with pytest.raises(ValueError,
+                               match="^program does not read the declared order once each$"):
+                Roabp(a, order, (1,))
+
+    def test_eval_dim_field_must_exceed_the_degree(self, f7):
+        x = variables(f7, 2)
+        top = x[0] * x[0] * x[0] * x[1] * x[1] * x[1] * x[1]
+        with pytest.raises(ValueError, match=r"^field size 7 must exceed deg\(f\) = 7$"):
+            eval_dim(top + x[1], [0], [1])
+        assert eval_dim(x[0] * x[1] + x[1], [0], [1]).dimension == 1
+
+    def test_order_must_permute_all_variables(self, field):
+        f = random_multilinear_poly(random.Random(5), field, 3)
+        for order in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3)):
+            for call in (roabp_width_profile, roabp_synthesize):
+                with pytest.raises(ValueError,
+                                   match="^order must be a permutation of all variables$"):
+                    call(f, order)
+
+    def test_width_profile_and_synthesis_need_a_large_field(self):
+        field = PrimeField(2)
+        x = variables(field, 2)
+        f = x[0] * x[1] + x[0]
+        with pytest.raises(ValueError, match="^field too small for exact width profile$"):
+            roabp_width_profile(f, (0, 1))
+        with pytest.raises(ValueError, match="^field too small for synthesis$"):
+            roabp_synthesize(f, (0, 1))
+        assert roabp_synthesize(x[0] + x[1], (0, 1)).width_profile == (2,)
+
+    def test_k_gap_prefix_length_in_range(self, field):
+        a = reading_chain(field, 3, [0, 1, 2])
+        for prefix_len in (-1, 4):
+            with pytest.raises(ValueError, match=rf"^prefix length {prefix_len} out of range$"):
+                k_gap_check(a, prefix_len)
+        assert [k_gap_check(a, i) for i in range(4)] == [1, 1, 1, 1]
+
+    def test_k_gap_of_a_program_that_reads_nothing(self, field):
+        a = ObliviousAbp(field, 2, (UniMatrix.constant(field, ((3,),)),))
+        assert [k_gap_check(a, i) for i in range(3)] == [1, 1, 1]

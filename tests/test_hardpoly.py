@@ -12,7 +12,7 @@ from abpkit.evaldim import Roabp, eval_dim
 from abpkit.hardpoly import (_pn_terms, _qn_terms, block_partition, eliminate_summand,
                              experiment_pn_evaldim, experiment_qn_evaldim,
                              gen_pn, gen_qn, pn_projection_step, pn_var,
-                             qn_matchings)
+                             qn_matchings, qn_var_name)
 
 
 class TestGenPn:
@@ -408,3 +408,28 @@ class TestExperiments:
         rep.to_csv(out)
         lines = out.read_text().splitlines()
         assert len(lines) == 6
+
+
+class TestRefusals:
+    """Each refusal of the public entry points, with its message."""
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_gen_pn_needs_a_variable(self, n):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            gen_pn(n)
+
+    def test_qn_variable_names(self):
+        assert [qn_var_name(3, v) for v in range(9)] == [
+            "x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2", "z3"]
+
+    def test_block_partition_needs_k_blocks(self, field):
+        a = gen_qn(3, field, with_poly=False).realization
+        assert validate(a).k == 3
+        with pytest.raises(ValueError, match="^need at least k=3 blocks, got r=2$"):
+            block_partition(a, 2)
+        assert block_partition(a, 3).k == 3
+
+    def test_eliminate_summand_needs_a_summand(self):
+        for parts in ([], ()):
+            with pytest.raises(ValueError, match="^need at least one summand$"):
+                eliminate_summand(parts, 1)

@@ -550,19 +550,19 @@ class TestHardFamilies:
         so none of them reaches the term-map loop; only the last two rounds'
         nonzero candidates do.  Deciding each by an all-zero layer, the term
         maps were built 242, 80, 26, 8, 1 and 1 times.  The loop is counted by
-        its one call of ``accumulate`` (the bit-field offsets), each round by
+        its one call of ``Layout`` (the bit fields of its keys), each round by
         its one call of ``_choose_subset``."""
         per_round = []
-        accumulate, choose_subset = abpmod.accumulate, pit._choose_subset
+        layout, choose_subset = abpmod.Layout, pit._choose_subset
 
-        def counted_accumulate(*args, **kwargs):
+        def counted_layout(*args, **kwargs):
             per_round[-1] += 1
-            return accumulate(*args, **kwargs)
+            return layout(*args, **kwargs)
 
         def counted_choose_subset(seq):
             per_round.append(0)
             return choose_subset(seq)
-        monkeypatch.setattr(abpmod, "accumulate", counted_accumulate)
+        monkeypatch.setattr(abpmod, "Layout", counted_layout)
         monkeypatch.setattr(pit, "_choose_subset", counted_choose_subset)
         v = read_k_pit(gen_pn(6, field, with_poly=False).realization)
         assert [r.points_tried for r in v.iterations] == [244, 82, 28, 10, 4, 2]

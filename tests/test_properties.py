@@ -96,9 +96,11 @@ from abpkit import pit
 from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, normalize, parse_text,
                         read_sequence, to_canonical_text, to_json_obj, validate)
 from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
-from abpkit.corpus import random_per_read_monotone_sequence, random_read_k_abp
-from abpkit.evaldim import Roabp, _pd_rows, pd_rank, roabp_synthesize
-from abpkit.hardpoly import _pn_polynomial, gen_pn, gen_qn, pn_var
+from abpkit.corpus import (random_k_pass_abp, random_per_read_monotone_sequence,
+                           random_read_k_abp, random_roabp)
+from abpkit.evaldim import (Roabp, _greedy_basis, _pd_rows, k_pass_to_roabp, pd_rank,
+                            roabp_synthesize)
+from abpkit.hardpoly import _pn_polynomial, eliminate_summand, gen_pn, gen_qn, pn_var
 from abpkit.pit import IterationRecord, PitVerdict, read_k_pit
 from abpkit.sequences import (ReadSequence, SequenceError, _check_interleaving, _direction,
                               _reads_of, is_regularly_interleaving, longest_monotone, prune)
@@ -153,7 +155,7 @@ def reference_tuple_expand(abp: ObliviousAbp,
         if (size := max(map(len, row))) > guard:
             raise GuardExceeded(f"expansion after layer {i} holds {size} terms, "
                                 f"more than guard {guard}")
-    return SparsePoly._trusted(abp.field, abp.num_vars, row[0])
+    return SparsePoly(abp.field, abp.num_vars, row[0])
 
 
 def refusal_or_result(expand, abp: ObliviousAbp, guard: int):
@@ -367,6 +369,111 @@ def reference_pn_polynomial(field: PrimeField, n: int, block) -> SparsePoly:
     return poly
 
 
+class ReferenceTuplePoly:
+    """``SparsePoly`` as it was before its keys were packed: a map from dense
+    exponent tuples to coefficients in [1, p), every operation rebuilding
+    tuples."""
+
+    def __init__(self, field: PrimeField, num_vars: int, terms: dict):
+        p = field.p
+        self.field, self.num_vars = field, num_vars
+        self.terms = {tuple(e): c % p for e, c in terms.items() if c % p}
+
+    def _wrap(self, terms: dict) -> "ReferenceTuplePoly":
+        out = ReferenceTuplePoly(self.field, self.num_vars, {})
+        out.terms = terms
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (self.field, self.num_vars, self.terms) == (other.field, other.num_vars,
+                                                           other.terms)
+
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
+    def individual_degrees(self) -> tuple:
+        return tuple(max((e[i] for e in self.terms), default=0) for i in range(self.num_vars))
+
+    def coefficient(self, exps) -> int:
+        return self.terms.get(tuple(exps), 0)
+
+    def __add__(self, other):
+        p = self.field.p
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            v = (out.get(exps, 0) + c) % p
+            if v:
+                out[exps] = v
+            else:
+                out.pop(exps, None)
+        return self._wrap(out)
+
+    def __neg__(self):
+        return self._wrap({e: self.field.p - c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        p = self.field.p
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return self._wrap({e: r for e, c in out.items() if (r := c % p)})
+
+    def scale(self, c: int):
+        p = self.field.p
+        c %= p
+        return self._wrap({e: (c * v) % p for e, v in self.terms.items()} if c else {})
+
+    def substitute(self, assignment):
+        if not assignment:
+            return self
+        p = self.field.p
+        vals = {i: v % p for i, v in assignment.items()}
+        out: dict = {}
+        for exps, c in self.terms.items():
+            factor = c
+            new = list(exps)
+            for i, v in vals.items():
+                if exps[i]:
+                    factor = (factor * pow(v, exps[i], p)) % p
+                    new[i] = 0
+            if factor == 0:
+                continue
+            key = tuple(new)
+            t = (out.get(key, 0) + factor) % p
+            if t:
+                out[key] = t
+            else:
+                out.pop(key, None)
+        return self._wrap(out)
+
+    def evaluate(self, point) -> int:
+        p = self.field.p
+        total = 0
+        for exps, c in self.terms.items():
+            v = c
+            for i, e in enumerate(exps):
+                if e:
+                    v = (v * pow(point[i] % p, e, p)) % p
+            total = (total + v) % p
+        return total
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for exps, c in sorted(self.terms.items(), reverse=True):
+            factors = [str(c)] if c != 1 or not any(exps) else []
+            factors += [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                        for i, e in enumerate(exps) if e]
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+
 def reference_iroot(value: int, k: int) -> int:
     if value < 0:
         raise ValueError("negative radicand")
@@ -578,6 +685,23 @@ def poly_pairs(draw, num_vars=3, max_degree=3):
     f, g = (SparsePoly(field, num_vars, draw(st.dictionaries(exps, coeffs, max_size=6)))
             for _ in range(2))
     return f, g
+
+
+@st.composite
+def packed_poly_cases(draw, max_vars=4):
+    """A field and exponent-tuple maps on a shared arity for two polynomials
+    of unrelated degree bounds.  An exponent is often the largest its bit
+    field holds (1, 3, 7, 15), so sums and products fill fields to the top."""
+    field = PrimeField(draw(st.sampled_from((2, 7, 101))))
+    n = draw(st.integers(0, max_vars))
+    maps = []
+    for _ in range(2):
+        caps = [draw(st.sampled_from((0, 1, 2, 3, 7, 15))) for _ in range(n)]
+        exps = st.tuples(*(st.sampled_from(sorted({0, min(cap, 1), cap // 2, cap}))
+                           for cap in caps))
+        maps.append(draw(st.dictionaries(exps, st.integers(-field.p, 2 * field.p),
+                                         max_size=7)))
+    return field, n, maps
 
 
 @st.composite
@@ -1267,6 +1391,159 @@ class TestTrustedResultsAreCanonical:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 raw[e] = raw.get(e, 0) + c1 * c2
         assert f * g == SparsePoly(f.field, f.num_vars, raw)
+
+
+class TestPackedPolyMatchesTupleReference:
+    """Each ``SparsePoly`` operation on packed keys against
+    ``ReferenceTuplePoly``: the same terms in the same order, the same text,
+    degrees, values and coefficients, also where an exponent fills its field
+    and where the operands' layouts differ."""
+
+    @staticmethod
+    def same(got: SparsePoly, want: ReferenceTuplePoly) -> None:
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert str(got) == str(want)
+        assert got.total_degree() == want.total_degree()
+        assert got.individual_degrees() == want.individual_degrees()
+        assert_canonical(got)
+
+    @PROPERTY_SETTINGS
+    @given(packed_poly_cases(), st.data())
+    def test_operations(self, case, data):
+        field, n, maps = case
+        p = field.p
+        f, g = (SparsePoly(field, n, m) for m in maps)
+        rf, rg = (ReferenceTuplePoly(field, n, m) for m in maps)
+        c = data.draw(st.integers(-2 * p, 2 * p))
+        pairs = [(f, rf), (g, rg), (f * g, rf * rg), (g * f, rg * rf), (f + g, rf + rg),
+                 (f - g, rf - rg), (-f, -rf), (f.scale(c), rf.scale(c)),
+                 (f * f * g, rf * rf * rg), ((f + g) * (f - g), (rf + rg) * (rf - rg))]
+        values = st.integers(-p, 2 * p)
+        assignment = data.draw(st.dictionaries(st.integers(0, n - 1), values)) if n else {}
+        point = data.draw(st.lists(values, min_size=n, max_size=n))
+        probes = data.draw(st.lists(st.tuples(*[st.integers(0, 20)] * n), max_size=4))
+        for got, want in pairs:
+            self.same(got, want)
+            self.same(got.substitute(assignment), want.substitute(assignment))
+            assert got.evaluate(point) == want.evaluate(point)
+            for exps in list(want.terms) + probes:
+                assert got.coefficient(exps) == want.coefficient(exps)
+        assert (f == g) == (rf == rg)
+        assert (f + g) - g == f and f * g == g * f
+        assert (f * SparsePoly.const(field, n, 1) == f) and (f - f).is_zero
+
+    @PROPERTY_SETTINGS
+    @given(packed_poly_cases())
+    def test_keys_sort_like_exponent_tuples(self, case):
+        field, n, maps = case
+        f = SparsePoly(field, n, maps[0]) * SparsePoly(field, n, maps[1])
+        assert [f.layout.unpack(k) for k in sorted(f.packed)] == sorted(f.terms)
+
+    def test_field_maxima_do_not_carry(self):
+        # x1^15 * x2^7 in fields of 4 and 3 bits: the square fills 5 and 4
+        field = PrimeField(101)
+        f = SparsePoly(field, 3, {(15, 7, 0): 1, (0, 7, 1): 2, (15, 0, 1): 3})
+        assert f.layout.widths == (4, 3, 1)
+        want = ReferenceTuplePoly(field, 3, f.terms)
+        self.same(f * f, want * want)
+        assert (f * f).layout.widths == (5, 4, 2)
+        self.same(f * f * f + f, want * want * want + want)
+
+    def test_equality_across_layouts(self):
+        # a two-pass program and its read-once collapse expand in layouts of
+        # their own degree bounds; x^2 * 1 + 1 * (x - x^2) = x puts one in a
+        # 3-bit field and the other in a 1-bit field
+        field = PrimeField(101)
+        cancel = ObliviousAbp(field, 1, (UniMatrix(field, 0, (((0, 0, 1), (1,)),)),
+                                         UniMatrix(field, 0, (((1,),), ((0, 1, 100),)))))
+        programs = [cancel]
+        rng = random.Random(2000)
+        for _ in range(20):
+            programs.append(random_k_pass_abp(rng, field, rng.randint(2, 6), 2,
+                                              rng.randint(1, 3), entry_degree=1))
+        for abp in programs:
+            f, g = abp.expand(), k_pass_to_roabp(abp).abp.expand()
+            assert f == g and g == f and f.terms == g.terms
+            assert f != g + SparsePoly.const(field, f.num_vars, 1)
+        f, g = cancel.expand(), k_pass_to_roabp(cancel).abp.expand()
+        assert (f.layout.widths, g.layout.widths, str(f)) == ((3,), (1,), "x1")
+
+
+class TestSolverVectorsShareOneLayout:
+    """The vectors one ``LinearSolver`` is given are polynomials' own maps in
+    one layout, by construction: restrictions of one polynomial (synthesis,
+    the greedy basis) or expansions of one program's restrictions at the same
+    variables (``eliminate_summand``)."""
+
+    @staticmethod
+    def layouts_per_solver(call) -> list:
+        made, given_vectors = {}, {}
+        trusted, try_add = SparsePoly._trusted.__func__, LinearSolver.try_add
+
+        def record(cls, field, num_vars, packed, layout):
+            poly = trusted(cls, field, num_vars, packed, layout)
+            made[id(packed)] = poly     # kept alive, so no id is reused
+            return poly
+
+        def add(self, vec):
+            given_vectors.setdefault(id(self), (self, []))[1].append(vec)
+            return try_add(self, vec)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SparsePoly, "_trusted", classmethod(record))
+            mp.setattr(LinearSolver, "try_add", add)
+            for poly in call():
+                made[id(poly.packed)] = poly
+        return [{made[id(vec)].layout.widths for vec in vectors}
+                for _, vectors in given_vectors.values()]
+
+    @PROPERTY_SETTINGS
+    @given(synthesis_inputs())
+    def test_synthesis_and_greedy_basis(self, case):
+        f, order = case
+        if f.field.p <= f.total_degree() or f.is_zero or not f.num_vars:
+            return
+        rank = pd_rank(f, order[:1], order[1:])
+
+        def synthesize():
+            roabp_synthesize(f, order)
+            return [f]
+
+        def greedy_basis():
+            _greedy_basis(f, order[:1], rank)
+            return [f]
+        for call in (synthesize, greedy_basis):
+            for widths in self.layouts_per_solver(call):
+                assert widths == {f.layout.widths}
+
+    def test_eliminate_summand(self):
+        rng = random.Random(9000)
+        for _ in range(10):
+            n = rng.randint(3, 6)
+            parts = [random_roabp(rng, PrimeField(101), n, rng.randint(1, 3), entry_degree=1)
+                     for _ in range(2)]
+            t = rng.randint(1, 2)
+            solvers = self.layouts_per_solver(lambda: eliminate_summand(parts, t) and [])
+            assert len(solvers) == 1 and len(solvers[0]) == 1
+
+
+class TestPivotOrderDoesNotMatter:
+    @PROPERTY_SETTINGS
+    @given(st.sampled_from((2, 7, 101)), st.lists(st.dictionaries(
+        st.integers(0, 12), st.integers(-5, 200), max_size=5), max_size=8))
+    def test_reversed_keys(self, p, vectors):
+        # the same vectors with their column order reversed: the same
+        # verdicts, ranks and coordinates
+        field = PrimeField(p)
+        solvers = [LinearSolver(field, track_coords=True) for _ in range(2)]
+        flips = (lambda vec: vec, lambda vec: {-k: c for k, c in vec.items()})
+        for vec in vectors:
+            verdicts = {s.try_add(flip(vec)) for s, flip in zip(solvers, flips)}
+            assert len(verdicts) == 1
+        for vec in vectors:
+            coords = [s.express(flip(vec)) for s, flip in zip(solvers, flips)]
+            assert coords[0] == coords[1] is not None
+        assert solvers[0].rank == solvers[1].rank
 
 
 class TestPitMatchesReference:
