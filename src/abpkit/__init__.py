@@ -12,8 +12,7 @@ Modules:
 """
 
 from .algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
-from .abp import (AbpClass, ClassificationError, ObliviousAbp, normalize,
-                  read_sequence, validate)
+from .abp import AbpClass, ClassificationError, ObliviousAbp, padded_reads, validate
 from .sequences import (ReadSequence, SequenceError, concat_decompose,
                         is_regularly_interleaving, longest_monotone,
                         per_read_monotone_subset, regularly_interleaving_subset)

@@ -14,10 +14,11 @@ packed ints with one bit field per variable as wide as its individual
 degree, which no exponent of a partial product exceeds: shifting a term is
 one add, no carry, and the last layer's map is the result as it stands.
 
-``normalize`` (an exact-k copy) serves ``validate``, and through it the
-``sequence`` and ``collapse`` verbs and ``block_partition``; the identity test
-pads its read sequences, and a program only for a recursion (``_pad``).
-``restrict``, ``normalize``, ``UniMatrix.constant`` and
+Padding every variable up to k reads belongs to the read sequence:
+``padded_reads``, the read order and then the reads each variable lacks of k,
+serves the ``sequence`` verb, ``block_partition`` and the identity test, whose
+recursion alone pads a program (``_pad``), to prune with its caller's k.
+``restrict``, ``_pad``, ``UniMatrix.constant`` and
 ``ReadSequence.from_order``/``restrict`` skip re-validation: they keep validated
 layers and, folding, the widths at a run's borders; ``_pad`` appends 1x1
 identities after a one-column sink; ``constant`` reduces its own entries; a
@@ -35,7 +36,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import GuardExceeded, Layout, LinearSolver, PrimeField, SparsePoly, UniMatrix
-from .sequences import ReadSequence
 
 DEFAULT_EXPAND_GUARD = 10 ** 6
 
@@ -87,7 +87,7 @@ class ObliviousAbp:
 
     def read_order(self) -> list:
         """Variables read layer by layer; constant layers read nothing and
-        identity-padding layers count as genuine reads."""
+        identity layers count as genuine reads."""
         return [layer.var for layer in self.layers if layer.var is not None]
 
     def read_counts(self) -> dict:
@@ -220,7 +220,7 @@ class ObliviousAbp:
                     rows = None
                 layers.append(layer)
             elif rows is None:
-                rows = (layer if layer.var is None and not layer.padding
+                rows = (layer if layer.var is None
                         else list(layer.eval_at(assignment.get(layer.var, 0))))
             else:
                 if type(rows) is UniMatrix:
@@ -252,16 +252,14 @@ def _times_layer(vec: list, layer: UniMatrix, x: int, p: int) -> list:
 
 @dataclass
 class AbpClass:
-    """Result of classifying an oblivious ABP: tight read multiplicity,
-    k-pass structure, and the exact-k normalized copy padded with identity
-    layers."""
+    """Result of classifying an oblivious ABP: tight read multiplicity and
+    k-pass structure."""
 
     k: int
     read_counts: dict
     is_k_pass: bool
     is_k_pass_varying_order: bool
     pass_orders: tuple | None
-    normalized: ObliviousAbp
 
 
 def _missing_reads(abp: ObliviousAbp) -> tuple:
@@ -272,15 +270,21 @@ def _missing_reads(abp: ObliviousAbp) -> tuple:
     return k, [v for v in range(abp.num_vars) for _ in range(k - counts.get(v, 0))]
 
 
+def padded_reads(abp: ObliviousAbp) -> list:
+    """The read order and then the reads each variable lacks of k: every
+    variable read exactly k times, k the tight read multiplicity."""
+    return abp.read_order() + _missing_reads(abp)[1]
+
+
 def _pad(abp: ObliviousAbp, reads) -> ObliviousAbp:
-    """``abp`` and then a 1x1 identity padding layer reading each of ``reads``
-    in turn, which keeps width and polynomial; not validated (module notes)."""
+    """``abp`` and then a 1x1 identity layer reading each of ``reads`` in
+    turn, which keeps width and polynomial; not validated (module notes)."""
     if not reads:
         return abp
     layers = dict.fromkeys(reads)
-    for v in layers:                # UniMatrix.identity(field, 1, v, True)
+    for v in layers:                # UniMatrix.identity(field, 1, v)
         layer = layers[v] = object.__new__(UniMatrix)
-        layer.field, layer.var, layer.padding = abp.field, v, True
+        layer.field, layer.var = abp.field, v
         layer.entries, layer.degree, layer.support = (((1,),),), 0, (1,)
     padded = object.__new__(ObliviousAbp)
     padded.field, padded.num_vars = abp.field, abp.num_vars
@@ -288,15 +292,9 @@ def _pad(abp: ObliviousAbp, reads) -> ObliviousAbp:
     return padded
 
 
-def normalize(abp: ObliviousAbp) -> ObliviousAbp:
-    """Pad with identity layers so every variable is read exactly k times, k
-    the tight read multiplicity (``_missing_reads``, ``_pad``)."""
-    return _pad(abp, _missing_reads(abp)[1])
-
-
 def validate(abp: ObliviousAbp) -> AbpClass:
-    """Classify the program: tight k, k-pass / k-pass varying-order structure
-    (judged on the raw read order), plus the normalized exact-k copy."""
+    """Classify the program: tight k and k-pass / k-pass varying-order
+    structure, judged on the raw read order."""
     order = abp.read_order()
     counts = abp.read_counts()
     k = max(counts.values(), default=0)
@@ -316,21 +314,7 @@ def validate(abp: ObliviousAbp) -> AbpClass:
         is_k_pass=is_pass,
         is_k_pass_varying_order=varying,
         pass_orders=pass_orders,
-        normalized=normalize(abp),
     )
-
-
-def read_sequence(abp: ObliviousAbp) -> ReadSequence:
-    """Read sequence of an exact-k program, padding layers included.  Elements
-    are relabeled by first occurrence; the original variable ids are kept in
-    the sequence labels."""
-    order = abp.read_order()
-    counts = abp.read_counts()
-    if counts and len(set(counts.values())) != 1:
-        raise ClassificationError(
-            "read sequence requires an exact-k program; normalize() first"
-        )
-    return ReadSequence.from_order(order)
 
 
 # -- file format -------------------------------------------------------------
@@ -344,23 +328,17 @@ def read_sequence(abp: ObliviousAbp) -> ReadSequence:
 #
 # "var" is the 1-based read variable (null for a constant layer), "matrix" is
 # a rows-of-entries grid and each entry is a list of integer coefficients,
-# lowest degree first (the empty list is the zero polynomial).  An optional
-# "padding": true marks identity-padding layers.  Anything else (a float or
-# bool coefficient or var, a non-bool padding) is refused with a ValueError
-# naming the layer and the entry.  Serialization is canonical: sorted keys,
-# fixed separators, one trailing newline.
+# lowest degree first (the empty list is the zero polynomial).  Anything else
+# (a float or bool coefficient or var) is refused with a ValueError naming the
+# layer and the entry; keys the loader does not read are ignored.
+# Serialization is canonical: sorted keys, fixed separators, one trailing
+# newline.
 
 
 def to_json_obj(abp: ObliviousAbp) -> dict:
-    layers = []
-    for layer in abp.layers:
-        entry: dict = {
-            "var": layer.var + 1 if layer.var is not None else None,
-            "matrix": [[list(coeffs) for coeffs in row] for row in layer.entries],
-        }
-        if layer.padding:
-            entry["padding"] = True
-        layers.append(entry)
+    layers = [{"var": layer.var + 1 if layer.var is not None else None,
+               "matrix": [[list(coeffs) for coeffs in row] for row in layer.entries]}
+              for layer in abp.layers]
     return {"field_prime": abp.field.p, "num_vars": abp.num_vars, "layers": layers}
 
 
@@ -394,10 +372,7 @@ def from_json_obj(obj: dict) -> ObliviousAbp:
                 raise ValueError(f"layer {idx}: var must be a 1-based index or null, "
                                  f"got {var!r}")
             var -= 1
-        padding = raw.get("padding", False)
-        if type(padding) is not bool:
-            raise ValueError(f"layer {idx}: padding must be true or false, got {padding!r}")
-        layers.append(UniMatrix(field, var, _int_matrix(idx, matrix), padding))
+        layers.append(UniMatrix(field, var, _int_matrix(idx, matrix)))
     return ObliviousAbp(field, num_vars, tuple(layers))
 
 

@@ -402,8 +402,9 @@ def _strip(coeffs: Iterable[int], p: int) -> tuple:
 class UniMatrix:
     """Matrix whose entries are univariate polynomials in one shared variable,
     given as coefficient tuples (lowest degree first).  ``var=None`` marks a
-    constant matrix that reads nothing; ``padding`` tags identity layers added
-    to make every variable read exactly k times."""
+    constant matrix that reads nothing.  ``padding`` is an inert tag that no
+    abpkit code sets or branches on; it goes once the benchmark's workloads
+    stop reading it and passing it on (ROADMAP item 1)."""
 
     field: PrimeField
     var: int | None

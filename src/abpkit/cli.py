@@ -23,7 +23,7 @@ from .hardpoly import (block_partition, eliminate_summand,
                        experiment_pn_evaldim, experiment_qn_evaldim,
                        gen_pn, gen_qn)
 from .pit import iteration_bound_sweep, read_k_pit
-from .sequences import concat_decompose, is_regularly_interleaving, prune
+from .sequences import ReadSequence, concat_decompose, is_regularly_interleaving, prune
 
 
 def _ints(text: str) -> list:
@@ -142,8 +142,8 @@ def _cmd_collapse(args) -> int:
 
 def _cmd_sequence(args) -> int:
     program = abpio.load(args.file)
-    cls = validate(program)
-    seq = abpio.read_sequence(cls.normalized)
+    reads = abpio.padded_reads(program)
+    seq = ReadSequence.from_order(reads)
     print(f"sequence: {seq}")
     if args.action == "show":
         for i in range(1, seq.k + 1):
@@ -166,7 +166,8 @@ def _cmd_sequence(args) -> int:
             for seg in concat_decompose(seq):
                 print(f"segment [{seg.start},{seg.end}) reads {seg.reads} "
                       f"{seg.direction}")
-        gaps = [k_gap_check(cls.normalized, i) for i in range(1, program.num_vars + 1)]
+        n = program.num_vars
+        gaps = [k_gap_check(reads, n, i) for i in range(1, n + 1)]
         print("gap counts per prefix: " + " ".join(str(g) for g in gaps))
         return 0
     mono, regular = prune(seq)

@@ -228,17 +228,16 @@ def roabp_synthesize(f: SparsePoly, order=None) -> Roabp:
     return Roabp(abp, order, tuple(layer.width_out for layer in layers[:-1]))
 
 
-def k_gap_check(abp: ObliviousAbp, prefix_len: int, order=None) -> int:
-    """Number of alternations between layers reading the first ``prefix_len``
-    variables of the order and layers reading the rest: the minimal t for
-    which the restricted program factors as N_1 M_1 ... N_t M_t.  The program
-    has the k-gap property for this prefix exactly when the result is <= k."""
-    n = abp.num_vars
-    order = _check_order(n, order if order is not None else range(n))
-    if not 0 <= prefix_len <= n:
+def k_gap_check(reads, num_vars: int, prefix_len: int, order=None) -> int:
+    """Number of alternations, along a program's ``reads``, between reads of
+    the first ``prefix_len`` variables of the order and reads of the rest: the
+    minimal t for which the restricted program factors as N_1 M_1 ... N_t M_t.
+    The program has the k-gap property for this prefix exactly when the
+    result is <= k."""
+    order = _check_order(num_vars, order if order is not None else range(num_vars))
+    if not 0 <= prefix_len <= num_vars:
         raise ValueError(f"prefix length {prefix_len} out of range")
     prefix = set(order[:prefix_len])
-    reads = abp.read_order()
     if not reads:
         return 1
     flags = ["P" if v in prefix else "N" for v in reads]
@@ -254,8 +253,9 @@ def k_gap_to_roabp(abp: ObliviousAbp, guard: int = DEFAULT_EXPAND_GUARD) -> Roab
     order, k its tight read multiplicity) to a read-once program of width at
     most w^(2k) in that order."""
     k = max(validate(abp).k, 1)
+    reads = abp.read_order()
     offending = [(i, g) for i in range(1, abp.num_vars + 1)
-                 if (g := k_gap_check(abp, i)) > k]
+                 if (g := k_gap_check(reads, abp.num_vars, i)) > k]
     if offending:
         i, g = offending[0]
         raise ClassificationError(

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, validate, write_csv
+from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, _missing_reads, write_csv
 from .algebra import (DEFAULT_FIELD, GuardExceeded, Layout, LinearSolver, PrimeField,
                       SparsePoly, UniMatrix)
 from .evaldim import Roabp, eval_dim, pd_rank
@@ -214,15 +214,13 @@ class BlockPartition:
 
 
 def block_partition(abp: ObliviousAbp, r: int) -> BlockPartition:
-    """Split the normalized program's layers into r near-equal contiguous
-    blocks and pick the k of them jointly covering all reads of the largest
-    variable set: an exhaustive scan over the C(r, k) tuples, first best wins.
-    By averaging, that set has at least n / C(r, k) variables."""
-    cls = validate(abp)
-    work = cls.normalized
-    k = max(cls.k, 1)
-    layers = work.layers
-    length = len(layers)
+    """Split the program's layers and then its missing reads (``padded_reads``)
+    into r near-equal contiguous blocks and pick the k of them jointly covering
+    all reads of the largest variable set: an exhaustive scan over the C(r, k)
+    tuples, first best wins.  By averaging, it has at least n / C(r, k)."""
+    k, missing = _missing_reads(abp)
+    reads = [layer.var for layer in abp.layers] + missing
+    length = len(reads)
     if r > length:
         raise ValueError(f"cannot cut {length} layers into {r} blocks")
     if k > r:
@@ -236,8 +234,7 @@ def block_partition(abp: ObliviousAbp, r: int) -> BlockPartition:
     block_of = {}
     touched = [set() for _ in range(r)]
     for b, (lo, hi) in enumerate(bounds):
-        for idx in range(lo, hi):
-            v = layers[idx].var
+        for v in reads[lo:hi]:
             if v is not None:
                 touched[b].add(v)
                 block_of.setdefault(v, set()).add(b)
@@ -251,7 +248,7 @@ def block_partition(abp: ObliviousAbp, r: int) -> BlockPartition:
             best_combo, best_u = combo, u
     u = frozenset(best_u)
     w = frozenset(v for b in best_combo for v in touched[b]) - u
-    v_rest = frozenset(range(work.num_vars)) - u - w
+    v_rest = frozenset(range(abp.num_vars)) - u - w
     return BlockPartition(u, v_rest, w, tuple(bounds), tuple(best_combo), r, k)
 
 

@@ -1,9 +1,9 @@
 """Hitting sets and identity testing for read-k oblivious programs.
 
 The test needs the program only to evaluate and restrict it, and its read
-order; k and the padding, of the read sequence only, come from the read
-counts.  Each round picks, from the padded read sequence, a large
-per-read-monotone, regularly-interleaving subset of the free variables
+order; k and the padding (``abp.padded_reads``) come from its read counts
+and pad the read sequence only.  Each round picks, from the padded sequence,
+a large per-read-monotone, regularly-interleaving subset of the free variables
 (pruning the sequence in place), and walks the round's points over it
 (sized by the width and degrees of the program left) until a point keeps the
 restricted program nonzero.  Candidates get one probe each until the round's
@@ -152,10 +152,10 @@ def _probe_point(work: ObliviousAbp, assignment: dict, rng) -> list:
 
 
 def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
-                path, padding) -> tuple | None:
+                path, lacking) -> tuple | None:
     """One round of ``read_k_pit``: (points tried, accepted point, its
     restriction or None if none was built), or None when the round exhausts
-    its points.  ``padding``, the round's missing reads, pads a recursion's input."""
+    its points.  ``lacking``, the round's missing reads, pads a recursion's input."""
     poly = None
     restrict_first = False
     for tried, pt in enumerate(points, 1):
@@ -184,7 +184,7 @@ def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
             try:
                 rest = sub.expand(DEFAULT_FASTPATH_TERMS)
             except GuardExceeded:
-                rest = read_k_pit(_pad(sub, [v for v in padding if v not in assignment]),
+                rest = read_k_pit(_pad(sub, [v for v in lacking if v not in assignment]),
                                   generator, rng.getrandbits(32), count, path)
         if not rest.is_zero:
             return tried, pt, sub
@@ -230,12 +230,12 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     rng = random.Random(seed)
     assigned: dict = {}
     iterations: list = []
-    while order := work.read_order() + (padding := [v for v in missing if v not in assigned]):
+    while order := work.read_order() + (lacking := [v for v in missing if v not in assigned]):
         subset, floor = _choose_subset(ReadSequence.from_order(order))
         size, points = _round_points(work, subset, k, generator, seed + len(iterations),
                                      count, path)
         tried, chosen, sub = (_scan_round(work, subset, points, rng, generator, count,
-                                          path, padding) or (size, None, None))
+                                          path, lacking) or (size, None, None))
         iterations.append(IterationRecord(subset, floor, size, tried, chosen))
         if chosen is None:
             return PitVerdict(True, None, iterations, generator, abp.num_vars, k)

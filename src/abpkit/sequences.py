@@ -155,20 +155,20 @@ def _lis_end_lengths(vals: Sequence) -> list:
     return out
 
 
-def _reconstruct(vals: Sequence, starts: list, length: int, increasing: bool) -> list:
+def _reconstruct(vals: Sequence, starts: list, length: int) -> list:
+    """The lexicographically first monotone chain of ``length`` values,
+    ``starts[i]`` the length of the longest one starting at i.  The first
+    value after a pick whose count is the one still needed extends the chain:
+    with distinct values, one that did not would lie before and beyond a
+    successor of the pick and so start a chain one longer than its count."""
     out = []
-    prev = None
     need = length
-    for i, v in enumerate(vals):
-        if starts[i] != need:
-            continue
-        if prev is not None and ((v <= prev) if increasing else (v >= prev)):
-            continue
-        out.append(v)
-        prev = v
-        need -= 1
-        if need == 0:
-            break
+    for v, start in zip(vals, starts):
+        if start == need:
+            out.append(v)
+            need -= 1
+            if need == 0:
+                break
     return out
 
 
@@ -196,8 +196,8 @@ def _longest_monotone(vals: list) -> tuple:
     inc_len = max(inc_starts)
     dec_len = max(dec_starts)
     if inc_len >= dec_len:
-        return _reconstruct(vals, inc_starts, inc_len, True), "increasing"
-    return _reconstruct(vals, dec_starts, dec_len, False), "decreasing"
+        return _reconstruct(vals, inc_starts, inc_len), "increasing"
+    return _reconstruct(vals, dec_starts, dec_len), "decreasing"
 
 
 # -- per-read-monotone pruning --------------------------------------------------
@@ -221,27 +221,23 @@ def _two_regular_blocks(pairs: Sequence) -> tuple | None:
     """Unique block partition of a read-2 pair sequence if it is 2-regularly
     interleaving, else None.  The layout must be [firsts of B1][seconds of B1]
     [firsts of B2][seconds of B2]...; since each block's seconds immediately
-    follow its firsts, a greedy left-to-right scan is forced."""
+    follow its firsts, a greedy left-to-right scan is forced.  Each element
+    has one first and then one second, so after whole blocks the next pair
+    is a first, the run of firsts has as many seconds after it, and a chunk
+    of seconds belongs to elements first read in the run: only a first in
+    the chunk can fail the layout."""
     pos = 0
     m = len(pairs)
     blocks = []
     while pos < m:
-        if pairs[pos][1] != 1:
-            return None
         block = []
         while pos < m and pairs[pos][1] == 1:
             block.append(pairs[pos][0])
             pos += 1
-        bset = set(block)
-        chunk = pairs[pos:pos + len(block)]
-        if len(chunk) != len(block):
-            return None
-        if any(c != 2 or e not in bset for e, c in chunk):
-            return None
-        if {e for e, _ in chunk} != bset:
+        if any(c != 2 for _, c in pairs[pos:pos + len(block)]):
             return None
         pos += len(block)
-        blocks.append(tuple(sorted(bset)))
+        blocks.append(tuple(sorted(block)))
     return tuple(blocks)
 
 

@@ -1,15 +1,17 @@
 """Program model: evaluation, expansion oracle, restriction, classification,
 and the file format."""
 
+import json
 import random
 
 import pytest
 
 from abpkit import abp as abpio
-from abpkit.abp import ClassificationError, ObliviousAbp, normalize, read_sequence, validate
+from abpkit.abp import ObliviousAbp, _missing_reads, _pad, padded_reads, validate
 from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp
 from abpkit.hardpoly import gen_pn, gen_qn
+from abpkit.sequences import ReadSequence
 
 
 def chain(field, reads):
@@ -164,15 +166,17 @@ class TestValidate:
         assert cls.pass_orders == ((0, 1), (1, 0))
 
     def test_padding_added_for_underread_variable(self, field):
-        # x3 read once inside a k=2 program gains one identity layer
+        # x3 read once inside a k=2 program gains one read, and a recursion's
+        # padded program one identity layer
         a = chain(field, [0, 1, 0, 1, 2])
-        cls = validate(a)
-        assert cls.k == 2
-        pads = [l for l in cls.normalized.layers if l.padding]
+        assert validate(a).k == 2
+        assert padded_reads(a) == [0, 1, 0, 1, 2, 2]
+        padded = _pad(a, _missing_reads(a)[1])
+        pads = padded.layers[len(a.layers):]
         assert len(pads) == 1 and pads[0].var == 2
-        assert cls.normalized.read_counts() == {0: 2, 1: 2, 2: 2}
+        assert padded.read_counts() == {0: 2, 1: 2, 2: 2}
         # padding never changes the polynomial
-        assert cls.normalized.expand() == a.expand()
+        assert padded.expand() == a.expand()
 
     def test_k_matches_read_sequence(self, field):
         rng = random.Random(13)
@@ -181,18 +185,18 @@ class TestValidate:
             a = random_read_k_abp(rng, field, n, rng.randint(1, 3), 2, 1,
                                   term_budget=2000)
             cls = validate(a)
-            seq = read_sequence(cls.normalized)
+            seq = ReadSequence.from_order(padded_reads(a))
             assert cls.k == max(c for _, c in seq.entries)
 
     def test_read_sequence_requires_exact_k(self, field):
-        with pytest.raises(ClassificationError):
-            read_sequence(chain(field, [0, 1, 0]))
+        with pytest.raises(ValueError, match="unequal occurrence counts"):
+            ReadSequence.from_order(chain(field, [0, 1, 0]).read_order())
 
     def test_read_sequence_examples(self, field):
-        seq = read_sequence(chain(field, [0, 1, 0, 1]))
+        seq = ReadSequence.from_order(padded_reads(chain(field, [0, 1, 0, 1])))
         assert seq.read_order(1) == [0, 1]
         assert seq.read_order(2) == [0, 1]
-        seq = read_sequence(chain(field, [0, 1, 1, 0]))
+        seq = ReadSequence.from_order(padded_reads(chain(field, [0, 1, 1, 0])))
         assert seq.read_order(2) == [1, 0]
 
     def test_dimension_mismatch_is_structural_error(self, field):
@@ -211,6 +215,18 @@ class TestValidate:
                 ObliviousAbp(field, 2, (layer(field, 0), layer(field, var)))
         with pytest.raises(ValueError, match=r"^last layer must have a single column \(sink\)$"):
             ObliviousAbp(field, 1, (UniMatrix(field, 0, (((1,), (0, 1)),)),))
+
+
+class TestRandomPrograms:
+    @pytest.mark.parametrize("n, k, width, zero_kind, message", [
+        (0, 2, 2, None, "n, k, width must be positive"),
+        (3, 0, 2, None, "n, k, width must be positive"),
+        (3, 2, -1, None, "n, k, width must be positive"),
+        (3, 2, 2, "bogus", "unknown zero_kind 'bogus'"),
+    ])
+    def test_refusals(self, field, n, k, width, zero_kind, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_read_k_abp(random.Random(0), field, n, k, width, zero_kind=zero_kind)
 
 
 class TestFileFormat:
@@ -247,9 +263,18 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="layer 0"):
             abpio.parse_text('{"field_prime": 101, "num_vars": 1, "layers": [{}]}')
 
-    def test_padding_survives_round_trip(self, field, tmp_path):
-        a = normalize(chain(field, [0, 1, 0]))
-        path = tmp_path / "padded.json"
-        abpio.save(a, path)
-        b = abpio.load(path)
-        assert [l.padding for l in b.layers] == [l.padding for l in a.layers]
+    @pytest.mark.parametrize("padding", [True, "no"])
+    def test_padding_key_ignored(self, tmp_path, padding):
+        """A layer's "padding" key, which the loader does not read, changes
+        nothing: the file expands as without it and its canonical text
+        leaves it out."""
+        layers = [{"var": 1, "matrix": [[[0, 1], [2]]]},
+                  {"var": 2, "matrix": [[[1]], [[0, 3]]]}]
+        plain = {"field_prime": 7, "num_vars": 2, "layers": layers}
+        tagged = {**plain, "layers": [layers[0], {**layers[1], "padding": padding}]}
+        for name, doc in (("plain", plain), ("tagged", tagged)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        a, b = (abpio.load(tmp_path / f"{name}.json") for name in ("plain", "tagged"))
+        assert b.expand() == a.expand()
+        assert abpio.to_canonical_text(b) == abpio.to_canonical_text(a)
+        assert "padding" not in abpio.to_canonical_text(b)

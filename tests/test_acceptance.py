@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from abpkit.abp import ObliviousAbp, read_sequence, validate
+from abpkit.abp import ObliviousAbp
 from abpkit.algebra import PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import (random_k_pass_abp, random_multilinear_poly,
                            random_per_read_monotone_sequence,
@@ -221,7 +221,7 @@ def test_criterion_6_k_gap_consequence():
         k = seq.k
         for i in range(1, seq.n + 1):
             checked += 1
-            if k_gap_check(program, i) > k:
+            if k_gap_check(program.read_order(), program.num_vars, i) > k:
                 bad += 1
     report("6 k-gap-consequence", bad == 0,
            f"{len(fixtures)} fixtures, {checked} prefixes, {bad} violations")

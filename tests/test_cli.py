@@ -65,7 +65,6 @@ class TestEvalExpand:
         ({"var": 1, "matrix": [[[0.5, 1]]]}, "matrix[0][0] coefficient 0"),
         ({"var": 1, "matrix": [[[1, True]]]}, "matrix[0][0] coefficient 1"),
         ({"var": True, "matrix": [[[0, 1]]]}, "var"),
-        ({"var": 1, "matrix": [[[0, 1]]], "padding": "no"}, "padding"),
         ({"var": 1, "matrix": [[1]]}, "matrix[0][0]"),
     ])
     def test_non_int_layer_entries_refused(self, capsys, tmp_path, layer, entry):
@@ -259,6 +258,13 @@ class TestPipelines:
         assert code == 2
         assert out == ""
         assert "--prefix must be >= 0" in err
+
+    @pytest.mark.parametrize("split", [[], ["--S", "1,2"], ["--T", "3,4"]])
+    def test_evaldim_without_a_split_exit_two(self, capsys, split):
+        code, out, err = run(capsys, "evaldim", FIXTURES / "pn_2.json", *split)
+        assert code == 2
+        assert out == ""
+        assert "either --prefix or both --S and --T are required" in err
 
     def test_evaldim_sets_with_r(self, capsys):
         code, out, _ = run(capsys, "evaldim", FIXTURES / "qn_2.json",

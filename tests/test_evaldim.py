@@ -187,26 +187,26 @@ class TestSynthesize:
 class TestKGapCheck:
     def test_figure_read_order(self, field):
         a = reading_chain(field, 4, [0, 1, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3])
-        assert k_gap_check(a, 2) == 2
+        assert k_gap_check(a.read_order(), a.num_vars, 2) == 2
 
     def test_full_prefix_single_block(self, field):
         a = reading_chain(field, 4, [0, 1, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3])
-        assert k_gap_check(a, 4) == 1
+        assert k_gap_check(a.read_order(), a.num_vars, 4) == 1
 
     def test_alternating(self, field):
         a = reading_chain(field, 2, [0, 1, 0, 1])
-        assert k_gap_check(a, 1) == 2
+        assert k_gap_check(a.read_order(), a.num_vars, 1) == 2
 
     def test_suffix_first_order(self, field):
         # reads start outside the prefix: leading constant block still counts once
         a = reading_chain(field, 2, [1, 0, 1])
-        assert k_gap_check(a, 1) == 2
+        assert k_gap_check(a.read_order(), a.num_vars, 1) == 2
 
 
 def max_gap(abp, order=None):
     """The largest ``k_gap_check`` over every nonempty prefix of the order."""
     n = abp.num_vars
-    return max((k_gap_check(abp, i, order) for i in range(1, n + 1)), default=1)
+    return max((k_gap_check(abp.read_order(), n, i, order) for i in range(1, n + 1)), default=1)
 
 
 def assert_pass_gaps(a, k):
@@ -350,9 +350,9 @@ class TestRefusals:
         a = reading_chain(field, 3, [0, 1, 2])
         for prefix_len in (-1, 4):
             with pytest.raises(ValueError, match=rf"^prefix length {prefix_len} out of range$"):
-                k_gap_check(a, prefix_len)
-        assert [k_gap_check(a, i) for i in range(4)] == [1, 1, 1, 1]
+                k_gap_check(a.read_order(), a.num_vars, prefix_len)
+        assert [k_gap_check(a.read_order(), a.num_vars, i) for i in range(4)] == [1, 1, 1, 1]
 
     def test_k_gap_of_a_program_that_reads_nothing(self, field):
         a = ObliviousAbp(field, 2, (UniMatrix.constant(field, ((3,),)),))
-        assert [k_gap_check(a, i) for i in range(3)] == [1, 1, 1]
+        assert [k_gap_check(a.read_order(), a.num_vars, i) for i in range(3)] == [1, 1, 1]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from abpkit.abp import ObliviousAbp, validate
+from abpkit.abp import ObliviousAbp, _missing_reads, _pad, validate
 from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
 from abpkit.evaldim import Roabp, eval_dim
@@ -61,9 +61,10 @@ class TestGenPn:
         assert inst.realization.num_vars == 25
 
     def test_p3_read_sequence_row_then_column_major(self, field):
-        from abpkit.abp import read_sequence, validate
+        from abpkit.abp import padded_reads
+        from abpkit.sequences import ReadSequence
         inst = gen_pn(3, field)
-        seq = read_sequence(validate(inst.realization).normalized)
+        seq = ReadSequence.from_order(padded_reads(inst.realization))
         row_major = tuple(pn_var(3, i, j)
                           for i in range(1, 4) for j in range(1, 4))
         col_major = [pn_var(3, i, j) for j in range(1, 4) for i in range(1, 4)]
@@ -171,7 +172,7 @@ class TestBlockPartition:
     def test_one_pass_fine_blocks(self, field):
         rng = random.Random(40)
         a = random_read_k_abp(rng, field, 5, 1, 2, 1, term_budget=500)
-        part = block_partition(a, len(validate(a).normalized.layers))
+        part = block_partition(a, len(_pad(a, _missing_reads(a)[1]).layers))
         assert len(part.U) == 1
         assert part.W == frozenset()
 
@@ -194,7 +195,7 @@ class TestBlockPartition:
             n = rng.randint(2, 6)
             k = rng.randint(1, 3)
             a = random_read_k_abp(rng, field, n, k, 2, 1, term_budget=2000)
-            norm = validate(a).normalized
+            norm = _pad(a, _missing_reads(a)[1])
             length = len(norm.layers)
             r = rng.randint(k, max(k, min(length, 6)))
             part = block_partition(a, r)
@@ -218,7 +219,7 @@ class TestBlockPartition:
             n = rng.randint(3, 6)
             w = rng.randint(1, 2)
             a = random_read_k_abp(rng, field, n, 2, w, 1, term_budget=2000)
-            norm = validate(a).normalized
+            norm = _pad(a, _missing_reads(a)[1])
             r = min(len(norm.layers), 4)
             part = block_partition(a, r)
             if not part.U or not part.V:

@@ -605,7 +605,7 @@ class TestHardFamilies:
 
     def test_q4_builds_without_revalidating(self, field, monkeypatch):
         """Restricted programs, their folded layers, read sequences and
-        ``normalize``'s padding layers and padded program are valid by
+        ``_pad``'s padding layers and padded program are valid by
         construction and skip ``__post_init__``.  Rebuilding every
         restriction and sequence through it took 60, 9 and 25 calls, and
         validating the padding 12 and 1 more."""
@@ -707,6 +707,14 @@ class TestIterationBound:
             for r in (1, 4, 9):
                 for n in (1, 2, 7, 50, 900):
                     assert iteration_bound_check(n, p, r)
+
+    def test_bound_without_variables(self):
+        # no variable, no round: only the closing evaluation
+        assert iteration_bound(0, 3) == 1.0
+
+    def test_iroot_refuses_a_negative_radicand(self):
+        with pytest.raises(ValueError, match="^negative radicand$"):
+            pit._iroot(-1, 2)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ entries from d_v + 1 substituted points.  ``restrict`` and
 must give the same canonical text as these, also on P_2, P_3 and Q_2-Q_5 in
 both directions; ``restrict``, which skips validation, must also equal its
 result rebuilt through ``ObliviousAbp`` and ``UniMatrix``, with the same
-support and degree in every layer.  So must ``normalize``, which also skips
+support and degree in every layer.  So must ``_pad``, which also skips
 validation: its padded program rebuilt through ``ObliviousAbp``, and each
 padding layer built by ``UniMatrix.identity``.
 
@@ -71,6 +71,11 @@ regularly-interleaving subset of that by ``reference_prune``, read back
 through the restricted labels.  ``pit._choose_subset``, which prunes the
 sequence in place, must give the same subset and floor.
 
+``reference_two_regular_blocks`` and ``reference_reconstruct`` are the block
+partition of a read-pair projection and the longest-chain walk as they were,
+with the checks no valid sequence fails; the trimmed helpers must give the
+same blocks and chains.
+
 ``reference_read_k_pit`` is the identity test that scans each round candidate
 by candidate: every candidate is restricted, gets one random probe, and is
 then expanded with a guard of ``DEFAULT_FASTPATH_TERMS`` terms, or tested
@@ -92,9 +97,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abpkit import pit
-from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, normalize, parse_text,
-                        read_sequence, to_canonical_text, to_json_obj, validate)
+from abpkit import pit, sequences
+from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, _missing_reads, _pad,
+                        padded_reads, parse_text, to_canonical_text, to_json_obj)
 from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import (random_k_pass_abp, random_per_read_monotone_sequence,
                            random_read_k_abp, random_roabp)
@@ -595,6 +600,47 @@ def reference_choose_subset(seq: ReadSequence) -> tuple:
     return subset, seq.n ** (1.0 / 2 ** (k - 1)) / 3 ** (k * k)
 
 
+def reference_two_regular_blocks(pairs) -> tuple | None:
+    pos = 0
+    m = len(pairs)
+    blocks = []
+    while pos < m:
+        if pairs[pos][1] != 1:
+            return None
+        block = []
+        while pos < m and pairs[pos][1] == 1:
+            block.append(pairs[pos][0])
+            pos += 1
+        bset = set(block)
+        chunk = pairs[pos:pos + len(block)]
+        if len(chunk) != len(block):
+            return None
+        if any(c != 2 or e not in bset for e, c in chunk):
+            return None
+        if {e for e, _ in chunk} != bset:
+            return None
+        pos += len(block)
+        blocks.append(tuple(sorted(bset)))
+    return tuple(blocks)
+
+
+def reference_reconstruct(vals, starts: list, length: int, increasing: bool) -> list:
+    out = []
+    prev = None
+    need = length
+    for i, v in enumerate(vals):
+        if starts[i] != need:
+            continue
+        if prev is not None and ((v <= prev) if increasing else (v >= prev)):
+            continue
+        out.append(v)
+        prev = v
+        need -= 1
+        if need == 0:
+            break
+    return out
+
+
 def _reference_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
                        count, path) -> bool:
     if not abp.read_order():
@@ -610,14 +656,13 @@ def _reference_nonzero(abp: ObliviousAbp, rng: random.Random, generator: str,
 
 def reference_read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
                          count=None, path=None) -> PitVerdict:
-    cls = validate(abp)
-    work = cls.normalized
-    k = max(cls.k, 1)
+    k, missing = _missing_reads(abp)
+    work = _pad(abp, missing)
     rng = random.Random(seed)
     assigned = {}
     iterations = []
     while work.read_order():
-        subset, floor = reference_choose_subset(read_sequence(work))
+        subset, floor = reference_choose_subset(ReadSequence.from_order(work.read_order()))
         _, points = pit._round_points(work, subset, k, generator, seed + len(iterations),
                                       count, path)
         points = list(points)
@@ -784,9 +829,9 @@ def pit_cases(draw):
     generator = draw(st.sampled_from(("grid", "external", "random")))
     count = rng.randint(1, 12) if generator == "random" else None
     points = []
-    work = validate(abp).normalized
-    if generator == "external" and work.read_order():
-        arity = len(reference_choose_subset(read_sequence(work))[0])
+    reads = padded_reads(abp)
+    if generator == "external" and reads:
+        arity = len(reference_choose_subset(ReadSequence.from_order(reads))[0])
         points = [[rng.randrange(field.p) for _ in range(arity)]
                   for _ in range(rng.randint(1, 8))]
     return abp, generator, count, points
@@ -878,15 +923,15 @@ class TestExpandMatchesReference:
             assert one == SparsePoly.const(field, n, 1)
 
 
-class TestNormalizeMatchesValidatedBuild:
+class TestPadMatchesValidatedBuild:
     @PROPERTY_SETTINGS
     @given(programs(primes=(2, 7, 101)))
     def test_padding_equals_validated_build(self, abp):
-        padded = normalize(abp)
+        padded = _pad(abp, _missing_reads(abp)[1])
         assert ObliviousAbp(abp.field, abp.num_vars, padded.layers) == padded
         assert padded.layers[:len(abp.layers)] == abp.layers
         for layer in padded.layers[len(abp.layers):]:
-            want = UniMatrix.identity(abp.field, 1, var=layer.var, padding=True)
+            want = UniMatrix.identity(abp.field, 1, var=layer.var)
             assert layer == want
             assert (layer.degree, layer.support) == (want.degree, want.support)
 
@@ -1194,18 +1239,16 @@ class TestRestrictMatchesReference:
 
     def test_lone_constant_layer_kept(self):
         """A run of fixed layers that is one constant layer keeps that layer;
-        a longer run, or a constant layer marked as padding, is folded."""
+        a longer run is folded."""
         field = PrimeField(7)
         first = UniMatrix(field, 0, (((1, 2), (0, 1)),))
         middle = UniMatrix(field, None, (((3,), (1,)), ((), (5,))))
         read = UniMatrix(field, 1, (((1, 1),), ((2,),)))
         last = UniMatrix(field, None, (((4,),),))
-        padded = UniMatrix(field, None, (((4,),),), padding=True)
         for layers, assignment, kept in [
                 ((first, middle, read, last), {}, (1, 3)),
                 ((first, middle, read, last), {0: 2}, (2,)),
-                ((first, middle, read, last), {1: 4}, ()),
-                ((first, middle, read, padded), {}, (1,))]:
+                ((first, middle, read, last), {1: 4}, ())]:
             abp = ObliviousAbp(field, 2, layers)
             restricted = abp.restrict(assignment)
             want = reference_restrict(abp, assignment)
@@ -1242,9 +1285,9 @@ class TestChooseSubsetMatchesReference:
         @PROPERTY_SETTINGS
         @given(programs(primes=(2, 101), max_vars=6))
         def check(abp):
-            work = validate(abp).normalized
-            self.check(read_sequence(work), seen)
-            seen["padded"] += any(layer.padding for layer in work.layers)
+            reads = padded_reads(abp)
+            self.check(ReadSequence.from_order(reads), seen)
+            seen["padded"] += len(reads) > len(abp.read_order())
 
         check()
         assert seen["padded"] > 0
@@ -1281,6 +1324,44 @@ class TestPruneMatchesReference:
         check()
         assert min(seen["pruned"], seen["kept below mono"], seen[SequenceError],
                    seen[RuntimeError]) > 0
+
+
+class TestTrimmedSequenceHelpersMatchReference:
+    """``_two_regular_blocks`` and ``_reconstruct`` without the branches that
+    no valid input reaches give what they gave with them, on the read-pair
+    projections and the reads of random read-k sequences, relabeled through
+    the validating constructor or restricted to their pruned subset."""
+
+    def test_same_blocks_and_chains(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(read_orders(), st.randoms(use_true_random=False), st.sampled_from(
+            ("as drawn", "relabeled", "pruned")))
+        def check(seq, rng, shape):
+            if shape == "relabeled":
+                perm = rng.sample(range(seq.n), seq.n)
+                seq = ReadSequence(seq.n, seq.k, [(perm[e], c) for e, c in seq.entries],
+                                   seq.labels)
+            elif shape == "pruned" and seq.is_per_read_monotone():
+                seq = seq.restrict(prune(seq)[1])
+            for i, j in itertools.combinations(range(1, seq.k + 1), 2):
+                pairs = [(e, 1 if c == i else 2) for e, c in seq.entries if c in (i, j)]
+                got = sequences._two_regular_blocks(pairs)
+                assert got == reference_two_regular_blocks(pairs)
+                seen["blocks" if got else "not interleaving"] += 1
+            for vals in seq._reads:
+                rev = list(vals)[::-1]
+                for increasing, starts in (
+                        (True, sequences._lis_end_lengths([-v for v in rev])[::-1]),
+                        (False, sequences._lis_end_lengths(rev)[::-1])):
+                    length = max(starts, default=0)
+                    assert (sequences._reconstruct(vals, starts, length)
+                            == reference_reconstruct(vals, starts, length, increasing))
+                    seen["chain of 3+"] += length >= 3
+
+        check()
+        assert min(seen["blocks"], seen["not interleaving"], seen["chain of 3+"]) > 0
 
 
 class TestSynthesisMatchesReference:

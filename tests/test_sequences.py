@@ -445,3 +445,12 @@ class TestConcatDecompose:
         s = ReadSequence.from_order([0, 1, 2, 1, 0, 2])
         with pytest.raises(SequenceError):
             concat_decompose(s)
+
+    def test_rejects_decreasing_first_read(self):
+        # from_order makes the first read increasing; the constructor need not
+        s = ReadSequence(2, 2, [(1, 1), (0, 1), (0, 2), (1, 2)], (0, 1))
+        with pytest.raises(SequenceError, match="^first read must be increasing$"):
+            concat_decompose(s)
+
+    def test_empty_sequence_has_no_segments(self):
+        assert concat_decompose(ReadSequence.from_order([])) == []
