@@ -544,7 +544,9 @@ class LinearSolver:
         p = self.field.p
         pivot = min(residual)
         inv = self.field.inv(residual[pivot])
-        row = {k: (inv * v) % p for k, v in residual.items()}
+        if inv != 1:        # the residual is _reduce's own copy: normalize it in place
+            for k, v in residual.items():
+                residual[k] = inv * v % p
         if self.track_coords:
             coords = {self.rank: inv}
             for idx, c in combo.items():
@@ -556,7 +558,7 @@ class LinearSolver:
                         coords.pop(b, None)
             self._coords.append(coords)
         self._pivots[pivot] = len(self._rows)
-        self._rows.append(row)
+        self._rows.append(residual)
         self.rank += 1
         return True
 

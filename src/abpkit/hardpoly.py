@@ -15,7 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 from .abp import DEFAULT_EXPAND_GUARD, ObliviousAbp, _missing_reads, write_csv
 from .algebra import (DEFAULT_FIELD, GuardExceeded, Layout, LinearSolver, PrimeField,
@@ -57,15 +59,21 @@ def _pn_terms(m: int) -> int:
 
 def _pn_polynomial(field: PrimeField, n: int, block) -> SparsePoly:
     """Product of the row sums and the column sums of the submatrix on rows
-    and columns ``block`` (1-based), over all n^2 variables.  The two products
-    are built apart and multiplied once, which pairs fewer terms."""
+    and columns ``block`` (1-based), over all n^2 variables, laid out by the
+    summed bounds, count(r) + count(c) for each block entry (r, c).  A
+    product's keys sum one distinct entry per factor; a coefficient counts
+    the (row key, column key) pairs that meet on its monomial."""
     _term_guard(f"P_{len(block)}", _pn_terms(len(block)))
-    nv = n * n
-    rows = cols = SparsePoly.const(field, nv, 1)
-    for a in block:
-        rows = rows * SparsePoly.linear(field, nv, {pn_var(n, a, b): 1 for b in block})
-        cols = cols * SparsePoly.linear(field, nv, {pn_var(n, b, a): 1 for b in block})
-    return rows * cols
+    count = Counter(block)
+    layout = Layout(count[r] + count[c] if count[r] and count[c] else 0
+                    for r in range(1, n + 1) for c in range(1, n + 1))
+    bit = [1 << off for off in layout.offsets]
+    rows = itertools.product(*[[bit[pn_var(n, a, b)] for b in count] for a in block])
+    cols = itertools.product(*[[bit[pn_var(n, b, a)] for b in count] for a in block])
+    packed = Counter(itertools.starmap(add, itertools.product(map(sum, rows), map(sum, cols))))
+    if max(packed.values()) >= (p := field.p):
+        packed = {k: r for k, c in packed.items() if (r := c % p)}
+    return SparsePoly._trusted(field, n * n, dict(packed), layout)
 
 
 def gen_pn(n: int, field: PrimeField = DEFAULT_FIELD,
@@ -134,16 +142,20 @@ def _qn_terms(n: int) -> int:
 
 
 def _qn_polynomial(field: PrimeField, n: int) -> SparsePoly:
+    """Q_n built straight in the layout of bound 1 on every variable: its
+    n 2^n monomials are distinct, each with coefficient 1, listed matching by
+    matching as z_i's term times its (x + y) pairs expands them."""
     _term_guard(f"Q_{n}", _qn_terms(n))
-    nv = 3 * n
-    total = SparsePoly.zero(field, nv)
+    layout = Layout([1] * (3 * n))
+    bit = [1 << off for off in layout.offsets]
+    packed: dict = {}
     for i, matching in enumerate(qn_matchings(n), start=1):
-        branch = SparsePoly.variable(field, nv, qn_z(n, i))
+        keys = [bit[qn_z(n, i)]]
         for j, k in matching:
-            branch = branch * SparsePoly.linear(
-                field, nv, {qn_x(n, j): 1, qn_y(n, k): 1})
-        total = total + branch
-    return total
+            pair = bit[qn_x(n, j)], bit[qn_y(n, k)]
+            keys = [key + b for key in keys for b in pair]
+        packed.update(dict.fromkeys(keys, 1))
+    return SparsePoly._trusted(field, 3 * n, packed, layout)
 
 
 def gen_qn(n: int, field: PrimeField = DEFAULT_FIELD,

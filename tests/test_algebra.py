@@ -208,6 +208,22 @@ class TestSparsePoly:
         with pytest.raises(ValueError, match=r"^point length 2 != num_vars 3$"):
             f.evaluate([1, 2])
 
+    def test_eq_with_a_non_polynomial_is_not_implemented(self, field):
+        f = SparsePoly.const(field, 1, 3)
+        assert f.__eq__(3) is NotImplemented
+        assert f != 3 and f != "3" and not f == (3,)
+
+    def test_repr_shows_field_arity_and_terms(self, f7):
+        f = SparsePoly(f7, 2, {(1, 0): 3})
+        assert repr(f) == "SparsePoly(field=PrimeField(p=7), num_vars=2, terms={(1, 0): 3})"
+
+    def test_distinct_but_equal_fields_are_compatible(self):
+        f, g = SparsePoly.variable(PrimeField(7), 2, 0), SparsePoly.variable(PrimeField(7), 2, 1)
+        assert f.field is not g.field
+        assert f + g == SparsePoly(PrimeField(7), 2, {(1, 0): 1, (0, 1): 1})
+        with pytest.raises(ValueError, match=r"^polynomial field/arity mismatch$"):
+            f * SparsePoly.variable(PrimeField(11), 2, 1)
+
 
 class TestUniMatrix:
     def test_eval_horner(self, field):
@@ -264,6 +280,16 @@ class TestLinearSolver:
         assert solver.express({2: 1}) is None
         with pytest.raises(ValueError, match="track_coords"):
             LinearSolver(field).express({0: 1})
+
+    def test_callers_vectors_left_unchanged(self, field):
+        # a row is normalized in place, on the solver's own copy of the vector
+        solver = LinearSolver(field, track_coords=True)
+        vecs = [{0: 2, 1: 3, 2: 5}, {1: 7, 2: -1}, {0: 1, 1: 1, 2: 1}, {0: 4, 1: 6, 2: 10}]
+        copies = [dict(v) for v in vecs]
+        assert [solver.try_add(v) for v in vecs] == [True, True, True, False]
+        assert solver.express(vecs[3]) == [2, 0, 0]
+        assert vecs == copies
+        assert all(solver._rows[i][pivot] == 1 for pivot, i in solver._pivots.items())
 
     def test_express_roundtrip_random(self, field):
         rng = random.Random(4)

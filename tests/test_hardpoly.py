@@ -6,7 +6,8 @@ import random
 import pytest
 
 from abpkit.abp import ObliviousAbp, _missing_reads, _pad, validate
-from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
+from abpkit.algebra import (GuardExceeded, Layout, LinearSolver, PrimeField, SparsePoly,
+                            UniMatrix)
 from abpkit.corpus import random_read_k_abp, random_roabp
 from abpkit.evaldim import Roabp, eval_dim
 from abpkit.hardpoly import (_pn_terms, _qn_terms, block_partition, eliminate_summand,
@@ -151,9 +152,11 @@ class TestSymbolicTermGuard:
         assert all(r.ok for r in rep.rows)
 
     def test_refused_before_any_product(self, field, monkeypatch):
-        def no_product(self, other):
+        # every polynomial needs a layout, so no layout may be built either
+        def no_build(self, *args):
             raise AssertionError("a polynomial was built")
-        monkeypatch.setattr(SparsePoly, "__mul__", no_product)
+        monkeypatch.setattr(SparsePoly, "__mul__", no_build)
+        monkeypatch.setattr(Layout, "__init__", no_build)
         p5 = "symbolic P_5 estimated at 9765625 terms exceeds guard 1000000"
         q16 = "symbolic Q_16 estimated at 1048576 terms exceeds guard 1000000"
         for call, message in ((lambda: gen_pn(5, field, with_poly=True), p5),

@@ -49,7 +49,12 @@ T-exponent tuples.  ``pd_rank`` must give the same rank as
 ``reference_pd_rank``, and the same refusal text when a variable outside S
 and T has a nonzero exponent.  ``reference_pn_polynomial`` multiplies the
 row sums and then the column sums into one product, one linear form at a
-time; ``_pn_polynomial`` must give the same polynomial.
+time, and ``reference_qn_polynomial`` sums each matching's z-weighted product
+of (x + y) forms, both through ``SparsePoly``'s ``*`` and ``+``.
+``_pn_polynomial`` and ``_qn_polynomial``, which list their keys straight
+into the final layout, must give the same keys and coefficients in the same
+order, with the same layout bounds; for a block with a repeated index,
+``_pn_polynomial`` need only give the same polynomial.
 
 ``reference_iroot`` is the integer root by Newton's method from a power of
 two, and ``reference_enclosures`` the ``Fraction`` enclosures of the
@@ -105,7 +110,8 @@ from abpkit.corpus import (random_k_pass_abp, random_per_read_monotone_sequence,
                            random_read_k_abp, random_roabp)
 from abpkit.evaldim import (Roabp, _greedy_basis, _pd_rows, k_pass_to_roabp, pd_rank,
                             roabp_synthesize)
-from abpkit.hardpoly import _pn_polynomial, eliminate_summand, gen_pn, gen_qn, pn_var
+from abpkit.hardpoly import (_pn_polynomial, _qn_polynomial, eliminate_summand, gen_pn,
+                             gen_qn, pn_var, qn_matchings, qn_x, qn_y, qn_z)
 from abpkit.pit import IterationRecord, PitVerdict, read_k_pit
 from abpkit.sequences import (ReadSequence, SequenceError, _check_interleaving, _direction,
                               _reads_of, is_regularly_interleaving, longest_monotone, prune)
@@ -372,6 +378,17 @@ def reference_pn_polynomial(field: PrimeField, n: int, block) -> SparsePoly:
     for j in block:
         poly = poly * SparsePoly.linear(field, nv, {pn_var(n, i, j): 1 for i in block})
     return poly
+
+
+def reference_qn_polynomial(field: PrimeField, n: int) -> SparsePoly:
+    nv = 3 * n
+    total = SparsePoly.zero(field, nv)
+    for i, matching in enumerate(qn_matchings(n), start=1):
+        branch = SparsePoly.variable(field, nv, qn_z(n, i))
+        for j, k in matching:
+            branch = branch * SparsePoly.linear(field, nv, {qn_x(n, j): 1, qn_y(n, k): 1})
+        total = total + branch
+    return total
 
 
 class ReferenceTuplePoly:
@@ -1449,13 +1466,27 @@ class TestPdRankMatchesReference:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pn_polynomial(self, n):
-        field = PrimeField(101)
         blocks = [range(1, n + 1)] + [range(t + 1, n) for t in range(n - 1)]
-        blocks += [(1, n), (n,), ()]
-        for block in blocks:
-            got = _pn_polynomial(field, n, block)
-            assert got == reference_pn_polynomial(field, n, block)
-            assert_canonical(got)
+        blocks += [(1, n), (n,), (), (n, 1, n)]
+        for p in (2, 3, 101, 10007):
+            field = PrimeField(p)
+            for block in blocks:
+                got = _pn_polynomial(field, n, block)
+                want = reference_pn_polynomial(field, n, block)
+                assert got == want
+                if len(set(block)) == len(block):
+                    assert list(got.packed.items()) == list(want.packed.items())
+                    assert got.layout.bounds == want.layout.bounds
+                if p == 101:        # slow on P_4's 54,730 terms, so over one field
+                    assert_canonical(got)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_qn_polynomial(self, n):
+        for p in (2, 3, 101, 10007):
+            field = PrimeField(p)
+            got, want = _qn_polynomial(field, n), reference_qn_polynomial(field, n)
+            assert list(got.packed.items()) == list(want.packed.items())
+            assert got.layout.bounds == want.layout.bounds
 
 
 class TestTrustedResultsAreCanonical:
