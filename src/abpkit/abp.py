@@ -18,11 +18,10 @@ Padding every variable up to k reads belongs to the read sequence:
 ``padded_reads``, the read order and then the reads each variable lacks of k,
 serves the ``sequence`` verb, ``block_partition`` and the identity test, whose
 recursion alone pads a program (``_pad``), to prune with its caller's k.
-``restrict``, ``_pad``, ``UniMatrix.constant`` and
-``ReadSequence.from_order``/``restrict`` skip re-validation: they keep validated
-layers and, folding, the widths at a run's borders; ``_pad`` appends 1x1
-identities after a one-column sink; ``constant`` reduces its own entries; a
-relabeled order is valid as built.
+``restrict``, ``UniMatrix.constant`` and ``ReadSequence.from_order``/``restrict``
+skip re-validation: they keep validated layers and, folding, the widths at a
+run's borders; ``constant`` reduces its own entries; a relabeled order is
+valid as built.
 """
 
 from __future__ import annotations
@@ -278,18 +277,9 @@ def padded_reads(abp: ObliviousAbp) -> list:
 
 def _pad(abp: ObliviousAbp, reads) -> ObliviousAbp:
     """``abp`` and then a 1x1 identity layer reading each of ``reads`` in
-    turn, which keeps width and polynomial; not validated (module notes)."""
-    if not reads:
-        return abp
-    layers = dict.fromkeys(reads)
-    for v in layers:                # UniMatrix.identity(field, 1, v)
-        layer = layers[v] = object.__new__(UniMatrix)
-        layer.field, layer.var = abp.field, v
-        layer.entries, layer.degree, layer.support = (((1,),),), 0, (1,)
-    padded = object.__new__(ObliviousAbp)
-    padded.field, padded.num_vars = abp.field, abp.num_vars
-    padded.layers = abp.layers + tuple(map(layers.__getitem__, reads))
-    return padded
+    turn, which keeps width and polynomial."""
+    return ObliviousAbp(abp.field, abp.num_vars, abp.layers + tuple(
+        UniMatrix.identity(abp.field, 1, v) for v in reads))
 
 
 def validate(abp: ObliviousAbp) -> AbpClass:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from operator import add, lshift
 from typing import Iterable, Mapping, Sequence
 
@@ -108,23 +108,14 @@ class Layout:
 
     def repack(self, terms: dict, other: "Layout") -> dict:
         """``terms`` with its keys moved into ``other``, which must hold every
-        exponent.  Adjacent fields that move by the same shift move as one
-        block, so a key takes one mask and shift per block; the map itself
-        comes back when no field moves."""
+        exponent with no field lower than here, as ``join`` and summed bounds
+        do.  A key moves one field at a time, a mask and a shift each; the map
+        itself comes back when the widths match, so no field moves."""
         if self.widths == other.widths:
             return terms
-        moves = []          # [bits, shift] per block, low block first
-        for v in compress(range(len(self.widths) - 1, -1, -1), reversed(self.widths)):
-            bits = ((1 << self.widths[v]) - 1) << self.offsets[v]
-            shift = other.offsets[v] - self.offsets[v]
-            if moves and moves[-1][1] == shift:
-                moves[-1][0] |= bits
-            else:
-                moves.append([bits, shift])
-        if len(moves) == 1:
-            (block, shift), = moves
-            return terms if not shift else {(k & block) << shift: c for k, c in terms.items()}
-        return {sum([(k & block) << shift for block, shift in moves]): c
+        moves = [(((1 << w) - 1) << off, to - off)
+                 for w, off, to in zip(self.widths, self.offsets, other.offsets) if w]
+        return {sum([(k & bits) << shift for bits, shift in moves]): c
                 for k, c in terms.items()}
 
 

@@ -22,7 +22,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abp import DEFAULT_EXPAND_GUARD, ClassificationError, ObliviousAbp, validate
+from .abp import (DEFAULT_EXPAND_GUARD, ClassificationError, ObliviousAbp, _missing_reads,
+                  validate)
 from .algebra import LinearSolver, SparsePoly, UniMatrix
 
 
@@ -252,7 +253,7 @@ def k_gap_to_roabp(abp: ObliviousAbp, guard: int = DEFAULT_EXPAND_GUARD) -> Roab
     """Collapse a width-w program with the k-gap property (identity prefix
     order, k its tight read multiplicity) to a read-once program of width at
     most w^(2k) in that order."""
-    k = max(validate(abp).k, 1)
+    k = _missing_reads(abp)[0]
     reads = abp.read_order()
     offending = [(i, g) for i in range(1, abp.num_vars + 1)
                  if (g := k_gap_check(reads, abp.num_vars, i)) > k]

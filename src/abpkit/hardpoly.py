@@ -234,7 +234,10 @@ def block_partition(abp: ObliviousAbp, r: int) -> BlockPartition:
     reads = [layer.var for layer in abp.layers] + missing
     length = len(reads)
     if r > length:
-        raise ValueError(f"cannot cut {length} layers into {r} blocks")
+        counts = f"{len(abp.layers)} layers"
+        if missing:
+            counts += f" and {len(missing)} missing read{'s' * (len(missing) > 1)}"
+        raise ValueError(f"cannot cut {counts} into {r} blocks")
     if k > r:
         raise ValueError(f"need at least k={k} blocks, got r={r}")
     sizes = [length // r + (1 if i < length % r else 0) for i in range(r)]
@@ -307,14 +310,13 @@ def eliminate_summand(parts, t: int) -> EliminationResult:
         i = (i + 1) % len(ranges)
     grid = itertools.product(*(range(m) for m in ranges))
     # restrict keeps every layer that reads a free variable and drops the
-    # fixed ones' reads, so each restriction expands in this one layout
-    layout = Layout(0 if v in subset else d for v, d in enumerate(degs))
+    # fixed ones' reads, so every restriction expands in one layout
+    # and their keys compare as they stand
     solver = LinearSolver(field, track_coords=True)
     assignments = []
     alpha = None
     for a in grid:
-        restriction = part1.abp.restrict(dict(zip(subset, a))).expand()
-        vec = restriction.layout.repack(restriction.packed, layout)
+        vec = part1.abp.restrict(dict(zip(subset, a))).expand().packed
         assignments.append(a)
         if not solver.try_add(vec):
             alpha = solver.express(vec, len(assignments))
@@ -500,10 +502,9 @@ def pn_projection_step(n: int, t: int, field: PrimeField = DEFAULT_FIELD,
     if final is None:
         raise RuntimeError("no corner value keeps the projection nonzero")
     lifted = _pn_polynomial(field, n, range(t + 1, n))
-    layout = final.layout.join(lifted.layout)
-    want, have = (q.layout.repack(q.packed, layout) for q in (final, lifted))
-    key = next(iter(want))
-    scale = field.mul(want[key], field.inv(have[key])) if key in have else 0
+    key, want = next(iter(final.packed.items()))
+    have = lifted.coefficient(final.layout.unpack(key))
+    scale = field.mul(want, field.inv(have)) if have else 0
     verified = scale != 0 and lifted.scale(scale) == final
     return PnProjectionStep(n, t, subset, combination, {**fixed, **border},
                             corner_value, scale, verified)

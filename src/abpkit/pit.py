@@ -131,9 +131,7 @@ def _choose_subset(seq: ReadSequence) -> tuple:
     floor) for the surviving subset."""
     _, regular = prune(seq)
     subset = tuple(sorted(seq.labels[e] for e in regular))
-    k = max(seq.k, 1)
-    floor = seq.n ** (1.0 / 2 ** (k - 1)) / 3 ** (k * k)
-    return subset, floor
+    return subset, seq.n ** (1.0 / 2 ** (seq.k - 1)) / 3 ** (seq.k * seq.k)
 
 
 def iteration_bound(n: int, k: int) -> float:

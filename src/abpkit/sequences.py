@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
 
@@ -354,50 +354,32 @@ def concat_decompose(S: ReadSequence) -> list:
     contiguous segments that alternate all-increasing / all-decreasing reads,
     each read lying wholly inside one segment.  Consecutive segments share
     their border element, which is the largest element at an
-    increasing-to-decreasing border and the smallest at the opposite one."""
+    increasing-to-decreasing border and the smallest at the opposite one.
+
+    A segment is a maximal run of consecutive reads of one direction, and
+    the structure it needs always holds.  With n >= 2 an increasing read runs
+    from element 0 to n - 1 and a decreasing one back, and read j meets each
+    element at its j-th occurrence.  Say read i increases and read i + 1
+    decreases.  Every read j <= i ends by read i's end, the i-th occurrence
+    of n - 1: it ends at the j-th occurrence of n - 1, or of 0, which
+    precedes read i's start.  Every read j > i starts at or after read
+    i + 1's start, the next occurrence of n - 1: at the j-th of n - 1, or of
+    0, which follows read i + 1's end.  No entry lies between the two, so the
+    runs keep to their sides of a border on n - 1.  Swap 0 and n - 1 for a
+    decreasing read followed by an increasing one."""
     if not S.is_per_read_monotone():
         raise SequenceError("input sequence is not per-read-monotone")
-    if S.k == 0:
+    if not S.entries:
         return []
     if S.read_direction(1) == "dec":
         raise SequenceError("first read must be increasing")
     if S.n == 1:
         return [Segment(0, len(S.entries), tuple(range(1, S.k + 1)), "inc")]
-    spans = {}
-    for idx, (e, c) in enumerate(S.entries):
-        if c not in spans:
-            spans[c] = [idx, idx]
-        else:
-            spans[c][1] = idx
-    remaining = set(range(1, S.k + 1))
-    segments: list = []
-    pos = 0
-    expected = "inc"
-    mirror = tuple(S.n - 1 - t for t in range(S.n))
-    while remaining:
-        opposite = [i for i in remaining if S.read_direction(i) != expected]
-        boundary = min((spans[i][0] for i in opposite), default=len(S.entries))
-        seg_reads = sorted(i for i in remaining if spans[i][1] < boundary)
-        if not seg_reads:
-            raise SequenceError(
-                f"reads do not alternate cleanly at position {boundary}"
-            )
-        for i in seg_reads:
-            if S.read_direction(i) != expected or spans[i][0] < pos:
-                raise SequenceError(
-                    f"read {i} crosses a segment border; sequence is not decomposable"
-                )
-        segments.append(Segment(pos, boundary, tuple(seg_reads), expected,
-                                mirror if expected == "dec" else None))
-        remaining -= set(seg_reads)
-        pos = boundary
-        expected = "dec" if expected == "inc" else "inc"
-    for a, b in zip(segments, segments[1:]):
-        last = S.entries[a.end - 1][0]
-        first = S.entries[b.start][0]
-        border = S.n - 1 if a.direction == "inc" else 0
-        if last != first or last != border:
-            raise SequenceError(
-                f"segment border mismatch between positions {a.end - 1} and {b.start}"
-            )
-    return segments
+    starts: dict = {}
+    for idx, (_, c) in enumerate(S.entries):
+        starts.setdefault(c, idx)
+    runs = [(d, tuple(reads)) for d, reads in groupby(range(1, S.k + 1), S.read_direction)]
+    ends = [starts[reads[0]] for _, reads in runs[1:]] + [len(S.entries)]
+    mirror = tuple(range(S.n - 1, -1, -1))
+    return [Segment(starts[reads[0]], end, reads, d, mirror if d == "dec" else None)
+            for (d, reads), end in zip(runs, ends)]

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -296,6 +297,14 @@ class TestExperiments:
         assert lines[0] == "p,r,n,ok"
         assert len(lines) == 1 + 2 * 3 * 50
 
+    def test_iteration_bound_without_report(self, capsys, tmp_path, monkeypatch):
+        # the rows are counted, not written: the working directory stays empty
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "experiment", "iteration-bound", "--p-grid",
+                             "1/1000,999/1000,7/9", "--r-max", "3", "--n-max", "200")
+        assert (code, out, err) == (0, "1800 grid points checked, 0 failures\n", "")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, value", [("--r-max", 0), ("--n-max", 0),
                                              ("--n-max", -5), ("--max-size", -1),
                                              ("--pairs", 0)])
@@ -446,3 +455,18 @@ class TestExperiments:
                            "--points-file", FIXTURES / "points_demo.txt")
         assert code == 2
         assert "expected 3 values" in err
+
+
+class TestEntry:
+    def test_closed_stdout_exits_two_quietly(self, capsys, monkeypatch):
+        # a reader that goes away (``abpkit expand f | head -1``) ends the
+        # verb at its next write, with no traceback and no error line
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["validate", str(FIXTURES / "two_pass.json")]) == 2
+        assert capsys.readouterr().err == ""

@@ -192,6 +192,18 @@ class TestBlockPartition:
         assert part.W == frozenset()
         assert part.V == frozenset({4, 5, 6, 7})
 
+    def test_refusal_counts_layers_and_missing_reads_apart(self, field):
+        def program(reads):
+            return ObliviousAbp(field, 2, tuple(UniMatrix(field, v, (((0, 1),),))
+                                                for v in reads))
+        for reads, r, counts in (([0, 1, 0], 5, "3 layers and 1 missing read"),
+                                 ([0, 0, 0, 1], 7, "4 layers and 2 missing reads"),
+                                 ([0, 1], 3, "2 layers")):
+            with pytest.raises(ValueError, match=f"^cannot cut {counts} into {r} blocks$"):
+                block_partition(program(reads), r)
+        # the missing read takes a position of its own, so four blocks fit
+        assert block_partition(program([0, 1, 0]), 4).blocks == ((0, 1), (1, 2), (2, 3), (3, 4))
+
     def test_invariants_random(self, field):
         rng = random.Random(41)
         for _ in range(40):

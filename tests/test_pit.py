@@ -604,11 +604,10 @@ class TestHardFamilies:
         assert len(draws) == 36 * (244 + 82 + 28 + 10 + 2 + 2)
 
     def test_q4_builds_without_revalidating(self, field, monkeypatch):
-        """Restricted programs, their folded layers, read sequences and
-        ``_pad``'s padding layers and padded program are valid by
-        construction and skip ``__post_init__``.  Rebuilding every
-        restriction and sequence through it took 60, 9 and 25 calls, and
-        validating the padding 12 and 1 more."""
+        """Restricted programs, their folded layers and read sequences are
+        valid by construction and skip ``__post_init__``.  Rebuilding every
+        restriction and sequence through it took 60, 9 and 25 calls.  Q_4
+        never recurses, so nothing is padded."""
         program = gen_qn(4, field, with_poly=False).realization
         calls = Counter()
         for cls in (UniMatrix, ObliviousAbp, ReadSequence):

@@ -38,9 +38,8 @@ entries from d_v + 1 substituted points.  ``restrict`` and
 must give the same canonical text as these, also on P_2, P_3 and Q_2-Q_5 in
 both directions; ``restrict``, which skips validation, must also equal its
 result rebuilt through ``ObliviousAbp`` and ``UniMatrix``, with the same
-support and degree in every layer.  So must ``_pad``, which also skips
-validation: its padded program rebuilt through ``ObliviousAbp``, and each
-padding layer built by ``UniMatrix.identity``.
+support and degree in every layer.  ``_pad`` must keep the program's layers
+and append one layer equal to ``UniMatrix.identity`` for each missing read.
 
 ``reference_pd_rows`` is the partial derivative matrix as it was built
 before its keys were taken with ``itemgetter``: every exponent of every term
@@ -79,7 +78,9 @@ sequence in place, must give the same subset and floor.
 ``reference_two_regular_blocks`` and ``reference_reconstruct`` are the block
 partition of a read-pair projection and the longest-chain walk as they were,
 with the checks no valid sequence fails; the trimmed helpers must give the
-same blocks and chains.
+same blocks and chains.  ``reference_repack`` is ``Layout.repack`` as it was,
+moving adjacent fields with one shift as a block; ``repack``, which moves
+each field on its own, must give the same map.
 
 ``reference_read_k_pit`` is the identity test that scans each round candidate
 by candidate: every candidate is restricted, gets one random probe, and is
@@ -105,7 +106,8 @@ from hypothesis import strategies as st
 from abpkit import pit, sequences
 from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, _missing_reads, _pad,
                         padded_reads, parse_text, to_canonical_text, to_json_obj)
-from abpkit.algebra import GuardExceeded, LinearSolver, PrimeField, SparsePoly, UniMatrix
+from abpkit.algebra import (GuardExceeded, Layout, LinearSolver, PrimeField, SparsePoly,
+                            UniMatrix)
 from abpkit.corpus import (random_k_pass_abp, random_per_read_monotone_sequence,
                            random_read_k_abp, random_roabp)
 from abpkit.evaldim import (Roabp, _greedy_basis, _pd_rows, k_pass_to_roabp, pd_rank,
@@ -641,6 +643,25 @@ def reference_two_regular_blocks(pairs) -> tuple | None:
     return tuple(blocks)
 
 
+def reference_repack(layout: Layout, terms: dict, other: Layout) -> dict:
+    if layout.widths == other.widths:
+        return terms
+    moves = []          # [bits, shift] per block, low block first
+    for v in itertools.compress(range(len(layout.widths) - 1, -1, -1),
+                                reversed(layout.widths)):
+        bits = ((1 << layout.widths[v]) - 1) << layout.offsets[v]
+        shift = other.offsets[v] - layout.offsets[v]
+        if moves and moves[-1][1] == shift:
+            moves[-1][0] |= bits
+        else:
+            moves.append([bits, shift])
+    if len(moves) == 1:
+        (block, shift), = moves
+        return terms if not shift else {(k & block) << shift: c for k, c in terms.items()}
+    return {sum([(k & block) << shift for block, shift in moves]): c
+            for k, c in terms.items()}
+
+
 def reference_reconstruct(vals, starts: list, length: int, increasing: bool) -> list:
     out = []
     prev = None
@@ -764,6 +785,22 @@ def packed_poly_cases(draw, max_vars=4):
         maps.append(draw(st.dictionaries(exps, st.integers(-field.p, 2 * field.p),
                                          max_size=7)))
     return field, n, maps
+
+
+@st.composite
+def repack_cases(draw, max_vars=5):
+    """A layout, keys packed in it, and a layout whose every bound is at
+    least as large, so it holds every exponent and no field moves down.
+    Bounds are often 0 (a field of no bits) and often grow by 0, so the
+    fields that move make one block or several."""
+    n = draw(st.integers(0, max_vars))
+    bounds = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3, 7)), min_size=n, max_size=n))
+    grow = draw(st.lists(st.sampled_from((0, 0, 0, 1, 4, 8)), min_size=n, max_size=n))
+    source = Layout(bounds)
+    exps = st.tuples(*(st.integers(0, (1 << w) - 1) for w in source.widths))
+    keys = draw(st.lists(exps, max_size=6, unique=True))
+    terms = {source.pack(e): draw(st.integers(1, 100)) for e in keys}
+    return source, terms, Layout(b + g for b, g in zip(bounds, grow))
 
 
 @st.composite
@@ -1379,6 +1416,33 @@ class TestTrimmedSequenceHelpersMatchReference:
 
         check()
         assert min(seen["blocks"], seen["not interleaving"], seen["chain of 3+"]) > 0
+
+
+class TestRepackMatchesReference:
+    """Moving a key one field at a time gives the map that moving blocks of
+    fields with one shift gave: the same keys, coefficients and order, and
+    every key's exponents kept."""
+
+    def test_same_map(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(repack_cases())
+        def check(case):
+            source, terms, target = case
+            got = source.repack(terms, target)
+            assert list(got.items()) == list(reference_repack(source, terms, target).items())
+            assert list(map(target.unpack, got)) == list(map(source.unpack, terms))
+            shifts = [to - off for w, off, to in
+                      zip(source.widths, source.offsets, target.offsets) if w]
+            blocks = sum(1 for a, b in zip([None] + shifts, shifts) if a != b)
+            seen["same widths" if source.widths == target.widths
+                 else "empty map" if not terms else min(blocks, 2)] += 1
+            seen["zero-width field"] += 0 in source.widths and bool(terms)
+
+        check()
+        assert min(seen["same widths"], seen["empty map"], seen[1], seen[2],
+                   seen["zero-width field"]) > 0
 
 
 class TestSynthesisMatchesReference:

@@ -8,6 +8,7 @@ exhaustive search over all set partitions.
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -91,6 +92,27 @@ def all_read2_sequences(n):
             yield ReadSequence.from_order(perm)
         except ValueError:
             pass
+
+
+def canonical_orders(n, k):
+    """Every read-k order over n elements whose first occurrences come in
+    increasing order: each read-k sequence once, labeled as ``from_order``
+    labels it."""
+    counts = [0] * n
+    order = []
+
+    def extend(started):
+        if len(order) == n * k:
+            yield tuple(order)
+            return
+        for e in range(min(started + 1, n)):
+            if counts[e] < k:
+                counts[e] += 1
+                order.append(e)
+                yield from extend(max(started, e + 1))
+                counts[e] -= 1
+                order.pop()
+    return extend(0)
 
 
 # -- restriction ----------------------------------------------------------------
@@ -454,3 +476,33 @@ class TestConcatDecompose:
 
     def test_empty_sequence_has_no_segments(self):
         assert concat_decompose(ReadSequence.from_order([])) == []
+        assert concat_decompose(ReadSequence(0, 2, (), ())) == []
+        assert concat_decompose(ReadSequence(3, 0, (), (0, 1, 2))) == []
+
+    def test_structure_holds_on_every_small_sequence(self):
+        """What the refusals that ``concat_decompose``'s proof removed
+        checked, on each of the 1,987 per-read-monotone sequences with
+        n * k <= 12: every read lies inside one segment, the directions
+        alternate from "inc", and every border sits on n - 1 after an
+        increasing segment and on 0 after a decreasing one."""
+        seen = Counter()
+        for n in range(1, 13):
+            for k in range(1, 12 // n + 1):
+                for order in canonical_orders(n, k):
+                    s = ReadSequence.from_order(order)
+                    if not s.is_per_read_monotone():
+                        continue
+                    segs = concat_decompose(s)
+                    seen[min(len(segs), 3)] += 1
+                    assert [i for g in segs for i in g.reads] == list(range(1, k + 1))
+                    assert [g.direction for g in segs] == ["inc", "dec"] * (len(segs) // 2) \
+                        + ["inc"] * (len(segs) % 2)
+                    assert (segs[0].start, segs[-1].end) == (0, len(s.entries))
+                    for g in segs:
+                        assert all(s.read_direction(i) in (g.direction, "flat") for i in g.reads)
+                        assert {c for _, c in s.entries[g.start:g.end]} == set(g.reads)
+                    for a, b in zip(segs, segs[1:]):
+                        border = n - 1 if a.direction == "inc" else 0
+                        assert a.end == b.start
+                        assert s.entries[a.end - 1][0] == s.entries[b.start][0] == border
+        assert sum(seen.values()) == 1987 and min(seen[1], seen[2], seen[3]) > 0
