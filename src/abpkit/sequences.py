@@ -12,12 +12,15 @@ regularly interleaving.  Both properties are downward-closed, which the
 pipeline relies on when it prunes pair by pair.
 
 ``prune`` runs both passes on one sequence's own elements and labels, with no
-restricted copy in between.  That gives the same sets as restricting to the
-per-read-monotone subset first: a restriction relabels its elements by first
-occurrence, and first occurrences are already in increasing element order, so
-the relabeling is monotone.  Every comparison the passes make (the directions
-of the reads, the longest-monotone ties, the pair pruning's widest gap and its
-tie-break on the element) comes out the same on either labeling.
+restricted copy in between; it takes positions and read directions once,
+skips pairs whose reads run in opposite directions (one block each), and
+checks its result by one forced-block walk per pair.  That gives the same sets
+as restricting to the per-read-monotone subset first: a restriction relabels
+its elements by first occurrence, and first occurrences are already in
+increasing element order, so the relabeling is monotone.  Every comparison the
+passes make (the directions of the reads, the longest-monotone ties, the pair
+pruning's widest gap and its tie-break on the element) comes out the same on
+either labeling.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
+from operator import gt, lt
 from typing import Iterable, Sequence
 
 
@@ -37,9 +41,9 @@ def _direction(vals: Sequence) -> str | None:
     """'inc', 'dec', 'flat' (fewer than two entries), or None if not monotone."""
     if len(vals) < 2:
         return "flat"
-    if all(a < b for a, b in zip(vals, vals[1:])):
+    if all(map(lt, vals, vals[1:])):
         return "inc"
-    if all(a > b for a, b in zip(vals, vals[1:])):
+    if all(map(gt, vals, vals[1:])):
         return "dec"
     return None
 
@@ -269,25 +273,19 @@ def _positions(order: Sequence) -> tuple:
 
 
 def _prune_pair(order: list) -> set:
-    """Pruning step on a read-2 sequence with monotone reads, given as its
-    elements in order.  Returns the elements to keep so that the restriction
-    is 2-regularly interleaving, at least a third of them.
+    """Pruning step on a read-2 sequence whose reads are monotone in one
+    direction, given as its elements in order.  Returns the elements to keep
+    so that the restriction is 2-regularly interleaving, at least a third.
 
-    Reads in opposite directions make one block.  Otherwise both list the
-    elements in one order, as does every remainder.  The element x with the
-    widest gap anchors a block: the majority occurrence kind strictly inside
-    the gap (firsts of the elements after x, seconds of those before it, as
-    none has both there) selects the members, the rest of the spanned
-    interval is erased, and the left and right remainders are pruned alike.
+    Both reads list the elements in one order, as does every remainder.  The
+    element x with the widest gap anchors a block: the majority occurrence
+    kind strictly inside the gap (firsts of the elements after x, seconds of
+    those before it, as none has both there) selects the members, the rest of
+    the spanned interval is erased, and the left and right remainders are
+    pruned alike.
     """
-    first, second = _positions(order)
-    d1, d2 = _direction(list(first)), _direction(list(second))
-    if d1 is None or d2 is None:
-        raise SequenceError("pair pruning requires monotone reads")
-    if d1 != d2 or d1 == "flat":
-        return set(first)
     kept: set = set()
-    todo = [(order, first, second)]
+    todo = [(order, *_positions(order))]
     while todo:
         order, first, second = todo.pop()
         x = max(first, key=lambda e: (second[e] - first[e], -e))
@@ -318,17 +316,65 @@ def regularly_interleaving_subset(S: ReadSequence) -> frozenset:
     return prune(S)[1]
 
 
+def _read_directions(pos: Sequence, elems: Sequence) -> tuple:
+    """Each read's direction on the sorted ``elems``, from their positions."""
+    return tuple(_direction([p[e] for e in elems]) for p in pos)
+
+
+def _forced_blocks_hold(pos: Sequence, elems: Sequence) -> bool:
+    """Whether the entries of the sorted ``elems`` are per-read-monotone and
+    regularly interleaving, from the positions alone (see ``prune``)."""
+    dirs = _read_directions(pos, elems)
+    if None in dirs:
+        return False
+    for i, j in combinations(range(len(pos)), 2):
+        if dirs[i] == dirs[j] != "flat":
+            first, second = pos[i], pos[j]
+            walk = elems if dirs[i] == "inc" else elems[::-1]
+            start = prev = walk[0]
+            for y in walk:
+                if first[y] > second[start]:
+                    if second[prev] > first[y]:
+                        return False
+                    start = y
+                prev = y
+    return True
+
+
 def prune(S: ReadSequence) -> tuple:
     """Both pruning passes on S's own elements (exact, see the module notes):
     (X', X'') with X' the per-read-monotone subset and X'' the
-    regularly-interleaving subset of S|X'.  S|X'' is checked for both
-    properties on S's entries, and a failure raises RuntimeError."""
+    regularly-interleaving subset of S|X'.
+
+    ``pos[c][e]``, the index of e's (c+1)-th occurrence in S's entries, and
+    each read's direction on X' are taken once.  Reads 2..k are monotone on
+    X' by construction, read 1 unless S was relabeled (then, with k >= 2,
+    SequenceError), and a subset keeps a monotone read's direction.  An
+    opposite-direction pair is one block and is skipped: if read i increases,
+    the i-th occurrence of the largest element ends it and the j-th starts
+    read j.
+
+    S|X'' must have strictly monotone positions in each read and pass one
+    walk along X'' per same-direction pair, in the reads' direction, or
+    RuntimeError is raised.  An element y opens a block when its i-th
+    occurrence follows the block start's j-th, and must then follow the
+    previous element's j-th.  The partition is forced (an element whose
+    i-th occurrence precedes the start's j-th is in its block, a later one
+    cannot be), so the walk refuses exactly what ``_check_interleaving``'s block
+    parse refuses."""
+    pos = [[0] * S.n for _ in range(S.k)]
+    for t, (e, c) in enumerate(S.entries):
+        pos[c - 1][e] = t
     regular = mono = per_read_monotone_subset(S)
+    dirs = _read_directions(pos, sorted(mono))
+    if None in dirs and S.k > 1:
+        raise SequenceError("pair pruning requires monotone reads")
     for i, j in combinations(range(1, S.k + 1), 2):
-        regular = _prune_pair([e for e, c in S.entries if c in (i, j) and e in regular])
+        if len(regular) > 1 and dirs[i - 1] == dirs[j - 1]:
+            regular = _prune_pair([e for e, c in S.entries
+                                   if (c == i or c == j) and e in regular])
     regular = frozenset(regular)
-    kept = [(e, c) for e, c in S.entries if e in regular]
-    if None in map(_direction, _reads_of(kept, S.k)) or not _check_interleaving(kept, S.k)[0]:
+    if not _forced_blocks_hold(pos, sorted(regular)):
         raise RuntimeError("pruned subset failed its structural checks")
     return mono, regular
 

@@ -68,7 +68,9 @@ pruning on (element, occurrence) lists, re-deriving each sublist's reads,
 directions and occurrence maps.  ``prune``, which keeps a read that is
 already monotone whole, builds the occurrence maps once per sublist and never
 re-checks the reads of a remainder, must give the same two subsets, or raise
-the same type of exception.
+the same type of exception.  ``_forced_blocks_hold``, ``prune``'s closing
+walk over a position table, must pass exactly the subsets whose entries pass
+``_reads_of`` with ``_direction`` and ``_check_interleaving``.
 ``reference_choose_subset`` is a round's pruning as it was: the
 per-read-monotone subset, the sequence restricted to it (relabeled), the
 regularly-interleaving subset of that by ``reference_prune``, read back
@@ -1378,6 +1380,39 @@ class TestPruneMatchesReference:
         check()
         assert min(seen["pruned"], seen["kept below mono"], seen[SequenceError],
                    seen[RuntimeError]) > 0
+
+
+class TestForcedBlockWalkMatchesProjections:
+    """``prune``'s closing check, one walk per same-direction pair over the
+    position table, passes exactly the subsets whose entries the projections'
+    checks pass: monotone reads (``_reads_of``, ``_direction``) and a block
+    parse of every pair (``_check_interleaving``)."""
+
+    def test_same_verdict_on_random_subsets(self):
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(read_orders(), st.randoms(use_true_random=False), st.booleans(),
+               st.floats(0.1, 1.0))
+        def check(seq, rng, relabel, density):
+            if relabel:
+                perm = rng.sample(range(seq.n), seq.n)
+                seq = ReadSequence(seq.n, seq.k, [(perm[e], c) for e, c in seq.entries],
+                                   seq.labels)
+            pos = [[0] * seq.n for _ in range(seq.k)]
+            for t, (e, c) in enumerate(seq.entries):
+                pos[c - 1][e] = t
+            for _ in range(5):
+                subset = sorted(e for e in range(seq.n) if rng.random() < density)
+                kept = [(e, c) for e, c in seq.entries if e in subset]
+                expected = (None not in map(_direction, _reads_of(kept, seq.k))
+                            and _check_interleaving(kept, seq.k)[0])
+                assert sequences._forced_blocks_hold(pos, subset) == expected
+                seen[expected, len(subset) > 2
+                     and "dec" in sequences._read_directions(pos, subset)] += 1
+
+        check()
+        assert min(seen.values()) > 0 and len(seen) == 4
 
 
 class TestTrimmedSequenceHelpersMatchReference:

@@ -12,11 +12,12 @@ from collections import Counter
 
 import pytest
 
+from abpkit import sequences
 from abpkit.corpus import (random_per_read_monotone_sequence,
                            random_read_k_sequence)
 from abpkit.sequences import (ReadSequence, SequenceError, concat_decompose,
                               is_regularly_interleaving, longest_monotone,
-                              per_read_monotone_subset,
+                              per_read_monotone_subset, prune,
                               regularly_interleaving_subset)
 
 
@@ -421,6 +422,34 @@ class TestRegularlyInterleavingSubset:
             r = base.restrict(sub)
             assert r.is_per_read_monotone()
             assert is_regularly_interleaving(r)[0]
+
+
+class TestPruneRefusesCorruptedResults:
+    """A pair pruning or a monotone subset that keeps too much still makes
+    ``prune`` raise: its closing walk refuses the first, its direction check
+    the second.  Only a patched helper hands back such a set."""
+
+    @pytest.mark.parametrize("entries", [
+        # both reads increasing, firsts 0 1 then 0's second: 1 1 2 1 2 2
+        [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)],
+        # the same pattern with both reads decreasing
+        [(2, 1), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)],
+    ])
+    def test_pair_pruning_that_keeps_everything(self, monkeypatch, entries):
+        s = ReadSequence(3, 2, entries, (0, 1, 2))
+        assert not is_regularly_interleaving(s)[0]
+        assert len(prune(s)[1]) < 3
+        monkeypatch.setattr(sequences, "_prune_pair", set)
+        with pytest.raises(RuntimeError, match="^pruned subset failed its structural checks$"):
+            prune(s)
+
+    def test_monotone_subset_that_keeps_everything(self, monkeypatch):
+        s = ReadSequence.from_order([0, 1, 2, 1, 2, 0])      # read 2: 1 2 0
+        assert s.read_direction(2) is None
+        monkeypatch.setattr(sequences, "per_read_monotone_subset",
+                            lambda S: frozenset(range(S.n)))
+        with pytest.raises(SequenceError, match="^pair pruning requires monotone reads$"):
+            prune(s)
 
 
 # -- concatenation decomposition -------------------------------------------------------
