@@ -16,8 +16,9 @@ one add, no carry, and the last layer's map is the result as it stands.
 
 Padding every variable up to k reads belongs to the read sequence:
 ``padded_reads``, the read order and then the reads each variable lacks of k,
-serves the ``sequence`` verb, ``block_partition`` and the identity test, whose
-recursion alone pads a program (``_pad``), to prune with its caller's k.
+serves the ``sequence`` verb, ``block_partition`` and the identity test (which
+prunes it as it stands), whose recursion alone pads a program (``_pad``), to
+prune with its caller's k.
 ``restrict``, ``UniMatrix.constant`` and ``ReadSequence.from_order``/``restrict``
 skip re-validation: they keep validated layers and, folding, the widths at a
 run's borders; ``constant`` reduces its own entries; a relabeled order is

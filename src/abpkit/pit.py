@@ -2,9 +2,9 @@
 
 The test needs the program only to evaluate and restrict it, and its read
 order; k and the padding (``abp.padded_reads``) come from its read counts
-and pad the read sequence only.  Each round picks, from the padded sequence,
-a large per-read-monotone, regularly-interleaving subset of the free variables
-(pruning the sequence in place), and walks the round's points over it
+and pad the read sequence only.  Each round picks, from its padded read order
+as it stands, a large per-read-monotone, regularly-interleaving subset of the
+free variables (``_choose_subset``), and walks the round's points over it
 (sized by the width and degrees of the program left) until a point keeps the
 restricted program nonzero.  Candidates get one probe each until the round's
 first miss.  A round with no source-sink path then ends; a cheap one probes
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .abp import ObliviousAbp, _missing_reads, _pad
 from .algebra import GuardExceeded
-from .sequences import ReadSequence, prune
+from .sequences import _prune_table
 
 DEFAULT_POINT_GUARD = 10 ** 6
 DEFAULT_FASTPATH_TERMS = 4096
@@ -125,13 +125,21 @@ def _round_points(work: ObliviousAbp, vars, k: int, generator: str, seed: int,
     return len(points), points
 
 
-def _choose_subset(seq: ReadSequence) -> tuple:
-    """One pruning round: per-read-monotone then regularly-interleaving, on
-    the sequence itself (``prune``).  Returns (original variable ids, size
-    floor) for the surviving subset."""
-    _, regular = prune(seq)
-    subset = tuple(sorted(seq.labels[e] for e in regular))
-    return subset, seq.n ** (1.0 / 2 ** (seq.k - 1)) / 3 ** (seq.k * seq.k)
+def _choose_subset(order: list) -> tuple:
+    """One pruning round on the padded read order as it stands (see the
+    ``sequences`` notes), each variable named by the position of its first
+    read.  Returns (surviving variable ids, size floor) for n free variables."""
+    seen: dict = {}
+    pos: list = []
+    for t, v in enumerate(order):
+        e, c = seen.get(v, (t, 0))
+        seen[v] = e, c + 1
+        if c == len(pos):
+            pos.append({})
+        pos[c][e] = t
+    _, regular = _prune_table([list(p) for p in pos], pos)
+    n, k = len(seen), len(pos)
+    return tuple(sorted(order[e] for e in regular)), n ** (1.0 / 2 ** (k - 1)) / 3 ** (k * k)
 
 
 def iteration_bound(n: int, k: int) -> float:
@@ -229,7 +237,7 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     assigned: dict = {}
     iterations: list = []
     while order := work.read_order() + (lacking := [v for v in missing if v not in assigned]):
-        subset, floor = _choose_subset(ReadSequence.from_order(order))
+        subset, floor = _choose_subset(order)
         size, points = _round_points(work, subset, k, generator, seed + len(iterations),
                                      count, path)
         tried, chosen, sub = (_scan_round(work, subset, points, rng, generator, count,

@@ -12,15 +12,17 @@ regularly interleaving.  Both properties are downward-closed, which the
 pipeline relies on when it prunes pair by pair.
 
 ``prune`` runs both passes on one sequence's own elements and labels, with no
-restricted copy in between; it takes positions and read directions once,
-skips pairs whose reads run in opposite directions (one block each), and
-checks its result by one forced-block walk per pair.  That gives the same sets
-as restricting to the per-read-monotone subset first: a restriction relabels
-its elements by first occurrence, and first occurrences are already in
-increasing element order, so the relabeling is monotone.  Every comparison the
-passes make (the directions of the reads, the longest-monotone ties, the pair
-pruning's widest gap and its tie-break on the element) comes out the same on
-either labeling.
+restricted copy in between, through a core that sees only a position table
+(``_prune_table``).  It skips pairs whose reads run in opposite directions
+(one block each) and pairs that already interleave regularly, which the pair
+pruning would keep whole (``_prune_pair`` proves it); any other pair is pruned
+on the merge by position of its two reads' surviving elements.  Every
+comparison the passes make (read directions, longest-monotone ties, the
+widest gap and its tie-break on the element, the walks) comes out the same on
+any naming of the elements that increases along the first read.  So pruning
+in place gives the sets of restricting to the per-read-monotone subset first,
+which relabels by first occurrence; and the identity test prunes its raw
+padded read order, each element named by the position of its first read.
 """
 
 from __future__ import annotations
@@ -207,15 +209,21 @@ def _longest_monotone(vals: list) -> tuple:
 # -- per-read-monotone pruning --------------------------------------------------
 
 
+def _monotone_chain(reads: Sequence) -> frozenset:
+    """``per_read_monotone_subset`` on each read's elements in order; a read
+    holds every element, so it is the chain's input whole until one drops."""
+    alive = reads[0] if reads else ()
+    for read in reads[1:]:
+        vals = read if len(alive) == len(read) else [e for e in read if e in alive]
+        alive = set(vals if _direction(vals) else _longest_monotone(vals)[0])
+    return frozenset(alive)
+
+
 def per_read_monotone_subset(S: ReadSequence) -> frozenset:
     """Subset X' of elements with S|X' per-read-monotone, found by chaining a
     longest-monotone extraction through occurrences 2..k.  Guarantees
-    |X'| >= n^(1/2^(k-1))."""
-    alive = range(S.n)
-    for read in S._reads[1:]:
-        vals = [e for e in read if e in alive]
-        alive = set(vals if _direction(vals) else _longest_monotone(vals)[0])
-    return frozenset(alive)
+    |X'| >= n^(1/2^(k-1)); with k = 0 no read drops an element."""
+    return _monotone_chain(S._reads or [range(S.n)])
 
 
 # -- regular interleaving --------------------------------------------------------
@@ -283,6 +291,14 @@ def _prune_pair(order: list) -> set:
     those before it, as none has both there) selects the members, the rest of
     the spanned interval is erased, and the left and right remainders are
     pruned alike.
+
+    A regularly interleaving sequence is kept whole: its blocks are
+    contiguous, so each member of a block of b has gap b and the widest gap
+    lies inside one block, at its smallest member: its first if the reads
+    increase, its last if they decrease.  The gap then holds only the other
+    members' firsts or only their seconds, the block is erased whole, and the
+    remainders are the whole blocks on either side.  As the result always
+    interleaves regularly, all is kept exactly when the input interleaves.
     """
     kept: set = set()
     todo = [(order, *_positions(order))]
@@ -321,24 +337,48 @@ def _read_directions(pos: Sequence, elems: Sequence) -> tuple:
     return tuple(_direction([p[e] for e in elems]) for p in pos)
 
 
+def _pair_interleaves(first, second, walk: Sequence) -> bool:
+    """Whether reads i < j, monotone on the nonempty ``walk`` (in their order),
+    interleave regularly, from positions ``first`` in read i and ``second`` in
+    read j.  y opens a block when its i-th occurrence follows the start's j-th
+    and must then follow the previous element's j-th: the blocks are forced."""
+    start = prev = walk[0]
+    for y in walk:
+        if first[y] > second[start]:
+            if second[prev] > first[y]:
+                return False
+            start = y
+        prev = y
+    return True
+
+
 def _forced_blocks_hold(pos: Sequence, elems: Sequence) -> bool:
     """Whether the entries of the sorted ``elems`` are per-read-monotone and
     regularly interleaving, from the positions alone (see ``prune``)."""
     dirs = _read_directions(pos, elems)
-    if None in dirs:
-        return False
-    for i, j in combinations(range(len(pos)), 2):
-        if dirs[i] == dirs[j] != "flat":
-            first, second = pos[i], pos[j]
-            walk = elems if dirs[i] == "inc" else elems[::-1]
-            start = prev = walk[0]
-            for y in walk:
-                if first[y] > second[start]:
-                    if second[prev] > first[y]:
-                        return False
-                    start = y
-                prev = y
-    return True
+    return None not in dirs and all(
+        _pair_interleaves(pos[i], pos[j], elems if dirs[i] == "inc" else elems[::-1])
+        for i, j in combinations(range(len(pos)), 2) if dirs[i] == dirs[j] != "flat")
+
+
+def _prune_table(reads: Sequence, pos: Sequence) -> tuple:
+    """``prune`` on a position table: ``reads[c]``, the elements in the order
+    of their (c+1)-th occurrences, and ``pos[c][e]``, that occurrence's index."""
+    regular = mono = _monotone_chain(reads)
+    walk = sorted(mono)
+    dirs = _read_directions(pos, walk)
+    if None in dirs and len(reads) > 1:
+        raise SequenceError("pair pruning requires monotone reads")
+    for i, j in combinations(range(len(reads)), 2):
+        if len(walk) > 1 and dirs[i] == dirs[j]:
+            ordered = walk if dirs[i] == "inc" else walk[::-1]
+            if not _pair_interleaves(pos[i], pos[j], ordered):
+                merged = sorted((p[e], e) for p in (pos[i], pos[j]) for e in ordered)
+                regular = frozenset(_prune_pair([e for _, e in merged]))
+                walk = [e for e in walk if e in regular]
+    if not _forced_blocks_hold(pos, walk):
+        raise RuntimeError("pruned subset failed its structural checks")
+    return mono, regular
 
 
 def prune(S: ReadSequence) -> tuple:
@@ -346,37 +386,18 @@ def prune(S: ReadSequence) -> tuple:
     (X', X'') with X' the per-read-monotone subset and X'' the
     regularly-interleaving subset of S|X'.
 
-    ``pos[c][e]``, the index of e's (c+1)-th occurrence in S's entries, and
-    each read's direction on X' are taken once.  Reads 2..k are monotone on
-    X' by construction, read 1 unless S was relabeled (then, with k >= 2,
+    Each read's direction on X' is taken once.  Reads 2..k are monotone on X'
+    by construction, read 1 unless S was relabeled (then, with k >= 2,
     SequenceError), and a subset keeps a monotone read's direction.  An
-    opposite-direction pair is one block and is skipped: if read i increases,
-    the i-th occurrence of the largest element ends it and the j-th starts
-    read j.
-
-    S|X'' must have strictly monotone positions in each read and pass one
-    walk along X'' per same-direction pair, in the reads' direction, or
-    RuntimeError is raised.  An element y opens a block when its i-th
-    occurrence follows the block start's j-th, and must then follow the
-    previous element's j-th.  The partition is forced (an element whose
-    i-th occurrence precedes the start's j-th is in its block, a later one
-    cannot be), so the walk refuses exactly what ``_check_interleaving``'s block
-    parse refuses."""
+    opposite-direction pair is one block: if read i increases, the i-th
+    occurrence of the largest element ends it and the j-th starts read j.  A
+    same-direction pair is skipped if its forced-block walk passes, else
+    pruned.  S|X'' must have monotone reads and pass that walk for every
+    same-direction pair, or RuntimeError is raised."""
     pos = [[0] * S.n for _ in range(S.k)]
     for t, (e, c) in enumerate(S.entries):
         pos[c - 1][e] = t
-    regular = mono = per_read_monotone_subset(S)
-    dirs = _read_directions(pos, sorted(mono))
-    if None in dirs and S.k > 1:
-        raise SequenceError("pair pruning requires monotone reads")
-    for i, j in combinations(range(1, S.k + 1), 2):
-        if len(regular) > 1 and dirs[i - 1] == dirs[j - 1]:
-            regular = _prune_pair([e for e, c in S.entries
-                                   if (c == i or c == j) and e in regular])
-    regular = frozenset(regular)
-    if not _forced_blocks_hold(pos, sorted(regular)):
-        raise RuntimeError("pruned subset failed its structural checks")
-    return mono, regular
+    return _prune_table(S._reads or [range(S.n)], pos)
 
 
 # -- concatenation decomposition --------------------------------------------------

@@ -559,9 +559,9 @@ class TestHardFamilies:
             per_round[-1] += 1
             return layout(*args, **kwargs)
 
-        def counted_choose_subset(seq):
+        def counted_choose_subset(order):
             per_round.append(0)
-            return choose_subset(seq)
+            return choose_subset(order)
         monkeypatch.setattr(abpmod, "Layout", counted_layout)
         monkeypatch.setattr(pit, "_choose_subset", counted_choose_subset)
         v = read_k_pit(gen_pn(6, field, with_poly=False).realization)
@@ -590,9 +590,9 @@ class TestHardFamilies:
             monkeypatch.setattr(ObliviousAbp, name, counted)
         choose_subset = pit._choose_subset
 
-        def counted_choose_subset(seq):
+        def counted_choose_subset(order):
             per_round.append(Counter())
-            return choose_subset(seq)
+            return choose_subset(order)
         monkeypatch.setattr(pit, "_choose_subset", counted_choose_subset)
         v = read_k_pit(gen_pn(6, field, with_poly=False).realization)
         assert [r.points_tried for r in v.iterations] == [244, 82, 28, 10, 4, 2]

@@ -75,7 +75,7 @@ walk over a position table, must pass exactly the subsets whose entries pass
 per-read-monotone subset, the sequence restricted to it (relabeled), the
 regularly-interleaving subset of that by ``reference_prune``, read back
 through the restricted labels.  ``pit._choose_subset``, which prunes the
-sequence in place, must give the same subset and floor.
+raw read order in place, must give the same subset and floor.
 
 ``reference_two_regular_blocks`` and ``reference_reconstruct`` are the block
 partition of a read-pair projection and the longest-chain walk as they were,
@@ -1315,16 +1315,46 @@ class TestRestrictMatchesReference:
 
 
 class TestChooseSubsetMatchesReference:
-    """Pruning in place gives the subset and floor of the old pipeline."""
+    """Pruning the raw read order gives the subset and floor of the old
+    pipeline, with pairs that already interleave regularly skipped and the
+    others pruned."""
 
     @staticmethod
     def check(seq: ReadSequence, seen: Counter) -> None:
-        got = pit._choose_subset(seq)
+        got = pit._choose_subset([seq.labels[e] for e, _ in seq.entries])
         assert got == reference_choose_subset(seq)
         seen[(seq.k, min(len(got[0]), 3))] += 1
 
-    def test_read_k_orders(self):
-        seen = Counter()
+    @staticmethod
+    def count_pair_steps(monkeypatch, seen: Counter) -> None:
+        """Counts into ``seen`` the pair loop's skipped pairs (walks that pass
+        before the closing check) and its pruned pairs."""
+        walk, close, prune_pair = (sequences._pair_interleaves,
+                                   sequences._forced_blocks_hold, sequences._prune_pair)
+        closing = []
+
+        def counted_walk(*args):
+            ok = walk(*args)
+            seen["skipped pair"] += ok and not closing
+            return ok
+
+        def counted_close(*args):
+            closing.append(True)
+            try:
+                return close(*args)
+            finally:
+                closing.pop()
+
+        def counted_prune_pair(order):
+            seen["pruned pair"] += 1
+            return prune_pair(order)
+        monkeypatch.setattr(sequences, "_pair_interleaves", counted_walk)
+        monkeypatch.setattr(sequences, "_forced_blocks_hold", counted_close)
+        monkeypatch.setattr(sequences, "_prune_pair", counted_prune_pair)
+
+    def test_read_k_orders(self, monkeypatch):
+        seen, steps = Counter(), Counter()
+        self.count_pair_steps(monkeypatch, steps)
 
         @PROPERTY_SETTINGS
         @given(read_orders())
@@ -1334,6 +1364,7 @@ class TestChooseSubsetMatchesReference:
         check()
         assert {k for k, _ in seen} == {0, 1, 2, 3, 4}
         assert all(seen[(k, 3)] for k in (1, 2, 3, 4))
+        assert steps["skipped pair"] > 0 and steps["pruned pair"] > 0
 
     def test_padded_programs(self):
         seen = Counter()

@@ -424,10 +424,50 @@ class TestRegularlyInterleavingSubset:
             assert is_regularly_interleaving(r)[0]
 
 
+class TestPairSkipLemma:
+    """``prune`` skips a same-direction pair whose forced-block walk passes,
+    as ``_prune_pair`` keeps such a pair whole.  Checked on every read-2 order
+    with both reads increasing for n <= 8, and on each one mirrored so that
+    both decrease: the pair pruning keeps all elements, and the walk passes,
+    exactly when the block parse finds a partition."""
+
+    @staticmethod
+    def increasing_orders(n):
+        """Read-2 orders whose two reads both list 0..n-1 in increasing order."""
+        def extend(firsts, seconds):
+            if seconds == n:
+                yield ()
+                return
+            if firsts < n:
+                for rest in extend(firsts + 1, seconds):
+                    yield (firsts,) + rest
+            if seconds < firsts:
+                for rest in extend(firsts, seconds + 1):
+                    yield (seconds,) + rest
+        return extend(0, 0)
+
+    def test_whole_exactly_when_regular(self):
+        seen = Counter()
+        for n in range(1, 9):
+            for order in self.increasing_orders(n):
+                for walk in (range(n), range(n - 1, -1, -1)):
+                    named = [walk[e] for e in order]      # mirrored on the second walk
+                    first, second = sequences._positions(named)
+                    pairs = [(e, 1 if first[e] == t else 2) for t, e in enumerate(named)]
+                    regular = sequences._two_regular_blocks(pairs) is not None
+                    assert (sequences._prune_pair(named) == set(range(n))) == regular
+                    assert sequences._pair_interleaves(first, second, walk) == regular
+                    seen[walk.step, regular] += 1
+        assert seen[1, True] + seen[1, False] == seen[-1, True] + seen[-1, False] == 2055
+        assert min(seen.values()) > 0
+
+
 class TestPruneRefusesCorruptedResults:
-    """A pair pruning or a monotone subset that keeps too much still makes
-    ``prune`` raise: its closing walk refuses the first, its direction check
-    the second.  Only a patched helper hands back such a set."""
+    """A pair pruning or a monotone subset that keeps too much, or a pair
+    skipped that does not interleave regularly, still makes ``prune`` raise:
+    its closing walk refuses the first and the last, its direction check the
+    second.  Only a patched helper hands back such a set or skips such a
+    pair."""
 
     @pytest.mark.parametrize("entries", [
         # both reads increasing, firsts 0 1 then 0's second: 1 1 2 1 2 2
@@ -446,10 +486,23 @@ class TestPruneRefusesCorruptedResults:
     def test_monotone_subset_that_keeps_everything(self, monkeypatch):
         s = ReadSequence.from_order([0, 1, 2, 1, 2, 0])      # read 2: 1 2 0
         assert s.read_direction(2) is None
-        monkeypatch.setattr(sequences, "per_read_monotone_subset",
-                            lambda S: frozenset(range(S.n)))
+        monkeypatch.setattr(sequences, "_monotone_chain", lambda reads: frozenset(reads[0]))
         with pytest.raises(SequenceError, match="^pair pruning requires monotone reads$"):
             prune(s)
+
+    def test_pair_skip_that_passes_an_irregular_pair(self, monkeypatch):
+        s = ReadSequence.from_order([0, 1, 0, 2, 1, 2])     # reads 1 and 2 increasing
+        assert not is_regularly_interleaving(s)[0]
+        walks = []
+        walk = sequences._pair_interleaves
+
+        def skip_first_pair(*args):
+            walks.append(walk(*args))
+            return len(walks) == 1 or walks[-1]
+        monkeypatch.setattr(sequences, "_pair_interleaves", skip_first_pair)
+        with pytest.raises(RuntimeError, match="^pruned subset failed its structural checks$"):
+            prune(s)
+        assert walks == [False, False]
 
 
 # -- concatenation decomposition -------------------------------------------------------
