@@ -12,7 +12,8 @@ SparsePoly; it is guarded so it refuses (never truncates) once a partial
 product outgrows a term limit.  It keys monomials as SparsePoly does, by
 packed ints with one bit field per variable as wide as its individual
 degree, which no exponent of a partial product exceeds: shifting a term is
-one add, no carry, and the last layer's map is the result as it stands.
+one add, no carry.  Within the limit it multiplies from both ends and joins
+them at the cut the degree boxes price cheapest; past it, in order.
 
 Padding every variable up to k reads belongs to the read sequence:
 ``padded_reads``, the read order and then the reads each variable lacks of k,
@@ -162,42 +163,31 @@ class ObliviousAbp:
         with no source-sink path of nonzero entries decides the result at
         once: the zero polynomial, before any term map.  So does one whose
         degree-box estimate passes layers * width^2, the span check's own cost
-        scale, and whose read-once relaxation is zero.  Term maps key a
-        monomial as ``SparsePoly`` does, in the ``Layout`` of the individual
-        degrees, so x_v^e shifts a key by e << offset_v; no exponent of v in a
-        partial product exceeds d_v, so no add carries, and the final map is
-        the result's own."""
+        scale, and whose read-once relaxation is zero.  Keys are packed in the
+        ``Layout`` of the individual degrees, which no exponent of a partial
+        product, or of a prefix's times a suffix's, exceeds: no add carries.
+        f = sum_j left_j * right_j, the source row through layers 1..m times
+        the sink column back through L..m+1, with m = ``_cheapest_cut`` when
+        the estimate is within the guard (no order can refuse), else L."""
         degs = self.individual_degrees()
         est = math.prod(d + 1 for d in degs)
         if not self.reaches_sink or (est > len(self.layers) * self.width ** 2
                                      and self.relaxation_zero):
             return SparsePoly.zero(self.field, self.num_vars)
-        # One term map per column; sums are reduced mod p once per layer.
-        layout = Layout(degs)
-        p = self.field.p
-        row = [{0: 1}]
-        for i, layer in enumerate(self.layers, 1):
-            offset = 0 if layer.var is None else layout.offsets[layer.var]
-            out = [{} for _ in range(layer.width_out)]
-            for terms, entries in zip(row, layer.entries):
-                if not terms:
-                    continue
-                for j, coeffs in enumerate(entries):
-                    shifts = [(e << offset, c) for e, c in enumerate(coeffs) if c]
-                    acc = out[j]
-                    if len(shifts) == 1 and not acc:    # distinct keys: fill in one pass
-                        (shift, c), = shifts
-                        out[j] = {key + shift: a * c for key, a in terms.items()}
-                        continue
-                    get = acc.get
-                    for key, a in terms.items():
-                        for shift, c in shifts:
-                            k = key + shift
-                            acc[k] = get(k, 0) + a * c
-            row = [{key: r for key, a in acc.items() if (r := a % p)} for acc in out]
-            if (size := max(map(len, row))) > guard:
-                raise GuardExceeded(f"expansion after layer {i} holds {size} terms, "
-                                    f"more than guard {guard}")
+        layout, p, layers = Layout(degs), self.field.p, self.layers
+        m = _cheapest_cut(layers, degs) if est <= guard else len(layers)
+        row = _sweep(layers[:m], layout, p, guard)
+        if m < len(layers):     # the join: sum_j left_j * right_j
+            acc = {}
+            get = acc.get
+            for left, right in zip(row, _sweep(layers[m:][::-1], layout, p, guard, columns=True)):
+                if len(left) > len(right):
+                    left, right = right, left
+                for shift, c in left.items():
+                    for key, a in right.items():
+                        k = key + shift
+                        acc[k] = get(k, 0) + a * c
+            row = [{key: r for key, a in acc.items() if (r := a % p)}]
         return SparsePoly._trusted(self.field, self.num_vars, row[0], layout)
 
     def restrict(self, assignment: Mapping[int, int]) -> "ObliviousAbp":
@@ -233,6 +223,64 @@ class ObliviousAbp:
         abp = object.__new__(ObliviousAbp)
         abp.field, abp.num_vars, abp.layers = self.field, self.num_vars, tuple(layers)
         return abp
+
+
+def _sweep(layers, layout: Layout, p: int, guard: int, columns: bool = False) -> list:
+    """The source row {0: 1} times each layer, or the sink column times each
+    transpose, one term map per column reduced mod p once per layer; refuses
+    once a map outgrows ``guard`` (only the in-order product can)."""
+    row = [{0: 1}]
+    for i, layer in enumerate(layers, 1):
+        offset = 0 if layer.var is None else layout.offsets[layer.var]
+        entries = tuple(zip(*layer.entries)) if columns else layer.entries
+        out = [{} for _ in entries[0]]
+        for terms, coeff_row in zip(row, entries):
+            if not terms:
+                continue
+            for j, coeffs in enumerate(coeff_row):
+                shifts = [(e << offset, c) for e, c in enumerate(coeffs) if c]
+                acc = out[j]
+                if len(shifts) == 1 and not acc:    # distinct keys: fill in one pass
+                    (shift, c), = shifts
+                    out[j] = {key + shift: a * c for key, a in terms.items()}
+                    continue
+                get = acc.get
+                for key, a in terms.items():
+                    for shift, c in shifts:
+                        k = key + shift
+                        acc[k] = get(k, 0) + a * c
+        row = [{key: r for key, a in acc.items() if (r := a % p)} for acc in out]
+        if (size := max(map(len, row))) > guard:
+            raise GuardExceeded(f"expansion after layer {i} holds {size} terms, "
+                                f"more than guard {guard}")
+    return row
+
+
+def _cheapest_cut(layers: tuple, degs: list) -> int:
+    """The last cut m (a tie keeps m = L) of least price: layers 1..m's and
+    L..m+1's, each the box (product of partial degrees + 1) before it in its
+    direction times its widths and degree + 1, plus the width at m times both
+    boxes.  The suffix's is the whole's (the same at every cut, so dropped)
+    less 1..m's, each priced with the box after it."""
+    rest = degs[:]          # each variable's degree in the suffix
+    box_l, box_r = 1, math.prod(d + 1 for d in degs)
+    price, best, cut = 0, box_r, 0
+    for m, layer in enumerate(layers, 1):
+        d, entries = layer.degree, layer.entries
+        width = len(entries[0])
+        size = len(entries) * width * (d + 1)
+        price += box_l * size
+        if d:
+            v = layer.var
+            r = rest[v]
+            rest[v] = r - d
+            b = degs[v] - r + 1
+            box_l = box_l // b * (b + d)
+            box_r = box_r // (r + 1) * (r - d + 1)
+        price -= box_r * size
+        if (total := price + width * box_l * box_r) <= best:
+            best, cut = total, m
+    return cut
 
 
 def _times_layer(vec: list, layer: UniMatrix, x: int, p: int) -> list:

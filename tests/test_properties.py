@@ -11,8 +11,13 @@ refused with a ValueError.
 
 ``reference_tuple_expand`` is ``expand``'s loop as it was before term maps
 were keyed by packed ints: each key is an exponent tuple, rebuilt on every
-shift.  ``expand`` must give the same terms in the same order, and refuse
-(``GuardExceeded``) at exactly the same guards.  Like ``expand``, it decides
+shift.  ``expand`` must give the same terms, in the same order where its
+estimate passes the guard and it multiplies in order, and refuse
+(``GuardExceeded``) at exactly the same guards.  Its cut falls at 0, inside
+and at L, and every split result equals ``reference_expand``.  No consumer
+of a polynomial reads its insertion order: ``str``, ``pd_rank``,
+``eval_dim``, ``roabp_synthesize`` and ``substitute`` give the same results
+on a polynomial whose term map is reversed.  Like ``expand``, it decides
 a program as zero before the guard when it has no source-sink path, or when
 its degree box passes layers * width^2 and its read-once relaxation is zero.
 
@@ -105,6 +110,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from abpkit import abp as abp_module
 from abpkit import pit, sequences
 from abpkit.abp import (DEFAULT_EXPAND_GUARD, ObliviousAbp, _missing_reads, _pad,
                         padded_reads, parse_text, to_canonical_text, to_json_obj)
@@ -112,8 +118,8 @@ from abpkit.algebra import (GuardExceeded, Layout, LinearSolver, PrimeField, Spa
                             UniMatrix)
 from abpkit.corpus import (random_k_pass_abp, random_per_read_monotone_sequence,
                            random_read_k_abp, random_roabp)
-from abpkit.evaldim import (Roabp, _greedy_basis, _pd_rows, k_pass_to_roabp, pd_rank,
-                            roabp_synthesize)
+from abpkit.evaldim import (Roabp, _greedy_basis, _pd_rows, eval_dim, k_pass_to_roabp,
+                            pd_rank, roabp_synthesize)
 from abpkit.hardpoly import (_pn_polynomial, _qn_polynomial, eliminate_summand, gen_pn,
                              gen_qn, pn_var, qn_matchings, qn_x, qn_y, qn_z)
 from abpkit.pit import IterationRecord, PitVerdict, read_k_pit
@@ -1205,8 +1211,10 @@ def unread_variable_program() -> ObliviousAbp:
 
 class TestPackedExpandMatchesTupleLoop:
     """``expand`` keys its term maps by packed ints; the tuple-keyed loop
-    must give the same terms in the same insertion order, and refuse at
-    the same guards with the same text."""
+    must give the same terms, and refuse at the same guards with the same
+    text.  Where the estimate passes the guard, ``expand`` multiplies in
+    order, so the terms come in the same insertion order too; elsewhere it
+    may split the product at a cut, and only the map must match."""
 
     @staticmethod
     def check(abp: ObliviousAbp, guards=EXPAND_GUARDS) -> Counter:
@@ -1218,23 +1226,54 @@ class TestPackedExpandMatchesTupleLoop:
                 assert fast == ref
                 seen["refused"] += 1
             else:
-                assert list(fast.terms.items()) == list(ref.terms.items())
+                if abp.estimated_terms() > guard:
+                    assert list(fast.terms.items()) == list(ref.terms.items())
+                else:
+                    assert fast.terms == ref.terms
                 assert_canonical(fast)
                 seen["zero" if fast.is_zero else "nonzero"] += 1
         return seen
 
-    def test_same_terms_in_the_same_order(self):
+    @staticmethod
+    def record_cuts(monkeypatch) -> list:
+        """Records every cut ``expand`` chooses, in a list it returns."""
+        cuts, cheapest_cut = [], abp_module._cheapest_cut
+
+        def recorded(*args):
+            cuts.append(cheapest_cut(*args))
+            return cuts[-1]
+        monkeypatch.setattr(abp_module, "_cheapest_cut", recorded)
+        return cuts
+
+    def test_same_terms_in_the_same_order(self, monkeypatch):
         seen = Counter()
+        cuts = self.record_cuts(monkeypatch)
 
         @PROPERTY_SETTINGS
         @given(packed_cases())
         @example(no_variable_programs()[1])     # no bit fields to unpack
         @example(unread_variable_program())     # zero-width bit fields
         def check(abp):
+            cuts.clear()
             seen.update(self.check(abp))
+            L = len(abp.layers)
+            seen.update("cut at 0" if m == 0 else "cut at L" if m == L else "cut inside"
+                        for m in cuts)
+            if cuts and cuts[0] < L:    # the default guard is the largest: it splits too
+                assert abp.expand() == reference_expand(abp)
 
         check()
         assert min(seen["refused"], seen["zero"], seen["nonzero"]) > 0
+        assert min(seen["cut at 0"], seen["cut inside"], seen["cut at L"]) > 0
+
+    def test_split_at_a_guard_equal_to_the_estimate(self, monkeypatch):
+        # the estimate is within the guard, so no partial product can pass it
+        cuts = self.record_cuts(monkeypatch)
+        abp = wide_program(5)
+        est = abp.estimated_terms()
+        f = abp.expand(est)
+        assert cuts and 0 < cuts[0] < len(abp.layers)
+        assert f == reference_expand(abp)
 
     def test_no_variables(self):
         # no columns to zip: the one packed key must still become ()
@@ -1786,6 +1825,44 @@ class TestPivotOrderDoesNotMatter:
             coords = [s.express(flip(vec)) for s, flip in zip(solvers, flips)]
             assert coords[0] == coords[1] is not None
         assert solvers[0].rank == solvers[1].rank
+
+
+class TestInsertionOrderDoesNotMatter:
+    """``expand``'s insertion order is not part of its result: every consumer
+    gives the same answer on the polynomial with its term map reversed."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return f"refused: {exc}"
+
+    @PROPERTY_SETTINGS
+    @given(programs(primes=(7, 101), max_layers=6), st.data())
+    def test_reversed_term_map(self, abp, data):
+        f = abp.expand()
+        g = SparsePoly._trusted(f.field, f.num_vars, dict(reversed(f.packed.items())),
+                                f.layout)
+        n = f.num_vars
+        part = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        S, T, R = ([v for v in range(n) if part[v] == k] for k in range(3))
+        order = tuple(data.draw(st.permutations(range(n))))
+        assignment = data.draw(partial_assignments(abp))
+        assert str(g) == str(f)
+        assert pd_rank(g, S, T + R) == pd_rank(f, S, T + R)
+        dims = [self.outcome(eval_dim, h, S, T, R) for h in (f, g)]
+        if type(dims[0]) is str:
+            assert dims[0] == dims[1]
+        else:
+            assert (dims[0].dimension, dims[0].basis_assignments) == \
+                (dims[1].dimension, dims[1].basis_assignments)
+        synths = [self.outcome(roabp_synthesize, h, order) for h in (f, g)]
+        if type(synths[0]) is str:
+            assert synths[0] == synths[1]
+        else:
+            assert to_canonical_text(synths[0].abp) == to_canonical_text(synths[1].abp)
+        assert g.substitute(assignment).packed == f.substitute(assignment).packed
 
 
 class TestPitMatchesReference:
