@@ -298,32 +298,30 @@ def _scaled_root(n: int, e: int, b: int, bits: int) -> int:
     is cyclic in n, an LRU's worst case: once a p's 2*n_max keys (n^p and
     n^(1-p) for each n) pass the 2^15 entries, every call misses, so the memo
     helps up to n_max = 16,384.  The default n_max = 10^4 needs 20,000 keys;
-    2^15 entries hold about 8 MB."""
+    2^15 entries hold about 8 MB.  Neither radicand holds r, so the checks of
+    one (n, p, bits) for every r share these roots."""
     return _iroot(n ** e << bits * b, b)
 
 
-def _enclosures(n: int, a: int, b: int, r: int, bits: int) -> tuple:
-    """Enclosures [a_lo, a_hi] of n^(1-p) and [c_lo, c_hi] of (n - n^p/r)^(1-p) for
-    p = a/b and c = b - a, as numerators over 2^bits: floor b-th roots of the power
-    times 2^(bits*b), and those + 1 (a zero base gives 0).  The inner term lies in
-    [m - 1, m] / (r*2^bits), m = n*r*2^bits - (root for n^p), and its scaled power
-    is m^c * 2^(bits*a) / r^c, whose floor has the same floor root.  Its radicand
-    only moves from m - 1 to m, which seldom moves the root, so c_hi steps up
-    from c_lo by exact checks; only a move of two or more takes a fourth root.
-    The roots for n^(1-p) and n^p are shared through ``_scaled_root``: r only
-    divides n^p after its root is taken, so neither radicand holds r, and the
-    checks of one (n, p, bits) for every r take them once."""
+def _decision(a_lo: int, m: int, a: int, b: int, r: int, bits: int) -> bool | None:
+    """True or False where one precision's enclosures decide the inequality for
+    p = a/b, else None.  n^(1-p) lies in [a_lo, a_lo + 1] / 2^bits and
+    n - n^p/r in [m - 1, m] / (r*2^bits), so (n - n^p/r)^(1-p) lies in
+    [c_lo, c_hi] / 2^bits, c_lo and c_hi - 1 the floor b-th roots of the floors
+    of max(m-1, 0)^c and m^c times 2^(bits*a) / r^c (c_hi = 0 at m = 0).  It
+    holds if c_hi <= t and fails if c_lo >= u, t and u as below."""
     c = b - a
-    root_a = _scaled_root(n, c, b, bits)
-    m = (n * r << bits) - _scaled_root(n, a, b, bits)     # >= 0: n^p <= n*r
-    c_lo = _iroot((max(m - 1, 0) ** c << bits * a) // r ** c, b)
-    if not m:
-        return root_a, root_a + 1, c_lo, 0
-    hi = (m ** c << bits * a) // r ** c
-    c_hi = c_lo                 # hi's floor root: c_lo, one step up, or a root
-    if (c_hi + 1) ** b <= hi:
-        c_hi = c_hi + 1 if (c_hi + 2) ** b > hi else _iroot(hi, b)
-    return root_a, root_a + 1, c_lo, c_hi + 1
+    step = -(-(c << bits) // (b * r))       # (1-p)/r * 2^bits, rounded up
+    t = a_lo - step
+    if m:
+        if t > 0 and (m ** c << bits * a) < t ** b * r ** c:
+            return True
+    elif t >= 0:
+        return True
+    u = t + 2
+    if u <= 0 or (max(m - 1, 0) ** c << bits * a) >= u ** b * r ** c:
+        return False
+    return None
 
 
 def _p_ratio(p) -> tuple:
@@ -345,8 +343,11 @@ def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
 
     for 0 < p < 1 (given as an exact rational, e.g. the string "0.1") and
     positive integers n and r.  With p = a/b, each side is enclosed by integer
-    b-th roots at a scale of 2^bits, and the comparisons are products of
-    integers; the precision doubles from ``bits`` until one of them resolves.
+    b-th roots at a scale of 2^bits, and the precision doubles from ``bits``
+    until the enclosures resolve the comparison.  Only the roots of n^p and
+    n^(1-p) are taken: a floor root of the inner term is compared with an
+    integer s only, and floor(root_b(h)) <= s iff h < (s+1)^b and
+    floor(X/Y) < Z iff X < Z*Y, so powers of integers decide in its place.
     A b above ``MAX_P_DENOMINATOR`` is refused: the radicands have bits*b bits.
     On valid input the answer is always True, so ``False`` flags a fault in
     the enclosures: with delta = n^p/r <= n, the mean value theorem gives
@@ -363,12 +364,10 @@ def iteration_bound_check(n: int, p, r: int, bits: int = 32) -> bool:
     if bits < 1:
         raise ValueError(f"bits must be a positive integer, got {bits}")
     while True:
-        a_lo, a_hi, c_lo, c_hi = _enclosures(n, a, b, r, bits)
-        rhs = (b - a) << bits       # (1-p)/r, times b * r * 2^bits
-        if (a_lo - c_hi) * b * r >= rhs:
-            return True
-        if (a_hi - c_lo) * b * r < rhs:
-            return False
+        a_lo = _scaled_root(n, b - a, b, bits)
+        m = (n * r << bits) - _scaled_root(n, a, b, bits)     # >= 0: n^p <= n*r
+        if (decided := _decision(a_lo, m, a, b, r, bits)) is not None:
+            return decided
         bits *= 2
         if bits > 4096:
             raise RuntimeError("interval refinement failed to resolve comparison")

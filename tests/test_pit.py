@@ -759,15 +759,15 @@ class TestIterationBound:
                                          (50, Fraction(9, 10), 9),
                                          (7, Fraction(1, 3), 4)])
     def test_coarse_start_doubles_to_the_same_decision(self, monkeypatch, n, p, r):
-        # one enclosure per precision: more than one call means bits doubled
+        # one decision per precision: more than one call means bits doubled
         want = iteration_bound_check(n, p, r)
         calls = []
-        real = pit._enclosures
+        real = pit._decision
 
         def counted(*args):
             calls.append(args[-1])
             return real(*args)
-        monkeypatch.setattr(pit, "_enclosures", counted)
+        monkeypatch.setattr(pit, "_decision", counted)
         assert iteration_bound_check(n, p, r, bits=1) is want
         assert len(calls) > 1
 
@@ -780,8 +780,12 @@ class TestIterationBound:
     @pytest.mark.parametrize("n, p, r", [(4, Fraction(1, 2), 1), (10 ** 6, Fraction(1, 2), 2),
                                          (50, Fraction(9, 10), 9)])
     def test_false_claim_decided_false(self, monkeypatch, n, p, r):
-        # only a false claim reaches False: enclose the second term as n^(1-p)
-        # itself, which leaves 0 on the left, below (1-p)/r
-        real = pit._enclosures
-        monkeypatch.setattr(pit, "_enclosures", lambda *args: real(*args)[:2] * 2)
+        # only a false claim reaches False: fake the inner term n - n^p/r as n
+        # itself (m = n*r*2^bits), which encloses the left side within two
+        # units of 2^-bits of 0, below (1-p)/r
+        real = pit._decision
+
+        def faked(a_lo, m, a, b, r, bits):
+            return real(a_lo, n * r << bits, a, b, r, bits)
+        monkeypatch.setattr(pit, "_decision", faked)
         assert iteration_bound_check(n, p, r) is False

@@ -64,8 +64,9 @@ order, with the same layout bounds; for a block with a repeated index,
 two, and ``reference_enclosures`` the ``Fraction`` enclosures of the
 iteration-count inequality, built by ``reference_pow_bounds``.  ``_iroot``
 must give the same roots, also where its float seed gives way to Newton's
-descent and from a seed that is off, and ``iteration_bound_check``'s integer
-enclosures the same endpoints.
+descent and from a seed that is off.  ``iteration_bound_check``'s decision at
+each precision, made by comparing integer powers, must be True, False or
+undecided exactly where those enclosures' endpoints are.
 
 ``reference_prune`` is ``sequences.prune`` as it was: the chain of
 longest monotone subsequences through ``longest_monotone``, then the pair
@@ -1972,36 +1973,89 @@ class TestIterationBoundMatchesReference:
                     monkeypatch.setattr(math, "exp", lambda y: float(want + offset))
                     assert pit._iroot(value, k) == want
 
-    @PROPERTY_SETTINGS
-    @given(st.integers(1, 10 ** 6), st.integers(1, 1000),
-           st.sampled_from([Fraction(1, 1000), Fraction(999, 1000), Fraction(1, 3),
-                            Fraction(2, 3), Fraction(7, 9),
-                            *(Fraction(j, 10) for j in range(1, 10))]),
-           st.sampled_from([32, 64, 128, 256, 512]))
-    @example(1, 1, Fraction(1, 2), 32)      # n - n^p/r = 0: the zero base
-    @example(2, 1, Fraction(1, 2), 1)       # c_hi's root one step above c_lo's
-    @example(2, 1, Fraction(999, 1000), 4)  # m = 1: fifteen steps, so a root
-    @example(2, 1, Fraction(9999, 10000), 12)
-    def test_enclosure_endpoints(self, n, r, p, bits):
-        # every decision is True (mean value theorem), so compare endpoints
-        assert (pit._enclosures(n, p.numerator, p.denominator, r, bits)
-                == reference_enclosures(n, p, r, bits))
+    @staticmethod
+    def decision(n: int, p: Fraction, r: int, bits: int, m=None):
+        """``pit._decision`` on the check's two roots, or on a faked m."""
+        a, b = p.numerator, p.denominator
+        a_lo = pit._scaled_root(n, b - a, b, bits)
+        if m is None:
+            m = (n * r << bits) - pit._scaled_root(n, a, b, bits)
+        return pit._decision(a_lo, m, a, b, r, bits)
+
+    @staticmethod
+    def reference_decision(ends: tuple, p: Fraction, r: int, bits: int):
+        """True, False or None from the enclosure endpoints, compared as roots."""
+        a_lo, a_hi, c_lo, c_hi = ends
+        b = p.denominator
+        rhs = (b - p.numerator) << bits         # (1-p)/r, times b * r * 2^bits
+        if (a_lo - c_hi) * b * r >= rhs:
+            return True
+        if (a_hi - c_lo) * b * r < rhs:
+            return False
+        return None
+
+    def test_decision_matches_the_enclosures(self):
+        # every true inequality is decided True or left to a finer bits; only a
+        # faked inner term n - n^p/r = n, with n^p enclosed in [0, 2^-bits]
+        # (m = n*r*2^bits), reaches False
+        seen = Counter()
+
+        @PROPERTY_SETTINGS
+        @given(st.integers(1, 10 ** 6), st.integers(1, 1000),
+               st.sampled_from([Fraction(1, 1000), Fraction(999, 1000), Fraction(1, 3),
+                                Fraction(2, 3), Fraction(7, 9),
+                                *(Fraction(j, 10) for j in range(1, 10))]),
+               st.sampled_from([1, 2, 4, 8, 32, 64]), st.booleans())
+        @example(1, 1, Fraction(1, 2), 32, False)      # n - n^p/r = 0: the zero base
+        @example(2, 1, Fraction(1, 2), 1, False)       # m = 1
+        @example(2, 1, Fraction(999, 1000), 4, False)
+        @example(2, 1, Fraction(9999, 10000), 12, False)
+        def check(n, r, p, bits, fake):
+            if fake:
+                nfrac = Fraction(n)
+                a_lo, a_hi = reference_pow_bounds(nfrac, 1 - p, bits)
+                c_lo, _ = reference_pow_bounds(nfrac - Fraction(1, r << bits), 1 - p, bits)
+                ends = tuple(int(x * (1 << bits)) for x in (a_lo, a_hi, c_lo, a_hi))
+                got = self.decision(n, p, r, bits, m=n * r << bits)
+            else:
+                ends = reference_enclosures(n, p, r, bits)
+                got = self.decision(n, p, r, bits)
+            assert got is self.reference_decision(ends, p, r, bits)
+            seen[got] += 1
+
+        check()
+        assert min(seen[True], seen[False], seen[None]) > 0
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
+    def test_decision_at_every_small_input(self, p):
+        # every a_lo and m in a small box, the inner term's roots taken by
+        # reference_iroot: this reaches the inputs where a power equals its
+        # bound exactly, which drawn n seldom do
+        a, b = p.numerator, p.denominator
+        c = b - a
+        for r, bits, a_lo, m in itertools.product(range(1, 4), range(1, 4), range(12),
+                                                  range(40)):
+            c_lo = reference_iroot((max(m - 1, 0) ** c << bits * a) // r ** c, b)
+            c_hi = reference_iroot((m ** c << bits * a) // r ** c, b) + 1 if m else 0
+            want = self.reference_decision((a_lo, a_lo + 1, c_lo, c_hi), p, r, bits)
+            assert pit._decision(a_lo, m, a, b, r, bits) is want
 
     @pytest.mark.parametrize("n, p", [(2, Fraction(999, 1000)), (7, Fraction(1, 3)),
                                       (50, Fraction(9, 10)), (9973, Fraction(3, 10)),
                                       (10 ** 6, Fraction(1, 2))])
-    def test_enclosures_across_r_share_their_roots(self, n, p):
+    def test_decisions_across_r_share_their_roots(self, n, p):
         # the sweep's order, r = 1..9 for one (n, p), each check doubling from
         # bits = 1; the first pass fills the memo and the second reads it
         a, b = p.numerator, p.denominator
         precisions = (1, 2, 4, 8, 16, 32)
-        want = {(r, bits): reference_enclosures(n, p, r, bits)
+        want = {(r, bits): self.reference_decision(reference_enclosures(n, p, r, bits),
+                                                   p, r, bits)
                 for r in range(1, 10) for bits in precisions}
         pit._scaled_root.cache_clear()
         for _ in range(2):
             for r in range(1, 10):
                 for bits in precisions:
-                    assert pit._enclosures(n, a, b, r, bits) == want[r, bits]
+                    assert self.decision(n, p, r, bits) is want[r, bits]
         # one miss per root and precision: the roots of n^p and n^(1-p)
         assert pit._scaled_root.cache_info().misses == len(precisions) * len({a, b - a})
 
