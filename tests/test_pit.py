@@ -1,5 +1,6 @@
 """The white-box identity test, its per-round points, and the round-count inequality."""
 
+import hashlib
 import itertools
 import pathlib
 import random
@@ -13,7 +14,7 @@ import pytest
 from abpkit import abp as abpmod
 from abpkit import pit
 from abpkit.abp import ObliviousAbp, to_canonical_text
-from abpkit.algebra import GuardExceeded, PrimeField, UniMatrix
+from abpkit.algebra import GuardExceeded, PrimeField, SparsePoly, UniMatrix
 from abpkit.corpus import random_read_k_abp, random_roabp
 from abpkit.hardpoly import gen_pn, gen_qn
 from abpkit.pit import iteration_bound, iteration_bound_check, read_k_pit
@@ -33,16 +34,20 @@ def records(verdict):
     return [(r.subset, r.h_size, r.points_tried, r.chosen) for r in verdict.iterations]
 
 
-def criterion_1_k3(field, index):
-    """Criterion 1's program k3#index, the (index+1)-th draw from Random(1003),
-    with its zero kind; its ``read_k_pit`` seed is ``index``."""
-    rng = random.Random(1003)
-    for _ in range(index + 1):
+def criterion_1(field, k):
+    """Criterion 1's 200 read-k programs, the draws from Random(1000 + k), each
+    with its zero kind; program i's ``read_k_pit`` seed is i."""
+    rng = random.Random(1000 + k)
+    for _ in range(200):
         n, w, roll = rng.randint(1, 8), rng.randint(1, 3), rng.random()
         zero_kind = "cancel" if roll < 0.12 else ("zero_layer" if roll < 0.22 else None)
-        program = random_read_k_abp(rng, field, n, 3, w, max_entry_degree=2,
-                                    term_budget=20000, zero_kind=zero_kind)
-    return program, zero_kind
+        yield random_read_k_abp(rng, field, n, k, w, max_entry_degree=2,
+                                term_budget=20000, zero_kind=zero_kind), zero_kind
+
+
+def criterion_1_k3(field, index):
+    """Criterion 1's program k3#index, with its zero kind."""
+    return next(itertools.islice(criterion_1(field, 3), index, None))
 
 
 def count_calls(monkeypatch, calls):
@@ -361,17 +366,24 @@ class TestReadKPit:
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 1)])
     def test_one_expansion_per_round(self, field, monkeypatch, n, k):
         """A zero round costs two probes of its first candidate and one
-        expansion of the round's program, however many points it has and
-        whether or not its candidates read anything (with k = 1 they read
-        nothing); a nonzero program whose first candidates hit expands
-        nothing."""
+        expansion of the round's program, which ends it with no point
+        substituted, however many points it has and whether or not its
+        candidates read anything (with k = 1 they read nothing); a nonzero
+        program whose first candidates hit expands nothing."""
         calls = count_calls(monkeypatch, {"expand": 0, "evaluate": 0})
+        calls["substitute"] = 0
+        substitute = SparsePoly.substitute
+
+        def counted(self, assignment):
+            calls["substitute"] += 1
+            return substitute(self, assignment)
+        monkeypatch.setattr(SparsePoly, "substitute", counted)
         zero = random_read_k_abp(random.Random(2), field, n, k, 2, 1, term_budget=3000,
                                  zero_kind="cancel")
         v = read_k_pit(zero)
         assert v.is_zero and len(v.iterations) == 1
         assert v.iterations[0].points_tried == v.iterations[0].h_size >= 8
-        assert calls == {"expand": 1, "evaluate": 2}
+        assert calls == {"expand": 1, "evaluate": 2, "substitute": 0}
         calls.update(expand=0)
         nonzero = random_read_k_abp(random.Random(1), field, n, k, 2, 1, term_budget=3000)
         v = read_k_pit(nonzero)
@@ -485,6 +497,44 @@ class TestReadKPit:
         v1 = read_k_pit(a, seed=5)
         v2 = read_k_pit(a, seed=5)
         assert v1 == v2
+
+    def test_verdict_bytes(self, field):
+        """Verdicts, witnesses and round records of criterion 1's 600 programs
+        and of P_3-P_6 and Q_3-Q_6, under the grid and under 30 random points
+        from seed 1, hash to a pinned digest, each size floor formatted as
+        ``pit --report`` writes it.  How a candidate is decided may change;
+        these bytes may not."""
+        programs = [(i, program) for k in (1, 2, 3)
+                    for i, (program, _) in enumerate(criterion_1(field, k))]
+        programs += [(0, gen(n, field, with_poly=False).realization)
+                     for gen in (gen_pn, gen_qn) for n in range(3, 7)]
+        digest = hashlib.sha256()
+        for seed, program in programs:
+            for v in (read_k_pit(program, "grid", seed), read_k_pit(program, "random", 1, 30)):
+                digest.update(repr((v.is_zero, v.witness, [
+                    (r.subset, f"{r.size_floor:.6f}", r.h_size, r.points_tried, r.chosen)
+                    for r in v.iterations])).encode())
+        assert digest.hexdigest() == (
+            "ca8923614aa8ceaafb098dc9cfae5e39ecfe6e9e3a069639b477841030389bd3")
+
+    @pytest.mark.parametrize("s, want", [
+        (0, (True, None, [((0, 2, 5), 1, 1, None)])),
+        (18, (False, (1, 4, 1, 4), [((0, 1, 3), 1, 1, (1, 4, 4)), ((2,), 1, 1, (1,))])),
+        (40, (True, None, [((0, 5), 1, 1, None)]))])
+    def test_recursion_seeds_drawn_where_a_capped_expansion_refuses(self, monkeypatch,
+                                                                     s, want):
+        """With a fast-path limit of 1 each missed candidate with a path
+        recurses on a seed drawn from the probe stream, and a recursive test
+        over one random point per round often misses, so these verdicts
+        depend on where every draw falls.  One more seed draw per refused
+        capped expansion changes all three; ``reference_read_k_pit`` gives
+        the same records."""
+        monkeypatch.setattr(pit, "DEFAULT_FASTPATH_TERMS", 1)
+        rng = random.Random(s)
+        a = random_read_k_abp(rng, PrimeField(5), rng.randint(3, 6), 2, rng.randint(1, 2), 1,
+                              term_budget=3000)
+        v = read_k_pit(a, "random", 3, 1)
+        assert (v.is_zero, v.witness, records(v)) == want
 
 
 # Grid verdicts on P_4 and Q_4 as the recursive test gave them: (subset,
