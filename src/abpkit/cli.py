@@ -192,13 +192,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # an experiment with nothing in it would pass vacuously
+    # an empty sweep would pass vacuously; no program has width 0 or degree < 0
     sizes = {"pn-evaldim": (("--max-size", args.max_size, 0),),
              "qn-evaldim": (("--pairs", args.pairs, 1),),
+             "eliminate": (("--width", args.width, 1), ("--entry-degree", args.entry_degree, 0)),
              "iteration-bound": (("--r-max", args.r_max, 1), ("--n-max", args.n_max, 1))}
     for flag, value, least in sizes.get(args.kind, ()):
         if value < least:
-            raise ValueError(f"{flag} must be >= {least} for a non-empty sweep, got {value}")
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     if args.kind == "pn-evaldim":
         report = experiment_pn_evaldim(args.n, max_size=args.max_size,
                                        field=PrimeField(args.field_prime))

@@ -6,14 +6,7 @@ and pad the read sequence only.  Each round picks, from its padded read order
 as it stands, a large per-read-monotone, regularly-interleaving subset of the
 free variables (``_choose_subset``), and walks the round's points over it
 (sized by the width and degrees of the program left) until a point keeps the
-restricted program nonzero.  Candidates get one probe each until the round's
-first miss.  A round with no source-sink path then ends; a cheap one probes
-the missed candidate once more and is expanded once only if that misses too;
-in a large one every later candidate is restricted first: no source-sink
-path means zero, else a probe of the restriction, a capped expansion (zero at
-once if the read-once relaxation is), and a recursion only where it refuses.
-The accepted candidate's restriction is the next round's program, nonzero
-and so with a nonzero read-once relaxation.
+restricted program nonzero (``_scan_round``).
 ``_round_points`` makes a round's points (grid, random or a user file), and
 the test walks them as they are made: the paper's hitting set, the product
 of the rounds' sets, is never stored.  Grid points make the verdict exact;
@@ -157,43 +150,51 @@ def _probe_point(work: ObliviousAbp, assignment: dict, rng) -> list:
     return point
 
 
-def _scan_round(work: ObliviousAbp, subset, points, rng, generator, count,
-                path, lacking) -> tuple | None:
+def _scan_round(work: ObliviousAbp, subset, points, rng, recurse) -> tuple | None:
     """One round of ``read_k_pit``: (points tried, accepted point, its
-    restriction or None if none was built), or None when the round exhausts
-    its points.  ``lacking``, the round's missing reads, pads a recursion's input."""
-    poly = None
-    restrict_first = False
-    for tried, pt in enumerate(points, 1):
-        assignment = dict(zip(subset, pt))
-        sub = work.restrict(assignment) if restrict_first else None
-        if poly is None:
-            point = _probe_point(work, assignment, rng)
-            if sub is not None and not sub.reaches_sink:
-                continue
-            if (sub or work).evaluate(point) != 0:
-                return tried, pt, sub
-            if not restrict_first:      # the round's first miss
-                est = work.estimated_terms()
-                if est > DEFAULT_FASTPATH_TERMS:
-                    restrict_first = True
-                    sub = work.restrict(assignment)
-                elif est and work.evaluate(_probe_point(work, assignment, rng)) != 0:
-                    return tried, pt, None      # a second probe hits before any expansion
-                else:
-                    poly = work.expand()
-                    if poly.is_zero:
-                        return None
-        if poly is not None:
-            rest = poly.substitute(assignment)
-        else:
-            try:
-                rest = sub.expand(DEFAULT_FASTPATH_TERMS)
-            except GuardExceeded:
-                rest = read_k_pit(_pad(sub, [v for v in lacking if v not in assignment]),
-                                  generator, rng.getrandbits(32), count, path)
-        if not rest.is_zero:
+    restriction), or None when no point keeps ``work`` nonzero.  A probe
+    evaluates at a random point of the whole program drawn from ``rng``.
+    1. The first candidate is probed, and a hit accepts it.
+    2. At that miss the round program's terms are estimated, once.  A cheap
+       round (at most ``DEFAULT_FASTPATH_TERMS``) with a source-sink path
+       (estimate > 0) probes the candidate again; then the round program is
+       expanded once: zero ends the round, else substitution decides that
+       candidate and every later one.  In a large round the candidate's
+       restriction goes to the capped step.  Each later one is restricted
+       and draws its probe point, used or not, so later draws stay put: no
+       source-sink path means zero, a probe hit nonzero, and anything else
+       goes to the capped step.
+    3. The capped step expands the restriction within
+       ``DEFAULT_FASTPATH_TERMS`` terms (zero at once where the read-once
+       relaxation is, ``ObliviousAbp.expand``), and only if that refuses
+       tests it by ``recurse``, on a seed drawn then."""
+    def capped(sub, fixed):
+        try:
+            return not sub.expand(DEFAULT_FASTPATH_TERMS).is_zero
+        except GuardExceeded:
+            return not recurse(sub, fixed, rng.getrandbits(32)).is_zero
+
+    candidates = ((tried, pt, dict(zip(subset, pt))) for tried, pt in enumerate(points, 1))
+    tried, pt, fixed = next(candidates)     # every round has a point
+    if work.evaluate(_probe_point(work, fixed, rng)) != 0:
+        return tried, pt, work.restrict(fixed)
+    est = work.estimated_terms()
+    if est <= DEFAULT_FASTPATH_TERMS:
+        if est and work.evaluate(_probe_point(work, fixed, rng)) != 0:
+            return tried, pt, work.restrict(fixed)
+        if not (poly := work.expand()).is_zero:
+            for tried, pt, fixed in itertools.chain([(tried, pt, fixed)], candidates):
+                if not poly.substitute(fixed).is_zero:
+                    return tried, pt, work.restrict(fixed)
+    else:
+        sub = work.restrict(fixed)
+        if capped(sub, fixed):
             return tried, pt, sub
+        for tried, pt, fixed in candidates:
+            sub = work.restrict(fixed)
+            point = _probe_point(work, fixed, rng)
+            if sub.reaches_sink and (sub.evaluate(point) != 0 or capped(sub, fixed)):
+                return tried, pt, sub
     return None
 
 
@@ -206,31 +207,21 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
     lack: padding never enters a program, save a restriction handed to a
     recursive test, which must prune with this k.  Each round prunes the read
     sequence to a per-read-monotone, regularly-interleaving subset y_i and
-    scans the generator's points over y_i in order for the first whose
-    restriction stays nonzero.  Whatever the
-    generator, each candidate gets one random probe up to the round's first
-    miss.  There the round program's terms are estimated, once.  One with no
-    source-sink path (estimate 0) ends the round.  One within
-    ``DEFAULT_FASTPATH_TERMS`` probes the missed candidate again at a fresh
-    random point, accepting it on a nonzero value, and is expanded only at a
-    second miss (zero ends the round, else substitution decides each point).
-    In a larger one, that candidate and every later one are restricted first,
-    with no second probe.  A restriction with no source-sink path is zero
-    (its probe point is still drawn, so later draws stay put); any other gets
-    the probe, then an expansion guarded at ``DEFAULT_FASTPATH_TERMS`` terms,
-    and a recursive test only if it refuses because a partial product
-    outgrows that.  That expansion is zero before any term map when the
-    restriction's degree box is large and its read-once relaxation is zero
-    (``ObliviousAbp.expand``), as for cancelling lanes.  The accepted
-    candidate's restriction is the next round's program; being nonzero, it is
-    marked as having a nonzero relaxation, so its expansion skips that check.
-    An exhausted round means zero; else the accepted points make a witness,
+    accepts the first of the generator's points over y_i whose restriction
+    stays nonzero; that restriction is the next round's program.  An
+    exhausted round means zero; else the accepted points make a witness,
     re-checked by evaluation.  With the grid generator the verdict is exact.
     With random points a nonzero verdict is certain but a zero one is
     one-sided: a nonzero polynomial with individual degrees d_v < p vanishes
     at a uniform point with probability at most 1 - prod(1 - d_v/p)
-    (Schwartz-Zippel).  A degree bound >= p is refused under every generator.
+    (Schwartz-Zippel).  A degree bound >= p is refused (``ValueError``) under
+    every generator, and so is a round past the point guard
+    (``GuardExceeded``); a recursive test's refusal reaches the caller.
     """
+    def recurse(sub, fixed, sub_seed):      # padded for this round's lacking reads
+        return read_k_pit(_pad(sub, [v for v in lacking if v not in fixed]),
+                          generator, sub_seed, count, path)
+
     k, missing = _missing_reads(abp)
     work = abp
     rng = random.Random(seed)
@@ -240,13 +231,12 @@ def read_k_pit(abp: ObliviousAbp, generator: str = "grid", seed: int = 0,
         subset, floor = _choose_subset(order)
         size, points = _round_points(work, subset, k, generator, seed + len(iterations),
                                      count, path)
-        tried, chosen, sub = (_scan_round(work, subset, points, rng, generator, count,
-                                          path, lacking) or (size, None, None))
+        tried, chosen, work = (_scan_round(work, subset, points, rng, recurse)
+                               or (size, None, work))
         iterations.append(IterationRecord(subset, floor, size, tried, chosen))
         if chosen is None:
             return PitVerdict(True, None, iterations, generator, abp.num_vars, k)
         assigned.update(zip(subset, chosen))
-        work = sub or work.restrict(dict(zip(subset, chosen)))
         work.relaxation_zero = False    # nonzero, so its read-once relaxation is too
     if work.evaluate([0] * work.num_vars) == 0:
         return PitVerdict(True, None, iterations, generator, abp.num_vars, k)

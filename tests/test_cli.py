@@ -390,6 +390,14 @@ class TestExperiments:
         assert code == 0
         assert "alpha:" in out
 
+    @pytest.mark.parametrize("flag, value, least", [("--width", 0, 1),
+                                                    ("--entry-degree", -1, 0)])
+    def test_eliminate_refuses_by_flag(self, capsys, flag, value, least):
+        # refused before any draw, not by randrange's "empty range"
+        code, out, err = run(capsys, "experiment", "eliminate", flag, value)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {flag} must be >= {least}, got {value}"]
+
     @pytest.mark.parametrize("prime, seed", [(2, 0), (3, 1)])
     def test_eliminate_small_field_ends(self, capsys, prime, seed):
         # every prefix range already holds the whole field and p^t < w + 1,

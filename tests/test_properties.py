@@ -94,10 +94,11 @@ each field on its own, must give the same map.
 by candidate: every candidate is restricted, gets one random probe, and is
 then expanded with a guard of ``DEFAULT_FASTPATH_TERMS`` terms, or tested
 recursively if the expansion refuses.  It picks each round's subset with
-``reference_choose_subset``.  ``read_k_pit``, which probes a cheap round's
-first missed candidate twice before it expands the round once and decides
-later candidates of a large one on their restriction, must give the same
-verdict, witness and iteration records, or the same refusal.
+``reference_choose_subset``.  ``read_k_pit``, whose ``_scan_round`` probes
+only a round's first candidate, then probes a cheap round's candidate again
+before it expands the round once, and decides a large round's later
+candidates on their restriction, must give the same verdict, witness and
+iteration records, or the same refusal.
 """
 
 import itertools
